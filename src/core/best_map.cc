@@ -23,6 +23,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // constant, not a correctness one.)
 constexpr size_t kMinShiftsParallel = 16;
 
+// Shifts one pass of SsePolicy's blocked kernel covers.
+constexpr size_t kShiftBlock = 8;
+
 // Deterministic selection rule shared by the serial scans and the parallel
 // chunk merge: lower error wins, and an *exact* error tie goes to the
 // lower shift. Serial ascending scans, partitioned scans at any chunk
@@ -49,10 +52,10 @@ struct ShiftFit {
   double err = 0.0;
 };
 
-// The single shift-scan driver. Every metric used to own a near-identical
-// copy of this loop (guarding, partitioning, deterministic merge); now the
-// hardening and threading logic exists once and a metric policy supplies
-// only the per-shift residual math via `Fit(shift) -> ShiftFit`.
+// The workspace-less shift scan, kept as the reference the memoized scan
+// is tested against (best_map_test). Every metric used to own a
+// near-identical copy of this loop; a metric policy supplies only the
+// per-shift residual math via `Fit(shift) -> ShiftFit`.
 //
 // The driver guards its own geometry: len > x.size() would underflow
 // num_shifts into a near-infinite out-of-bounds scan, so a caller bug must
@@ -100,6 +103,87 @@ void ScanShifts(std::span<const double> x, std::span<const double> yseg,
   }
 }
 
+// Errors of shifts [begin, end) into err[0 .. end - begin). A policy with
+// a blocked kernel (`FitBlock`) covers whole blocks of kShiftBlock shifts
+// with it; every error is bitwise the one Fit(shift) gives.
+template <typename Policy>
+void FitErrors(const Policy& policy, size_t begin, size_t end, double* err) {
+  if constexpr (requires { policy.FitBlock(begin, err); }) {
+    for (; end - begin >= kShiftBlock; begin += kShiftBlock) {
+      policy.FitBlock(begin, err);
+      err += kShiftBlock;
+    }
+  }
+  for (; begin < end; ++begin) *err++ = policy.Fit(begin).err;
+}
+
+// The shift scan every workspace caller runs (DESIGN.md §5e). The
+// workspace memoizes, per interval, how many shifts of the shared trial
+// buffer are scanned and the steps of the ascending scan's running best.
+// A call evaluates only the shifts no earlier call of this chunk did — in
+// parallel on the pool for large ranges — lists the new steps with one
+// serial sweep, and takes the last step below num_shifts. Fit
+// depends only on x[shift, shift + len), the shared prefix sums and the
+// interval's y moments, and every trial base is a prefix of one buffer,
+// so that step is exactly the shift the reference scan selects; its fit
+// is recomputed once with the same Fit, giving the same bits.
+template <typename Policy>
+void ScanShiftsMemo(size_t x_size, size_t start, size_t len, uint8_t tag,
+                    const BestMapOptions& options, Interval* best,
+                    const Policy& policy) {
+  if (len == 0 || len > x_size) return;
+  const size_t num_shifts = x_size - len + 1;
+  EncodeWorkspace& ws = *options.workspace;
+  EncodeArena& arena = ws.arena(options.arena);
+  const ShiftCursor cursor = ws.ResumeShifts(start, len, tag, num_shifts);
+  std::vector<uint32_t>& steps = arena.shift_steps();
+  steps.clear();
+  double running = cursor.best_err;
+  if (num_shifts > cursor.from) {
+    const size_t from = cursor.from;
+    const size_t n = num_shifts - from;
+    SBR_OBS_COUNT("encode.best_map.shifts_scanned", n);
+    std::vector<double>& errors = arena.shift_errors();
+    if (errors.size() < n) errors.resize(n);
+    double* err = errors.data();
+    const auto evaluate = [&](size_t, size_t begin, size_t end) {
+      FitErrors(policy, from + begin, from + end, err + begin);
+    };
+    // Inline for one thread or a tiny range: wrapping the body in the
+    // pool's std::function would heap-allocate on every scan.
+    if (options.threads <= 1 || n < kMinShiftsParallel) {
+      evaluate(0, 0, n);
+    } else {
+      util::ParallelFor(options.threads, n, evaluate);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (err[i] < running) {
+        running = err[i];
+        steps.push_back(static_cast<uint32_t>(from + i));
+      }
+    }
+  }
+  const int64_t shift =
+      ws.CommitShifts(start, len, tag, cursor, num_shifts, steps, running);
+  if (shift < 0) return;
+  const ShiftFit f = policy.Fit(static_cast<size_t>(shift));
+  if (BetterShift(f.err, shift, *best)) {
+    TakeShift(best, shift, f.a, f.b, f.c, f.err);
+  }
+}
+
+// Runs the memoized scan with a workspace and the reference scan without.
+template <typename Policy>
+void Scan(std::span<const double> x, std::span<const double> yseg,
+          size_t start, uint8_t tag, const BestMapOptions& options,
+          Interval* best, const Policy& policy) {
+  if (options.workspace != nullptr) {
+    ScanShiftsMemo(x.size(), start, yseg.size(), tag, options, best, policy);
+  } else {
+    ScanShifts(x, yseg, options.threads, best, policy);
+  }
+}
+
 // SSE policy: sum_x and sum_x2 come from prefix sums, only sum_xy needs an
 // O(len) pass per shift, and the residual error follows from the normal
 // equations without a second pass. With a workspace the prefix table is
@@ -130,7 +214,29 @@ class SsePolicy {
     double sum_xy = 0.0;
     const double* xs = xp_ + shift;
     for (size_t i = 0; i < len_; ++i) sum_xy += xs[i] * yp_[i];
+    return FitFromSumXy(shift, sum_xy);
+  }
 
+  // Errors of the kShiftBlock shifts starting at `shift` in one pass over
+  // y. The block's accumulators are independent add chains (the scalar
+  // loop is one chain bound by add latency), and each still adds
+  // x[shift + k + i] * y[i] in ascending i — the scalar loop's exact
+  // sequence — so every sum, fit and error is bitwise Fit's. This holds
+  // only without FP contraction (DESIGN.md §5e).
+  void FitBlock(size_t shift, double* err) const {
+    double sum_xy[kShiftBlock] = {};
+    const double* xs = xp_ + shift;
+    for (size_t i = 0; i < len_; ++i) {
+      const double yi = yp_[i];
+      for (size_t k = 0; k < kShiftBlock; ++k) sum_xy[k] += xs[i + k] * yi;
+    }
+    for (size_t k = 0; k < kShiftBlock; ++k) {
+      err[k] = FitFromSumXy(shift + k, sum_xy[k]).err;
+    }
+  }
+
+ private:
+  ShiftFit FitFromSumXy(size_t shift, double sum_xy) const {
     const double sum_x = prefix_->RangeSum(shift, len_);
     const double sum_x2 = prefix_->RangeSumSquares(shift, len_);
     const double denom = flen_ * sum_x2 - sum_x * sum_x;
@@ -149,7 +255,6 @@ class SsePolicy {
     return f;
   }
 
- private:
   const double* xp_;
   const double* yp_;
   size_t len_;
@@ -238,6 +343,10 @@ class QuadraticPolicy {
   std::span<const double> yseg_;
 };
 
+// Shift-memo tag of the quadratic policy; the linear policies use their
+// ErrorMetric value.
+constexpr uint8_t kQuadraticTag = 0xff;
+
 // Computes the y-side SSE moments locally (the no-workspace path).
 SseMoments ComputeSseMoments(std::span<const double> yseg) {
   SseMoments m;
@@ -277,17 +386,21 @@ void RunMetricScan(std::span<const double> x, std::span<const double> yseg,
   EncodeWorkspace* ws = options.workspace;
   EncodeArena* arena = ws != nullptr ? &ws->arena(options.arena) : nullptr;
 
+  // Shift-memo tag: one per policy, so a workspace reused across metrics
+  // never answers one policy's scan from another's staircase.
   if (options.quadratic) {
-    ScanShifts(x, yseg, options.threads, best, QuadraticPolicy(x, yseg));
+    Scan(x, yseg, start, kQuadraticTag, options, best,
+         QuadraticPolicy(x, yseg));
     return;
   }
+  const uint8_t tag = static_cast<uint8_t>(options.metric);
   switch (options.metric) {
     case ErrorMetric::kSse: {
       const SseMoments m =
           ws != nullptr ? ws->Sse(yseg, start) : ComputeSseMoments(yseg);
       const PrefixSums* shared = ws != nullptr ? &ws->base_prefix() : nullptr;
-      ScanShifts(x, yseg, options.threads, best,
-                 SsePolicy(x, yseg, shared, m));
+      Scan(x, yseg, start, tag, options, best,
+           SsePolicy(x, yseg, shared, m));
       break;
     }
     case ErrorMetric::kSseRelative: {
@@ -305,12 +418,12 @@ void RunMetricScan(std::span<const double> x, std::span<const double> yseg,
         w = local_w.data();
         wy = local_wy.data();
       }
-      ScanShifts(x, yseg, options.threads, best,
-                 RelativePolicy(x, w, wy, yseg.size(), m));
+      Scan(x, yseg, start, tag, options, best,
+           RelativePolicy(x, w, wy, yseg.size(), m));
       break;
     }
     case ErrorMetric::kMaxAbs:
-      ScanShifts(x, yseg, options.threads, best, MaxAbsPolicy(x, yseg));
+      Scan(x, yseg, start, tag, options, best, MaxAbsPolicy(x, yseg));
       break;
   }
 }

@@ -257,10 +257,11 @@ StatusOr<Transmission> SbrEncoder::EncodeImpl(
     return Status::Internal("insertions consumed the entire bandwidth");
   }
   const size_t budget = options_.total_band - insert_cost;
-  // Rebind the workspace's prefix sums to the *final* base signal (the
-  // search ran against trial prefixes; placement may have evicted slots
-  // and compact mode rounds values), then run the final approximation
-  // against the shared tables.
+  // Rebind the workspace to the *final* base signal, then run the final
+  // approximation against the shared tables. Free-slot placement makes it
+  // a bitwise prefix of the search's trial buffer, so the prefix sums and
+  // the shift memo carry over; eviction and compact-wire rounding change
+  // placed values, so the table is rebuilt and the memo dropped.
   workspace_->SetBase(x);
   gi.best_map.workspace = workspace_;
   SBR_OBS_SPAN(approx_span, "encode.approx");
@@ -298,6 +299,8 @@ StatusOr<Transmission> SbrEncoder::EncodeImpl(
                 stats_.workspace.prefix_resets);
   SBR_OBS_COUNT("encode.workspace.prefix_appends",
                 stats_.workspace.prefix_appends);
+  SBR_OBS_COUNT("encode.workspace.shifts_reused",
+                stats_.workspace.shifts_reused);
   SBR_OBS_HIST("encode.values_used", stats_.values_used);
   return t;
 }

@@ -27,8 +27,10 @@ class Prober {
     // Build the maximal trial base once: the trial signal of probe `pos`
     // is a prefix of the trial signal of probe `pos + 1`, so one shared
     // buffer (and one incrementally extended prefix-sum table) serves
-    // every probe as a read-only prefix view. offsets_[pos] is the trial
-    // length probe `pos` sees.
+    // every probe as a read-only prefix view, and the workspace's shift
+    // memo carries each interval's scan from probe to probe (a longer
+    // trial only adds shifts). offsets_[pos] is the trial length probe
+    // `pos` sees.
     size_t total = ctx.current_base.size();
     for (const auto& cand : *ctx.candidates) total += cand.values.size();
     workspace_->ReserveBase(total);

@@ -38,8 +38,11 @@ struct SearchContext {
   /// trial base (current base + every candidate) in the workspace once,
   /// extending its prefix sums incrementally, and each probe evaluates
   /// against a prefix *view* of that buffer — no per-probe base copy, no
-  /// per-interval prefix rebuild. Probes that run concurrently (Prefetch)
-  /// are assigned distinct workspace arenas by ParallelFor chunk id.
+  /// per-interval prefix rebuild. Because every probe's base is a prefix
+  /// of that one buffer, the workspace's shift memo lets a probe scan only
+  /// the shifts no earlier probe of the chunk scanned. Probes that run
+  /// concurrently (Prefetch) are assigned distinct workspace arenas by
+  /// ParallelFor chunk id and merge into the shared memo.
   /// Results are bitwise identical with or without a workspace.
   EncodeWorkspace* workspace = nullptr;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace sbr::core {
 
@@ -10,12 +11,10 @@ void EncodeWorkspace::BeginChunk(size_t threads) {
   if (arenas_.size() < pool) arenas_.resize(pool);
   trial_.clear();
   prefix_.Reset({});
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sse_cache_.clear();
-    relative_cache_.clear();
-    stats_ = WorkspaceStats{};
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  intervals_.clear();
+  DropShiftMemo();
+  stats_ = WorkspaceStats{};
 }
 
 void EncodeWorkspace::ReserveBase(size_t total) {
@@ -24,27 +23,54 @@ void EncodeWorkspace::ReserveBase(size_t total) {
 }
 
 void EncodeWorkspace::SetBase(std::span<const double> x) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Bitwise (not ==) comparison: the memo is exact only if every window
+  // it scanned holds the same bits.
+  if (x.size() <= trial_.size() &&
+      (x.empty() ||
+       std::memcmp(x.data(), trial_.data(), x.size() * sizeof(double)) ==
+           0)) {
+    trial_.resize(x.size());
+    prefix_.Truncate(x.size());
+    if (!IsTrialLength(x.size())) DropShiftMemo();
+    return;
+  }
   trial_.assign(x.begin(), x.end());
   prefix_.Reset(x);
-  std::lock_guard<std::mutex> lock(mu_);
+  DropShiftMemo();
   ++stats_.prefix_resets;
 }
 
 void EncodeWorkspace::AppendBase(std::span<const double> values) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (trial_.size() < trial_lengths_.back()) DropShiftMemo();
   trial_.insert(trial_.end(), values.begin(), values.end());
   for (double v : values) prefix_.Append(v);
-  std::lock_guard<std::mutex> lock(mu_);
+  if (trial_.size() > trial_lengths_.back()) {
+    trial_lengths_.push_back(trial_.size());
+  }
   stats_.prefix_appends += values.size();
+}
+
+void EncodeWorkspace::DropShiftMemo() {
+  ++memo_generation_;
+  step_pool_.clear();
+  trial_lengths_.assign(1, trial_.size());
+}
+
+bool EncodeWorkspace::IsTrialLength(size_t length) const {
+  return std::binary_search(trial_lengths_.begin(), trial_lengths_.end(),
+                            length);
 }
 
 SseMoments EncodeWorkspace::Sse(std::span<const double> yseg, size_t start) {
   const uint64_t key = Key(start, yseg.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = sse_cache_.find(key);
-    if (it != sse_cache_.end()) {
+    const auto it = intervals_.find(key);
+    if (it != intervals_.end() && it->second.kind == MomentKind::kSse) {
       ++stats_.moment_hits;
-      return it->second;
+      return {it->second.moments[0], it->second.moments[1]};
     }
   }
   // The exact accumulation loop of the workspace-less kernel: summing in
@@ -57,7 +83,10 @@ SseMoments EncodeWorkspace::Sse(std::span<const double> yseg, size_t start) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.moment_misses;
-  sse_cache_.emplace(key, m);
+  IntervalEntry& e = intervals_[key];
+  e.moments[0] = m.sum_y;
+  e.moments[1] = m.sum_y2;
+  e.kind = MomentKind::kSse;
   return m;
 }
 
@@ -75,10 +104,11 @@ RelativeMoments EncodeWorkspace::Relative(std::span<const double> yseg,
   RelativeMoments m;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = relative_cache_.find(key);
-    if (it != relative_cache_.end()) {
+    const auto it = intervals_.find(key);
+    if (it != intervals_.end() && it->second.kind == MomentKind::kRelative) {
       ++stats_.moment_hits;
-      m = it->second;
+      m = {it->second.moments[0], it->second.moments[1],
+           it->second.moments[2]};
       cached = true;
     }
   }
@@ -105,8 +135,98 @@ RelativeMoments EncodeWorkspace::Relative(std::span<const double> yseg,
   }
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.moment_misses;
-  relative_cache_.emplace(key, m);
+  IntervalEntry& e = intervals_[key];
+  e.moments[0] = m.sw;
+  e.moments[1] = m.swy;
+  e.moments[2] = m.swy2;
+  e.kind = MomentKind::kRelative;
   return m;
+}
+
+EncodeWorkspace::ShiftMemo& EncodeWorkspace::MemoLocked(uint64_t key,
+                                                        uint8_t policy) {
+  ShiftMemo& memo = intervals_[key].memo;
+  if (memo.generation != memo_generation_ || memo.policy != policy) {
+    memo = ShiftMemo{};
+    memo.generation = memo_generation_;
+    memo.policy = policy;
+  }
+  return memo;
+}
+
+ShiftCursor EncodeWorkspace::ResumeShifts(size_t start, size_t length,
+                                          uint8_t policy, size_t num_shifts) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const ShiftMemo& memo = MemoLocked(Key(start, length), policy);
+  if (num_shifts < memo.scanned && !IsTrialLength(num_shifts + length - 1)) {
+    return {0, std::numeric_limits<double>::infinity(), /*record=*/false};
+  }
+  return {memo.scanned, memo.best_err, /*record=*/true};
+}
+
+int64_t EncodeWorkspace::CommitShifts(size_t start, size_t length,
+                                      uint8_t policy,
+                                      const ShiftCursor& cursor,
+                                      size_t num_shifts,
+                                      std::span<const uint32_t> steps,
+                                      double steps_err) {
+  if (!cursor.record) {
+    return steps.empty() ? -1 : static_cast<int64_t>(steps.back());
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  ShiftMemo& memo = MemoLocked(Key(start, length), policy);
+  // Memo drops never overlap a scan, so the recorded range can only have
+  // grown since the cursor was taken.
+  assert(memo.scanned >= cursor.from);
+  stats_.shifts_reused += std::min(cursor.from, num_shifts);
+  if (num_shifts > memo.scanned) {
+    // Another probe may have recorded part of this range meanwhile; its
+    // steps there are these steps (both scans started from the same
+    // state), so only the ones beyond its end are new. Of those, keep the
+    // last one below each probe's shift count (trial length - length + 1)
+    // — the only ones a probe can be answered with — and the newest, which
+    // answers this scan and seeds the next extension.
+    auto step = std::lower_bound(steps.begin(), steps.end(), memo.scanned);
+    auto cut = trial_lengths_.begin();
+    for (; step != steps.end(); ++step) {
+      const bool newest = step + 1 == steps.end();
+      // First probe shift count above this step.
+      while (cut != trial_lengths_.end() && *cut < *step + length) ++cut;
+      if (newest ||
+          (cut != trial_lengths_.end() && *cut - length + 1 <= step[1])) {
+        const uint32_t node = static_cast<uint32_t>(step_pool_.size());
+        step_pool_.push_back(*step);
+        step_pool_.push_back(memo.last);
+        memo.last = node;
+      }
+    }
+    if (!steps.empty() && steps.back() >= memo.scanned) {
+      memo.best_err = steps_err;
+    }
+    memo.scanned = static_cast<uint32_t>(num_shifts);
+  }
+  // The answer is the last step below num_shifts: the running best of an
+  // ascending scan over exactly [0, num_shifts). It is this scan's newest
+  // step if it found one; otherwise it is the last recorded step below
+  // min(num_shifts, cursor.from), which the memo kept: either the newest
+  // step when the cursor was taken, or a probe's answer (ResumeShifts
+  // hands out recording cursors below the recorded range only for trial
+  // lengths).
+  if (!steps.empty()) return steps.back();
+  const size_t bound = std::min(num_shifts, cursor.from);
+  for (uint32_t node = memo.last; node != kNoStep;
+       node = step_pool_[node + 1]) {
+    if (step_pool_[node] < bound) return step_pool_[node];
+  }
+  return -1;
+}
+
+size_t EncodeWorkspace::shift_memo_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t bytes = step_pool_.capacity() * sizeof(uint32_t) +
+                 intervals_.size() * sizeof(ShiftMemo);
+  for (const EncodeArena& a : arenas_) bytes += a.shift_scratch_bytes();
+  return bytes;
 }
 
 WorkspaceStats EncodeWorkspace::stats() const {

@@ -7,22 +7,28 @@
 //    table (PrefixSums::Append performs the identical left-to-right
 //    additions as a full Reset, so the grown table is bitwise identical
 //    to a rebuilt one),
-//  * a per-interval moment cache keyed by the y-segment's (start, length)
-//    — the cached sums come from the exact original accumulation loops,
-//    never from prefix-sum subtraction, so byte identity with the
-//    workspace-less kernels holds,
+//  * a per-interval table keyed by the y-segment's (start, length) holding
+//    the interval's y-side moments — computed by the exact original
+//    accumulation loops, never by prefix-sum subtraction, so byte identity
+//    with the workspace-less kernels holds — and its shift-scan memo: how
+//    far an ascending scan over the shared trial buffer got and the steps
+//    of its running best, so every (interval, shift) pair is evaluated at
+//    most once per chunk however many search probes and the final
+//    approximation ask for it,
 //  * a pool of EncodeArenas, one per ParallelFor chunk, holding the
-//    relative-metric weight arrays and the time-ramp buffer.
+//    relative-metric weight arrays, the time-ramp buffer and the shift-scan
+//    scratch.
 //
 // The workspace is purely an allocation/reuse mechanism: every consumer
 // produces bitwise-identical results with or without one (golden_test
-// pins this).
+// pins this; best_map_test checks the memo against fresh scans).
 #ifndef SBR_CORE_WORKSPACE_H_
 #define SBR_CORE_WORKSPACE_H_
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <span>
 #include <unordered_map>
@@ -54,6 +60,10 @@ struct WorkspaceStats {
   size_t moment_misses = 0;   ///< lookups that ran the accumulation loop
   size_t prefix_resets = 0;   ///< full prefix-table rebuilds (SetBase)
   size_t prefix_appends = 0;  ///< values appended incrementally
+  /// Shifts a memoized BestMap scan answered from the shift memo instead
+  /// of evaluating them ("encode.best_map.shifts_scanned" counts the ones
+  /// it did evaluate).
+  size_t shifts_reused = 0;
 };
 
 /// Grow-only scratch owned by one ParallelFor chunk (or one serial
@@ -79,10 +89,34 @@ class EncodeArena {
   /// The elementwise product w_i * y_i, filled alongside weights().
   std::vector<double>& weighted_values() { return weighted_values_; }
 
+  /// Per-shift errors of the shift range a memoized scan evaluates.
+  std::vector<double>& shift_errors() { return shift_errors_; }
+  /// Staircase steps found in that range, before CommitShifts records them.
+  std::vector<uint32_t>& shift_steps() { return shift_steps_; }
+
+  /// Bytes of capacity held by the shift-scan scratch.
+  size_t shift_scratch_bytes() const {
+    return shift_errors_.capacity() * sizeof(double) +
+           shift_steps_.capacity() * sizeof(uint32_t);
+  }
+
  private:
   std::vector<double> ramp_;
   std::vector<double> weights_;
   std::vector<double> weighted_values_;
+  std::vector<double> shift_errors_;
+  std::vector<uint32_t> shift_steps_;
+};
+
+/// Where a memoized shift scan of one interval resumes: shifts
+/// [0, from) are already recorded, and best_err is the error of the
+/// running best among them (+inf when none has a finite error). `record`
+/// is false when the memo cannot answer this scan (see ResumeShifts):
+/// the scan then starts from shift 0 and is not recorded.
+struct ShiftCursor {
+  size_t from = 0;
+  double best_err = std::numeric_limits<double>::infinity();
+  bool record = true;
 };
 
 /// One workspace per encoder (owned by SbrEncoder, or borrowed via its
@@ -97,22 +131,30 @@ class EncodeWorkspace {
   EncodeWorkspace(const EncodeWorkspace&) = delete;
   EncodeWorkspace& operator=(const EncodeWorkspace&) = delete;
 
-  /// Starts a new chunk: clears the per-interval moment cache (the
-  /// y-series changes), zeroes the per-chunk stats and sizes the arena
-  /// pool for `threads` ParallelFor chunks. Arena and trial buffers keep
-  /// their capacity across chunks — that reuse is the point.
+  /// Starts a new chunk: clears the per-interval table — moments and
+  /// shift memos (the y-series changes) — zeroes the per-chunk stats and
+  /// sizes the arena pool for `threads` ParallelFor chunks. Arena, trial
+  /// and step-pool buffers keep their capacity across chunks — that reuse
+  /// is the point.
   void BeginChunk(size_t threads);
 
   /// Reserves trial-base capacity for `total` values so the subsequent
   /// SetBase/AppendBase sequence does not reallocate.
   void ReserveBase(size_t total);
 
-  /// Rebinds the trial base to `x`: copies it and rebuilds the prefix
-  /// table from scratch (counted as a prefix_reset).
+  /// Rebinds the trial base to `x`. When `x` is a bitwise prefix of the
+  /// current trial buffer, the buffer and its prefix table are cut to |x|;
+  /// if |x| is also a trial length the memo was kept for (the search's
+  /// trial after free-slot placement), the shift memo is kept. Otherwise
+  /// (eviction, compact-wire rounding, a new chunk's current base) `x` is
+  /// copied, the prefix table rebuilt from scratch (counted as a
+  /// prefix_reset) and the memo dropped.
   void SetBase(std::span<const double> x);
 
   /// Extends the trial base by `values`, appending to the prefix table
-  /// incrementally in O(|values|) (counted as prefix_appends).
+  /// incrementally in O(|values|) (counted as prefix_appends). Drops the
+  /// shift memo if the new values land where a cut-off buffer tail that
+  /// the memo may have scanned used to be.
   void AppendBase(std::span<const double> values);
 
   /// Current trial-base length in values.
@@ -149,10 +191,61 @@ class EncodeWorkspace {
   RelativeMoments Relative(std::span<const double> yseg, size_t start,
                            double floor, EncodeArena* arena);
 
+  /// Shift-scan memo, the resume half: the cursor of a scan of shifts
+  /// [0, num_shifts) for the interval (start, length) under policy
+  /// `policy` (a tag distinguishing the metric policies). The scan must
+  /// evaluate shifts [cursor.from, num_shifts) of the current trial
+  /// buffer, keeping a running best that starts at cursor.best_err, and
+  /// list every shift whose error is strictly below the running best so
+  /// far (the steps). The memo keeps only the steps that can answer a scan
+  /// over one of the trial lengths SetBase/AppendBase produced, so a scan
+  /// over any other length that ends inside the recorded range gets a
+  /// non-recording cursor from shift 0. Thread-safe.
+  ShiftCursor ResumeShifts(size_t start, size_t length, uint8_t policy,
+                           size_t num_shifts);
+
+  /// Shift-scan memo, the commit half: records `steps` (the ascending
+  /// shifts found after `cursor`, the last of which has error `steps_err`)
+  /// as scanned up to `num_shifts`, and returns the shift an ascending scan
+  /// of [0, num_shifts) selects under BestMap's lowest-error, lowest-shift
+  /// rule — or -1 when no shift has a finite error. Concurrent commits for
+  /// one interval merge: the steps are a function of the shared buffer, so
+  /// a longer commit only ever extends a shorter one. Thread-safe.
+  int64_t CommitShifts(size_t start, size_t length, uint8_t policy,
+                       const ShiftCursor& cursor, size_t num_shifts,
+                       std::span<const uint32_t> steps, double steps_err);
+
+  /// Bytes of capacity the shift memo holds: the step pool, the memo
+  /// fields of the interval table and every arena's scan scratch.
+  size_t shift_memo_bytes() const;
+
   /// Per-chunk reuse counters (since the last BeginChunk).
   WorkspaceStats stats() const;
 
  private:
+  static constexpr uint32_t kNoStep = std::numeric_limits<uint32_t>::max();
+
+  // Shift-scan memo of one interval. Its kept steps live in the step pool
+  // as a backward-linked list of two-word nodes, newest last:
+  // pool[node] = the step's shift, pool[node + 1] = the previous node.
+  struct ShiftMemo {
+    uint32_t generation = 0;  // valid iff == memo_generation_
+    uint32_t scanned = 0;     // shifts [0, scanned) recorded
+    uint32_t last = kNoStep;  // newest node in the pool
+    uint8_t policy = 0;
+    double best_err = std::numeric_limits<double>::infinity();  // of last
+  };
+
+  // One interval's cached state: its y-side moments under the metric
+  // that last asked for them (SSE: sum_y, sum_y2; relative: sw, swy,
+  // swy2) and its shift memo.
+  enum class MomentKind : uint8_t { kNone, kSse, kRelative };
+  struct IntervalEntry {
+    double moments[3] = {};
+    ShiftMemo memo;
+    MomentKind kind = MomentKind::kNone;
+  };
+
   // Cache key: (start << 32) | length. Chunk series are far below 2^32
   // values, and intervals at one start with different lengths occur across
   // split generations, so both halves are significant.
@@ -161,15 +254,31 @@ class EncodeWorkspace {
            static_cast<uint64_t>(length & 0xffffffffu);
   }
 
+  // The interval's memo, reset first when it belongs to a dropped
+  // generation or another policy.
+  ShiftMemo& MemoLocked(uint64_t key, uint8_t policy);
+  // Forgets every interval's shift memo in O(1); the current trial length
+  // becomes the only one the memo is kept for.
+  void DropShiftMemo();
+  // True when scans over a trial of `length` values are answerable.
+  bool IsTrialLength(size_t length) const;
+
   std::vector<double> trial_;
   PrefixSums prefix_;
   std::vector<EncodeArena> arenas_;
+  // The trial lengths since the memo was last dropped, ascending: the
+  // probe lengths whose answers the memo's kept steps preserve. The memo
+  // may have scanned windows up to the last one, so the buffer must not
+  // change below it while the memo lives.
+  std::vector<size_t> trial_lengths_ = {0};
 
   mutable std::mutex mu_;
-  std::unordered_map<uint64_t, SseMoments> sse_cache_;
-  // The relative cache assumes one relative_floor per chunk (it is fixed
+  // The relative moments assume one relative_floor per chunk (it is fixed
   // by EncoderOptions), so the floor is not part of the key.
-  std::unordered_map<uint64_t, RelativeMoments> relative_cache_;
+  std::unordered_map<uint64_t, IntervalEntry> intervals_;
+  // Every interval's kept steps; its capacity is reused across chunks.
+  std::vector<uint32_t> step_pool_;
+  uint32_t memo_generation_ = 1;
   WorkspaceStats stats_;
 };
 

@@ -123,8 +123,8 @@ class BaseStation {
     uint64_t expected_seq = 0;
     uint32_t epoch = 0;
     bool awaiting_resync = false;
-    std::map<uint64_t, core::Frame> pending;  ///< bounded reorder window
-    ProtocolStats stats;
+    std::map<uint64_t, core::Frame> pending{};  ///< bounded reorder window
+    ProtocolStats stats{};
     uint32_t id = 0;
   };
 

@@ -50,6 +50,14 @@ class PrefixSums {
     sum_sq_.push_back(sum_sq_.back() + value * value);
   }
 
+  /// Shrinks the series to its first `n` values (n <= size()); the kept
+  /// entries are untouched, so the table equals a fresh Reset over them.
+  void Truncate(size_t n) {
+    assert(n <= size());
+    sum_.resize(n + 1);
+    sum_sq_.resize(n + 1);
+  }
+
   /// Number of values covered.
   size_t size() const { return sum_.empty() ? 0 : sum_.size() - 1; }
 

@@ -1,16 +1,24 @@
 // Unit tests for BestMap: shift selection over the base signal, the
 // linear-in-time fall-back, the 2W length cutoff, optimality against
 // brute-force scans, malformed-interval rejection, deterministic
-// tie-breaks, and thread-count invariance of the parallel shift scan.
+// tie-breaks, thread-count invariance of the parallel shift scan, and the
+// workspace's shift memo checked bit for bit against fresh scans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/best_map.h"
+#include "core/encoder.h"
 #include "core/regression.h"
+#include "core/workspace.h"
+#include "datagen/weather.h"
 #include "util/rng.h"
 
 namespace sbr::core {
@@ -421,6 +429,404 @@ TEST(BestMap, ThreadCountsProduceBitwiseIdenticalIntervals) {
       }
     }
   }
+}
+
+// ------------------------------------------------------ shift-scan memo
+
+// Bitwise equality of two BestMap answers (EXPECT_EQ on doubles would
+// accept 0.0 == -0.0).
+void ExpectSameBits(const Interval& got, const Interval& want,
+                    const std::string& where) {
+  EXPECT_EQ(got.shift, want.shift) << where;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.a), std::bit_cast<uint64_t>(want.a))
+      << where;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.b), std::bit_cast<uint64_t>(want.b))
+      << where;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.c), std::bit_cast<uint64_t>(want.c))
+      << where;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.err),
+            std::bit_cast<uint64_t>(want.err))
+      << where;
+}
+
+// The answer of a fresh workspace-less scan: the reference the memo must
+// reproduce.
+Interval FreshScan(std::span<const double> x, std::span<const double> y,
+                   size_t start, size_t length, BestMapOptions opts) {
+  opts.workspace = nullptr;
+  opts.arena = 0;
+  opts.threads = 1;
+  Interval iv;
+  iv.start = start;
+  iv.length = length;
+  BestMap(x, y, /*w=*/64, opts, &iv);
+  return iv;
+}
+
+// A shared trial buffer with the cases the memo must get right: random
+// stretches, a periodic integer run whose windows tie exactly (zero
+// error at every period), and a constant run whose windows have a
+// degenerate normal-equation denominator. The stretch before the periodic
+// run is dyadic, so every prefix sum up to the run's end is exact and the
+// tied windows' errors are bitwise equal.
+std::vector<double> MemoTrialBuffer() {
+  Rng rng(31);
+  std::vector<double> x;
+  for (int i = 0; i < 90; ++i) {
+    x.push_back(std::round(rng.Uniform(-2, 2) * 8.0) / 8.0);
+  }
+  for (int r = 0; r < 12; ++r) {
+    for (double v : {1.0, 2.0, 4.0, 3.0}) x.push_back(v);
+  }
+  for (int i = 0; i < 40; ++i) x.push_back(rng.Uniform(-2, 2));
+  for (int i = 0; i < 30; ++i) x.push_back(3.0);
+  for (int i = 0; i < 48; ++i) x.push_back(rng.Uniform(-2, 2));
+  return x;  // 256 values; the periodic run starts at shift 90
+}
+
+// The y series and the intervals probed over it: one interval per
+// regime above, plus a long one that fits only the longest prefixes.
+struct MemoIntervals {
+  std::vector<double> y;
+  std::vector<std::pair<size_t, size_t>> intervals;  // (start, length)
+};
+
+MemoIntervals MakeMemoIntervals(const std::vector<double>& x) {
+  MemoIntervals m;
+  Rng rng(32);
+  for (int i = 0; i < 64; ++i) m.y.push_back(rng.Uniform(-1, 1));
+  // An exact copy of the periodic run: every period ties at zero error.
+  m.y.insert(m.y.end(), x.begin() + 90, x.begin() + 106);
+  // An affine image of a random stretch.
+  for (size_t i = 0; i < 16; ++i) m.y.push_back(0.5 * x[150 + i] - 1.0);
+  for (int i = 0; i < 64; ++i) m.y.push_back(std::sin(0.3 * i));
+  m.intervals = {{0, 1},  {3, 8},   {10, 33}, {64, 16}, {64, 8},
+                 {80, 16}, {96, 40}, {100, 64}, {0, 128}};
+  return m;
+}
+
+struct MemoPolicy {
+  const char* name;
+  ErrorMetric metric;
+  bool quadratic;
+};
+
+constexpr MemoPolicy kMemoPolicies[] = {
+    {"sse", ErrorMetric::kSse, false},
+    {"relative", ErrorMetric::kSseRelative, false},
+    {"maxabs", ErrorMetric::kMaxAbs, false},
+    {"quadratic", ErrorMetric::kSse, true},
+};
+
+// Builds the trial buffer the way the search does: SetBase with the first
+// piece, then AppendBase up to each later length, so every length in
+// `lengths` is a trial length the memo keeps answers for.
+void GrowTrial(EncodeWorkspace* ws, const std::vector<double>& x,
+               std::vector<size_t> lengths) {
+  std::sort(lengths.begin(), lengths.end());
+  ws->SetBase(std::span<const double>(x.data(), lengths[0]));
+  for (size_t i = 1; i < lengths.size(); ++i) {
+    ws->AppendBase(std::span<const double>(x.data() + lengths[i - 1],
+                                           lengths[i] - lengths[i - 1]));
+  }
+}
+
+TEST(ShiftMemo, PrefixesInAnyOrderMatchFreshScans) {
+  // One trial buffer, BestMap over its prefixes in ascending, descending
+  // and shuffled order: every answer must equal a fresh workspace-less
+  // scan bit for bit, for every policy and thread count. The prefix
+  // lengths include len == |x| (one shift) for the 128-long interval.
+  // "grown" builds the buffer as the search does, so every prefix is a
+  // trial length; "whole" sets it in one piece, so only |x| is, and the
+  // shorter prefixes below the recorded range take non-recording scans.
+  const std::vector<double> x = MemoTrialBuffer();
+  const MemoIntervals mi = MakeMemoIntervals(x);
+  const std::vector<size_t> ascending = {8, 40, 97, 106, 128, 161, 200, 256};
+  std::vector<size_t> descending(ascending.rbegin(), ascending.rend());
+  std::vector<size_t> shuffled = {128, 40, 256, 97, 8, 200, 106, 161};
+  const std::vector<std::pair<const char*, std::vector<size_t>>> orders = {
+      {"ascending", ascending},
+      {"descending", descending},
+      {"shuffled", shuffled}};
+
+  for (const MemoPolicy& p : kMemoPolicies) {
+    for (size_t threads : {1u, 2u, 4u}) {
+      for (const auto& [order_name, order] : orders) {
+       for (const bool grown : {true, false}) {
+        EncodeWorkspace ws;
+        ws.BeginChunk(threads);
+        if (grown) {
+          GrowTrial(&ws, x, ascending);
+        } else {
+          ws.SetBase(x);
+        }
+        BestMapOptions opts;
+        opts.metric = p.metric;
+        opts.quadratic = p.quadratic;
+        opts.threads = threads;
+        opts.workspace = &ws;
+        for (size_t t : order) {
+          const std::span<const double> prefix(x.data(), t);
+          for (const auto& [start, length] : mi.intervals) {
+            Interval iv;
+            iv.start = start;
+            iv.length = length;
+            BestMap(prefix, mi.y, /*w=*/64, opts, &iv);
+            ExpectSameBits(iv, FreshScan(prefix, mi.y, start, length, opts),
+                           std::string(p.name) + " " + order_name +
+                               (grown ? " grown" : " whole") +
+                               " threads=" + std::to_string(threads) +
+                               " T=" + std::to_string(t) +
+                               " start=" + std::to_string(start) +
+                               " len=" + std::to_string(length));
+          }
+        }
+        if (grown) {
+          EXPECT_GT(ws.stats().shifts_reused, 0u)
+              << p.name << " " << order_name;
+        }
+       }
+      }
+    }
+  }
+}
+
+TEST(ShiftMemo, ExactTieAndDegenerateWindowsKeepTheReferenceAnswer) {
+  // The periodic copy fits exactly at shifts 90, 94, ... (and, mirrored,
+  // 92, 96, ...); the errors tie bitwise at zero, so the lowest shift wins
+  // whichever prefix is scanned first. The constant run is all degenerate
+  // windows.
+  const std::vector<double> x = MemoTrialBuffer();
+  const MemoIntervals mi = MakeMemoIntervals(x);
+  EncodeWorkspace ws;
+  ws.BeginChunk(1);
+  GrowTrial(&ws, x, {106, 110, 180, 200, 256});
+  BestMapOptions opts;
+  opts.allow_linear_fallback = false;
+  opts.workspace = &ws;
+  for (size_t t : {256u, 106u, 110u}) {
+    const std::span<const double> prefix(x.data(), t);
+    Interval iv;
+    iv.start = 64;
+    iv.length = 16;
+    BestMap(prefix, mi.y, /*w=*/64, opts, &iv);
+    EXPECT_EQ(iv.shift, 90) << "T=" << t;
+    EXPECT_EQ(iv.err, 0.0) << "T=" << t;
+    ExpectSameBits(iv, FreshScan(prefix, mi.y, 64, 16, opts),
+                   "tie T=" + std::to_string(t));
+  }
+  // A y window that is itself constant: every shift is a degenerate or
+  // zero-error fit, and the answer is still the reference one.
+  std::vector<double> flat(16, 3.0);
+  for (size_t t : {256u, 180u, 200u}) {
+    const std::span<const double> prefix(x.data(), t);
+    Interval iv;
+    iv.start = 0;
+    iv.length = 16;
+    BestMap(prefix, flat, /*w=*/64, opts, &iv);
+    ExpectSameBits(iv, FreshScan(prefix, flat, 0, 16, opts),
+                   "degenerate T=" + std::to_string(t));
+  }
+}
+
+TEST(ShiftMemo, BlockedKernelTiesBitwiseWithScalarTail) {
+  // The memoized SSE scan evaluates whole blocks of 8 shifts with the
+  // blocked kernel and the remainder with the scalar Fit. A window that
+  // recurs at shift 5 (inside a block) and at the last shift (in the
+  // tail) must produce bitwise-equal errors on both paths, or the exact
+  // tie would not resolve to the lower shift as in the reference scan.
+  // The base values are dyadic, so the prefix-sum terms are exact and the
+  // two windows differ only in which kernel summed x * y; y is not
+  // dyadic, so that sum rounds.
+  Rng rng(34);
+  const size_t len = 16, num_shifts = 8 * 9 + 3;
+  std::vector<double> x(num_shifts + len - 1);
+  for (auto& v : x) v = std::round(rng.Uniform(-2, 2) * 8.0) / 8.0;
+  const size_t last = num_shifts - 1;
+  std::copy(x.begin() + 5, x.begin() + 5 + len, x.begin() + last);
+  for (int trial = 0; trial < 16; ++trial) {
+    std::vector<double> y(len);
+    for (size_t i = 0; i < len; ++i) {
+      y[i] = 1.7 * x[5 + i] - 0.3 + rng.Gaussian(0, 0.05);
+    }
+    EncodeWorkspace ws;
+    ws.BeginChunk(1);
+    ws.SetBase(x);
+    BestMapOptions opts;
+    opts.workspace = &ws;
+    Interval iv;
+    iv.start = 0;
+    iv.length = len;
+    BestMap(x, y, /*w=*/64, opts, &iv);
+    const Interval want = FreshScan(x, y, 0, len, opts);
+    EXPECT_EQ(want.shift, 5) << "trial " << trial;
+    ExpectSameBits(iv, want, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(ShiftMemo, ConcurrentScansMergeIntoOneMemo) {
+  // Concurrent search probes share the memo: four threads scan the same
+  // intervals over different prefixes, each with its own arena. Every
+  // answer must still be the reference one, whatever order the commits
+  // land in.
+  const std::vector<double> x = MemoTrialBuffer();
+  const MemoIntervals mi = MakeMemoIntervals(x);
+  for (int round = 0; round < 8; ++round) {
+    EncodeWorkspace ws;
+    ws.BeginChunk(4);
+    const size_t prefixes[4] = {97, 256, 161, 128};
+    GrowTrial(&ws, x, {97, 128, 161, 256});
+    std::vector<std::vector<Interval>> got(4);
+    std::vector<std::thread> workers;
+    for (uint32_t a = 0; a < 4; ++a) {
+      workers.emplace_back([&, a] {
+        BestMapOptions opts;
+        opts.workspace = &ws;
+        opts.arena = a;
+        const std::span<const double> prefix(x.data(), prefixes[a]);
+        for (const auto& [start, length] : mi.intervals) {
+          Interval iv;
+          iv.start = start;
+          iv.length = length;
+          BestMap(prefix, mi.y, /*w=*/64, opts, &iv);
+          got[a].push_back(iv);
+        }
+      });
+    }
+    for (std::thread& t : workers) t.join();
+    for (size_t a = 0; a < 4; ++a) {
+      const std::span<const double> prefix(x.data(), prefixes[a]);
+      for (size_t i = 0; i < mi.intervals.size(); ++i) {
+        const auto& [start, length] = mi.intervals[i];
+        ExpectSameBits(got[a][i],
+                       FreshScan(prefix, mi.y, start, length, {}),
+                       "arena=" + std::to_string(a) +
+                           " start=" + std::to_string(start));
+      }
+    }
+  }
+}
+
+TEST(ShiftMemo, SetBaseKeepsMemoOnBitwisePrefixAndDropsItOtherwise) {
+  const std::vector<double> x = MemoTrialBuffer();
+  const MemoIntervals mi = MakeMemoIntervals(x);
+  // y[80, 96) is an affine image of x[150, 166): shift 150 fits exactly.
+  const size_t start = 80, length = 16;
+  EncodeWorkspace ws;
+  ws.BeginChunk(1);
+  GrowTrial(&ws, x, {200, 256});
+  BestMapOptions opts;
+  opts.workspace = &ws;
+  Interval first;
+  first.start = start;
+  first.length = length;
+  BestMap(x, mi.y, /*w=*/64, opts, &first);
+  ASSERT_EQ(first.shift, 150);
+
+  // Rebind to a bitwise prefix at a trial length (free-slot placement):
+  // the memo answers without evaluating a single shift, and the prefix
+  // table is cut, not rebuilt.
+  const WorkspaceStats before = ws.stats();
+  const std::vector<double> prefix(x.begin(), x.begin() + 200);
+  ws.SetBase(prefix);
+  Interval kept;
+  kept.start = start;
+  kept.length = length;
+  BestMap(prefix, mi.y, /*w=*/64, opts, &kept);
+  ExpectSameBits(kept, FreshScan(prefix, mi.y, start, length, opts),
+                 "prefix rebind");
+  EXPECT_EQ(ws.stats().prefix_resets, before.prefix_resets);
+  EXPECT_EQ(ws.stats().shifts_reused,
+            before.shifts_reused + (prefix.size() - length + 1));
+
+  // A bitwise prefix at another length: the table is still cut, but the
+  // memo kept no answers for that length, so it is dropped and rescanned.
+  const std::vector<double> shorter(x.begin(), x.begin() + 180);
+  ws.SetBase(shorter);
+  const WorkspaceStats cut = ws.stats();
+  EXPECT_EQ(cut.prefix_resets, before.prefix_resets);
+  Interval rescanned;
+  rescanned.start = start;
+  rescanned.length = length;
+  BestMap(shorter, mi.y, /*w=*/64, opts, &rescanned);
+  ExpectSameBits(rescanned, FreshScan(shorter, mi.y, start, length, opts),
+                 "prefix rebind off the trial lengths");
+  EXPECT_EQ(ws.stats().shifts_reused, cut.shifts_reused);
+  // The new length is the memo's trial length now, so a repeat is reused.
+  BestMap(shorter, mi.y, /*w=*/64, opts, &rescanned);
+  EXPECT_EQ(ws.stats().shifts_reused,
+            cut.shifts_reused + (shorter.size() - length + 1));
+
+  // Rebind to a non-prefix (eviction or compact rounding rewrote the
+  // window the memo's answer came from): the memo is dropped, so the
+  // answer moves with the data.
+  std::vector<double> evicted = prefix;
+  Rng rng(33);
+  for (size_t i = 150; i < 166; ++i) evicted[i] = rng.Uniform(-2, 2);
+  ws.SetBase(evicted);
+  EXPECT_EQ(ws.stats().prefix_resets, before.prefix_resets + 1);
+  Interval dropped;
+  dropped.start = start;
+  dropped.length = length;
+  BestMap(evicted, mi.y, /*w=*/64, opts, &dropped);
+  EXPECT_NE(dropped.shift, 150);
+  ExpectSameBits(dropped, FreshScan(evicted, mi.y, start, length, opts),
+                 "non-prefix rebind");
+
+  // Cut back to a trial length (memo kept), then append different values
+  // where the cut-off tail was: the memo must be dropped before they land.
+  EncodeWorkspace regrow_ws;
+  regrow_ws.BeginChunk(1);
+  GrowTrial(&regrow_ws, x, {120, 256});
+  opts.workspace = &regrow_ws;
+  Interval full;
+  full.start = start;
+  full.length = length;
+  BestMap(x, mi.y, /*w=*/64, opts, &full);
+  ASSERT_EQ(full.shift, 150);
+  regrow_ws.SetBase(std::span<const double>(x.data(), 120));
+  std::vector<double> regrown(x.begin(), x.begin() + 120);
+  std::vector<double> tail(x.size() - 120);
+  for (auto& v : tail) v = rng.Uniform(-2, 2);
+  regrow_ws.AppendBase(tail);
+  regrown.insert(regrown.end(), tail.begin(), tail.end());
+  Interval appended;
+  appended.start = start;
+  appended.length = length;
+  BestMap(regrown, mi.y, /*w=*/64, opts, &appended);
+  EXPECT_NE(appended.shift, 150);
+  ExpectSameBits(appended, FreshScan(regrown, mi.y, start, length, opts),
+                 "append after cut");
+}
+
+TEST(ShiftMemo, StaysWithinRawChunkBytesOnTable2Geometry) {
+  // Memory bound of the memo on the paper's Table-2 weather geometry
+  // (N=6, M=4096, M_base=3456, 10% TotalBand): the step pool, the memo
+  // fields of the interval table and the arena scan scratch together stay
+  // within the raw chunk, N * M * 8 bytes, on every chunk.
+  datagen::WeatherOptions wo;
+  wo.length = 2 * 4096;
+  wo.seed = 777;
+  const datagen::Dataset data = datagen::GenerateWeather(wo);
+  const size_t n = 6, m = 4096;
+  EncoderOptions opts;
+  opts.total_band = n * m / 10;
+  opts.m_base = 3456;
+  SbrEncoder enc(opts);
+  size_t peak = 0;
+  for (size_t chunk = 0; chunk < 2; ++chunk) {
+    std::vector<double> y;
+    for (size_t s = 0; s < n; ++s) {
+      const auto row = data.Signal(s);
+      y.insert(y.end(), row.begin() + chunk * m,
+               row.begin() + (chunk + 1) * m);
+    }
+    ASSERT_TRUE(enc.EncodeChunk(y, n).ok());
+    EXPECT_GT(enc.last_stats().workspace.shifts_reused, 0u);
+    peak = std::max(peak, enc.workspace().shift_memo_bytes());
+  }
+  RecordProperty("shift_memo_peak_bytes", std::to_string(peak));
+  EXPECT_LE(peak, n * m * sizeof(double));
 }
 
 }  // namespace

@@ -169,7 +169,9 @@ TEST(DecoderFuzz, TruncatedTransmissionEveryPrefixLength) {
       // trailing bytes unread... it may parse if the cut landed exactly on
       // a record boundary of a shorter valid encoding, but it must never
       // crash, and a successful parse must have consumed the prefix.
-      if (t.ok()) EXPECT_TRUE(reader.AtEnd());
+      if (t.ok()) {
+        EXPECT_TRUE(reader.AtEnd());
+      }
     }
   }
 }

@@ -278,6 +278,9 @@ TEST_F(ObsTest, EncodeCountersMirrorEncodeStats) {
             static_cast<int64_t>(stats.workspace.moment_hits));
   EXPECT_EQ(snap.ValueOf("encode.workspace.moment_misses"),
             static_cast<int64_t>(stats.workspace.moment_misses));
+  EXPECT_EQ(snap.ValueOf("encode.workspace.shifts_reused"),
+            static_cast<int64_t>(stats.workspace.shifts_reused));
+  EXPECT_GT(stats.workspace.shifts_reused, 0u);
   EXPECT_GT(snap.ValueOf("encode.best_map.calls"), 0);
   EXPECT_GT(snap.ValueOf("encode.best_map.shifts_scanned"), 0);
 }

@@ -1,14 +1,17 @@
 // Unit tests for the insert-count binary search (Algorithms 6 & 7):
-// memoization, budget guards, unimodal-minimum location and the
-// insert-vs-approximate bandwidth trade-off.
+// memoization, budget guards, unimodal-minimum location, the
+// insert-vs-approximate bandwidth trade-off, and the workspace's shared
+// shift memo under concurrent probes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "core/get_base.h"
 #include "core/search.h"
+#include "core/workspace.h"
 #include "util/rng.h"
 
 namespace sbr::core {
@@ -193,6 +196,56 @@ TEST(Search, ExistingBaseReducesNeedForInsertions) {
   with_base.total_band = 60;
   const SearchResult r = SearchInsertCount(with_base);
   EXPECT_EQ(r.ins, 0u);
+}
+
+TEST(Search, SharedShiftMemoMatchesWorkspaceLessSearch) {
+  // With a workspace every probe scans against one trial buffer and the
+  // probes share its shift memo, concurrently under Prefetch when
+  // threaded. The probe record must be bitwise the workspace-less serial
+  // search's at every thread count, for each linear metric.
+  Rng rng(6);
+  const size_t w = 24, num_signals = 4, m = 192;
+  std::vector<double> y(num_signals * m);
+  for (size_t i = 0; i < y.size(); ++i) {
+    y[i] = std::sin(static_cast<double>(i % m) * 0.21) *
+               (1.0 + 0.1 * static_cast<double>(i / m)) +
+           rng.Gaussian(0, 0.1);
+  }
+  std::vector<double> current_base(3 * w);
+  for (auto& v : current_base) v = rng.Uniform(-1, 1);
+  const auto candidates = GetBase(y, num_signals, w, 10, GetBaseOptions{});
+  ASSERT_GE(candidates.size(), 4u);
+
+  for (ErrorMetric metric : {ErrorMetric::kSse, ErrorMetric::kSseRelative}) {
+    SearchContext ctx;
+    ctx.current_base = current_base;
+    ctx.candidates = &candidates;
+    ctx.y = y;
+    ctx.num_signals = num_signals;
+    ctx.w = w;
+    ctx.total_band = 300;
+    ctx.get_intervals.best_map.metric = metric;
+    const SearchResult want = SearchInsertCount(ctx);
+
+    for (size_t threads : {1u, 2u, 4u}) {
+      EncodeWorkspace ws;
+      ws.BeginChunk(threads);
+      ctx.get_intervals.best_map.threads = threads;
+      ctx.workspace = &ws;
+      const SearchResult got = SearchInsertCount(ctx);
+      EXPECT_EQ(got.ins, want.ins) << "threads=" << threads;
+      EXPECT_EQ(got.probes, want.probes) << "threads=" << threads;
+      ASSERT_EQ(got.errors.size(), want.errors.size());
+      for (size_t i = 0; i < want.errors.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.errors[i]),
+                  std::bit_cast<uint64_t>(want.errors[i]))
+            << "threads=" << threads << " pos=" << i;
+      }
+      EXPECT_GT(ws.stats().shifts_reused, 0u) << "threads=" << threads;
+      ctx.workspace = nullptr;
+      ctx.get_intervals.best_map.threads = 1;
+    }
+  }
 }
 
 }  // namespace
