@@ -8,6 +8,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <new>
 #include <span>
 #include <vector>
@@ -24,6 +27,7 @@
 #include "datagen/weather.h"
 #include "linalg/dct.h"
 #include "obs/obs.h"
+#include "storage/query_service.h"
 #include "util/rng.h"
 
 namespace alloc_count {
@@ -305,6 +309,91 @@ void BM_EncodeWeatherObs(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EncodeWeatherObs)->Arg(0)->Arg(1);
+
+// Station-ingest geometry (N=6 weather signals, M=128, M_base=256,
+// TotalBand 76): enough chunks for the longest pre-ingested history plus
+// the timed ingests. The base signal is frozen after a short warm-up
+// (the Section 4.4 shortcut), so no timed chunk carries base updates and
+// every one allocates alike, whatever the history length before it.
+constexpr size_t kPublishChunkLen = 128;
+constexpr size_t kPublishMBase = 256;
+constexpr int64_t kPublishIngests = 32;
+
+const std::vector<Transmission>& PublishStream() {
+  static const std::vector<Transmission> stream = [] {
+    constexpr size_t kChunks = 4096 + kPublishIngests;
+    datagen::WeatherOptions wopts;
+    wopts.length = kChunks * kPublishChunkLen;
+    wopts.seed = 3;
+    const datagen::Dataset ds = datagen::GenerateWeather(wopts);
+    const size_t signals = ds.num_signals();
+    EncoderOptions opts;
+    opts.total_band = 76;
+    opts.m_base = kPublishMBase;
+    SbrEncoder enc(opts);
+    std::vector<Transmission> out;
+    std::vector<double> y(signals * kPublishChunkLen);
+    for (size_t c = 0; c < kChunks; ++c) {
+      if (c == 4) enc.set_update_base(false);
+      for (size_t s = 0; s < signals; ++s) {
+        for (size_t k = 0; k < kPublishChunkLen; ++k) {
+          y[s * kPublishChunkLen + k] = ds.values(s, c * kPublishChunkLen + k);
+        }
+      }
+      out.push_back(std::move(enc.EncodeChunk(y, signals)).value());
+    }
+    return out;
+  }();
+  return stream;
+}
+
+void BM_QueryServicePublish(benchmark::State& state) {
+  // Cost of one QueryService::Ingest — decode, compressed ingest, epoch
+  // publish and release of the previous epoch — after `n` chunks of
+  // history, built untimed. A fixed 32 ingests keep the history within
+  // [n, n + 32) and, at every n here, away from the shared logs' block
+  // and directory boundaries other than one node-log block each, so
+  // allocs/publish is comparable across n. Run the rows with
+  // --benchmark_enable_random_interleaving=true: host speed drifts on a
+  // shared machine, and interleaving spreads the drift over every n.
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::vector<Transmission>& stream = PublishStream();
+#if defined(__GLIBC__)
+  // A station's heap only grows, but each repetition here frees a whole
+  // history. Keep glibc from handing those pages back to the kernel, or
+  // long rows' timed ingests first-touch fresh pages (about one minor
+  // fault per ingest at 4096 chunks) while short rows reuse warm ones.
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+#endif
+  storage::QueryServiceOptions opts;
+  opts.m_base = kPublishMBase;
+  storage::QueryService service(opts);
+  for (size_t c = 0; c < n; ++c) {
+    if (!service.Ingest(0, stream[c]).ok()) {
+      state.SkipWithError("history ingest failed");
+      return;
+    }
+  }
+  size_t next = n;
+  uint64_t allocs = 0;
+  for (auto _ : state) {
+    const uint64_t c0 = alloc_count::count.load(std::memory_order_relaxed);
+    const Status st = service.Ingest(0, stream[next++]);
+    allocs += alloc_count::count.load(std::memory_order_relaxed) - c0;
+    benchmark::DoNotOptimize(st);
+  }
+  if (service.epoch(0) != next) state.SkipWithError("an ingest failed");
+  state.counters["allocs/publish"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_QueryServicePublish)
+    ->Arg(64)
+    ->Arg(512)
+    ->Arg(4096)
+    ->Iterations(kPublishIngests)
+    ->Repetitions(15)
+    ->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_HaarForward(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

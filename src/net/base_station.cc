@@ -65,6 +65,16 @@ StatusOr<BaseStation::PerSensor*> BaseStation::GetOrCreate(
   return s;
 }
 
+Status BaseStation::AttachQueryService(storage::QueryService* service) {
+  if (service != nullptr && service->m_base() != m_base_) {
+    return Status::InvalidArgument(
+        "query service m_base " + std::to_string(service->m_base()) +
+        " does not match the station's m_base " + std::to_string(m_base_));
+  }
+  query_service_ = service;
+  return Status::Ok();
+}
+
 void BaseStation::ForwardToQueryService(uint32_t sensor_id,
                                         const core::Transmission& t) {
   if (query_service_ == nullptr) return;

@@ -110,9 +110,10 @@ class BaseStation {
   /// first heard from after the attach — is mirrored into `service`, which
   /// publishes an immutable epoch snapshot per mutation for concurrent
   /// readers. Not owned; must outlive the station. Pass nullptr to detach.
-  void AttachQueryService(storage::QueryService* service) {
-    query_service_ = service;
-  }
+  /// A service decoding with a different `m_base` than the station would
+  /// turn every chunk into a silent gap, so it is refused with
+  /// InvalidArgument and not attached (the previous attachment stays).
+  Status AttachQueryService(storage::QueryService* service);
   storage::QueryService* query_service() const { return query_service_; }
 
  private:

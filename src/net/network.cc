@@ -59,12 +59,14 @@ NetworkSim::NetworkSim(Topology topology,
       station_(encoder_options_.m_base, "", link.reorder_window),
       engine_(&station_, EnergyModel(energy), ToEngineOptions(link)) {}
 
-void NetworkSim::EnableQueryService(size_t probe_every_chunks) {
+Status NetworkSim::EnableQueryService(size_t probe_every_chunks) {
   storage::QueryServiceOptions opts;
   opts.m_base = encoder_options_.m_base;
-  query_service_ = std::make_unique<storage::QueryService>(opts);
+  auto service = std::make_unique<storage::QueryService>(opts);
+  SBR_RETURN_IF_ERROR(station_.AttachQueryService(service.get()));
+  query_service_ = std::move(service);
   probe_every_chunks_ = probe_every_chunks == 0 ? 1 : probe_every_chunks;
-  station_.AttachQueryService(query_service_.get());
+  return Status::Ok();
 }
 
 Status NetworkSim::RunNode(size_t index, const datagen::Dataset& feed,

@@ -121,7 +121,8 @@ class NetworkSim {
   /// concurrent readers exercising the snapshot path while ingest runs.
   /// Probe answers feed only obs metrics and the service counters; the
   /// SimulationReport stays bitwise identical to a run without the service.
-  void EnableQueryService(size_t probe_every_chunks = 4);
+  /// Fails, changing nothing, if the station refuses the service.
+  Status EnableQueryService(size_t probe_every_chunks = 4);
 
   /// nullptr unless EnableQueryService was called.
   const storage::QueryService* query_service() const {

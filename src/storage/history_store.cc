@@ -93,7 +93,7 @@ void HistoryStore::AppendIndexLeaves(const std::vector<double>* values) {
 
 void HistoryStore::MarkGap(size_t chunks) {
   for (size_t i = 0; i < chunks; ++i) {
-    chunks_.emplace_back(nullptr);
+    chunks_.push_back(nullptr);
     if (!index_.empty()) AppendIndexLeaves(nullptr);
   }
   num_gaps_ += chunks;

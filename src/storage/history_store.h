@@ -14,6 +14,7 @@
 
 #include "core/decoder.h"
 #include "core/transmission.h"
+#include "storage/append_log.h"
 #include "storage/chunk_log.h"
 #include "storage/moment_index.h"
 #include "storage/query_engine.h"
@@ -84,13 +85,13 @@ class HistoryStore {
   size_t chunk_len_ = 0;
   size_t num_gaps_ = 0;
   /// chunks_[c] is the flat concatenated reconstruction of chunk c; a
-  /// nullptr marks a loss gap. Payloads are immutable once decoded and
-  /// shared between copies, so copying a store (the QueryService snapshot
-  /// publish path) costs O(chunks) pointer copies, not O(samples).
-  std::vector<std::shared_ptr<const std::vector<double>>> chunks_;
+  /// nullptr marks a loss gap. The log is shared between copies, so
+  /// copying a store (the QueryService snapshot publish path) costs O(1)
+  /// here whatever the history length.
+  AppendLog<std::shared_ptr<const std::vector<double>>> chunks_;
   /// One hierarchical moment index per signal over the decoded chunks
-  /// (created at the first ingest; earlier gap chunks are backfilled).
-  /// Sealed blocks are shared across store copies.
+  /// (created at the first ingest; earlier gap chunks are backfilled);
+  /// copies share each signal's node log.
   std::vector<MomentIndex> index_;
 
   /// Appends chunk summaries (or gap leaves for nullptr) to the index.

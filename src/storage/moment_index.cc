@@ -6,18 +6,17 @@
 namespace sbr::storage {
 
 void MomentIndex::Append(const MomentSummary& leaf) {
-  if (levels_.empty()) levels_.emplace_back();
-  levels_[0].push_back(leaf);
-  const size_t n = levels_[0].size();
+  nodes_.push_back(leaf);
+  const size_t n = ++leaves_;
   // Completing leaf n - 1 completes the aligned 2^k group ending at n for
   // every k dividing n: fold the two level k-1 halves that form it.
   for (size_t k = 1; (n & ((size_t{1} << k) - 1)) == 0; ++k) {
-    if (levels_.size() <= k) levels_.emplace_back();
     const size_t node = (n >> k) - 1;
-    MomentSummary merged = levels_[k - 1][2 * node];
-    merged.Merge(levels_[k - 1][2 * node + 1]);
-    levels_[k].push_back(merged);
+    MomentSummary merged = Node(k - 1, 2 * node);
+    merged.Merge(Node(k - 1, 2 * node + 1));
+    nodes_.push_back(merged);
   }
+  assert(nodes_.size() == 2 * n - PopCount(n));
 }
 
 MomentSummary MomentIndex::Query(size_t lo, size_t hi) const {
@@ -30,7 +29,7 @@ MomentSummary MomentIndex::Query(size_t lo, size_t hi) const {
                        : static_cast<size_t>(std::countr_zero(lo));
     const size_t span_k = static_cast<size_t>(std::bit_width(hi - lo)) - 1;
     k = std::min(k, span_k);
-    out.Merge(levels_[k][lo >> k]);
+    out.Merge(Node(k, lo >> k));
     lo += size_t{1} << k;
   }
   return out;
@@ -43,7 +42,7 @@ size_t MomentIndex::FirstGap(size_t lo, size_t hi) const {
                        : static_cast<size_t>(std::countr_zero(lo));
     const size_t span_k = static_cast<size_t>(std::bit_width(hi - lo)) - 1;
     k = std::min(k, span_k);
-    if (levels_[k][lo >> k].has_gap) return DescendToGap(k, lo >> k);
+    if (Node(k, lo >> k).has_gap) return DescendToGap(k, lo >> k);
     lo += size_t{1} << k;
   }
   return hi;
@@ -53,10 +52,10 @@ size_t MomentIndex::DescendToGap(size_t level, size_t i) const {
   while (level > 0) {
     // A gap node always has a gap child; prefer the left one (lowest
     // chunk index, matching the legacy ascending scan's first failure).
-    if (levels_[level - 1][2 * i].has_gap) {
+    if (Node(level - 1, 2 * i).has_gap) {
       i = 2 * i;
     } else {
-      assert(levels_[level - 1][2 * i + 1].has_gap);
+      assert(Node(level - 1, 2 * i + 1).has_gap);
       i = 2 * i + 1;
     }
     --level;

@@ -17,22 +17,22 @@
 // fails in O(log n) too, and `FirstGap` descends the same nodes to name
 // the offending chunk without a linear walk.
 //
-// Storage is copy-on-write friendly by construction: nodes live in sealed
-// power-of-two blocks shared by `shared_ptr`, plus one small mutable tail
-// block per level. Copying an index — the QueryService epoch-publish
-// path — costs O(blocks) pointer bumps and one partial block per level,
-// never O(chunks) summaries, so publishes stay cheap and readers share
-// every sealed block with the writer without synchronization (sealed
-// blocks are immutable).
+// Storage: all nodes of one signal live in a single AppendLog
+// (storage/append_log.h) in the order they are appended, so copying an
+// index — the QueryService epoch-publish path — is one O(1) handle copy
+// whatever the history length. Readers of a copy touch only nodes below
+// the copy's size, which the writer never writes again.
 #ifndef SBR_STORAGE_MOMENT_INDEX_H_
 #define SBR_STORAGE_MOMENT_INDEX_H_
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
-#include <memory>
-#include <vector>
+#include <utility>
+
+#include "storage/append_log.h"
 
 namespace sbr::storage {
 
@@ -65,52 +65,24 @@ struct MomentSummary {
   }
 };
 
-namespace detail {
-
-/// Append-only vector of T in sealed power-of-two blocks shared by
-/// shared_ptr plus one small mutable tail. Copies cost O(blocks) pointer
-/// bumps + the tail; sealed blocks are immutable and safely shared across
-/// threads (the COW property the epoch-publish path relies on).
-template <typename T, size_t kBlockSize = 64>
-class CowBlockVector {
-  static_assert((kBlockSize & (kBlockSize - 1)) == 0,
-                "block size must be a power of two");
-
- public:
-  size_t size() const { return sealed_.size() * kBlockSize + tail_.size(); }
-  bool empty() const { return sealed_.empty() && tail_.empty(); }
-  size_t num_sealed_blocks() const { return sealed_.size(); }
-
-  void push_back(const T& value) {
-    tail_.push_back(value);
-    if (tail_.size() == kBlockSize) {
-      auto block = std::make_shared<std::array<T, kBlockSize>>();
-      std::copy(tail_.begin(), tail_.end(), block->begin());
-      sealed_.push_back(std::move(block));
-      tail_.clear();
-    }
-  }
-
-  const T& operator[](size_t i) const {
-    const size_t block = i / kBlockSize;
-    return block < sealed_.size() ? (*sealed_[block])[i % kBlockSize]
-                                  : tail_[i - sealed_.size() * kBlockSize];
-  }
-
- private:
-  std::vector<std::shared_ptr<const std::array<T, kBlockSize>>> sealed_;
-  std::vector<T> tail_;  // < kBlockSize elements, copied by value
-};
-
-}  // namespace detail
-
 /// Append-only hierarchical index over one signal's per-chunk summaries.
 class MomentIndex {
  public:
-  /// Leaves appended so far (== chunks on the timeline).
-  size_t size() const {
-    return levels_.empty() ? 0 : levels_[0].size();
+  MomentIndex() = default;
+  MomentIndex(const MomentIndex&) = default;
+  MomentIndex& operator=(const MomentIndex&) = default;
+  // A moved-from index is empty, like its node log.
+  MomentIndex(MomentIndex&& other) noexcept
+      : nodes_(std::move(other.nodes_)),
+        leaves_(std::exchange(other.leaves_, 0)) {}
+  MomentIndex& operator=(MomentIndex&& other) noexcept {
+    nodes_ = std::move(other.nodes_);
+    leaves_ = std::exchange(other.leaves_, 0);
+    return *this;
   }
+
+  /// Leaves appended so far (== chunks on the timeline).
+  size_t size() const { return leaves_; }
 
   /// Appends the next chunk's summary and materializes every power-of-two
   /// group it completes (amortized O(1) merges per append).
@@ -125,11 +97,29 @@ class MomentIndex {
   size_t FirstGap(size_t lo, size_t hi) const;
 
  private:
+  /// Node (k, i) summarizes chunks [i * 2^k, (i + 1) * 2^k). It is
+  /// appended right after leaf L = (i + 1) * 2^k - 1 and that leaf's
+  /// lower-level nodes; 2j - popcount(j) nodes precede leaf j.
+  const MomentSummary& Node(size_t k, size_t i) const {
+    const size_t last = ((i + 1) << k) - 1;
+    return nodes_[2 * last - PopCount(last) + k];
+  }
+
+  /// Bit count without a library call: std::popcount becomes one on
+  /// x86-64 builds without POPCNT, and Query resolves a node per step.
+  static size_t PopCount(uint64_t x) {
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return static_cast<size_t>((x * 0x0101010101010101ULL) >> 56);
+  }
+
   /// Descends from node (level, i) to its leftmost gap leaf.
   size_t DescendToGap(size_t level, size_t i) const;
 
-  /// levels_[k][i] summarizes chunks [i * 2^k, (i + 1) * 2^k).
-  std::vector<detail::CowBlockVector<MomentSummary>> levels_;
+  /// Every node, in append (post-)order.
+  AppendLog<MomentSummary> nodes_;
+  size_t leaves_ = 0;
 };
 
 }  // namespace sbr::storage

@@ -150,7 +150,7 @@ Status CompressedHistory::Ingest(const core::Transmission& t) {
 
 void CompressedHistory::MarkGap(size_t chunks) {
   for (size_t i = 0; i < chunks; ++i) {
-    chunks_.emplace_back(nullptr);
+    chunks_.push_back(nullptr);
     // Index structures exist only once geometry is known; earlier gaps
     // are backfilled by the first AppendIndexLeaves.
     if (index_options_.enabled && !index_.empty()) {

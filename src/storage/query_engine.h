@@ -31,6 +31,7 @@
 #include "core/base_signal.h"
 #include "core/interval.h"
 #include "core/transmission.h"
+#include "storage/append_log.h"
 #include "storage/moment_index.h"
 #include "util/prefix_sums.h"
 #include "util/range_min_max.h"
@@ -117,9 +118,8 @@ class CompressedHistory {
     RangeMinMax minmax;
   };
 
-  /// Immutable once ingested; shared between copies of the history (the
-  /// QueryService snapshot publish path), so copying a CompressedHistory
-  /// costs O(chunks) pointer copies. A nullptr entry marks a loss gap.
+  /// Immutable once ingested. A nullptr entry in `chunks_` marks a loss
+  /// gap.
   struct ChunkRep {
     /// Intervals sorted by start, lengths resolved.
     std::vector<core::Interval> intervals;
@@ -158,10 +158,13 @@ class CompressedHistory {
   core::BaseSignal mirror_;  // evolving decoder-side buffer
   std::shared_ptr<const BaseVersion> current_base_;
   size_t num_base_versions_ = 0;
-  std::vector<std::shared_ptr<const ChunkRep>> chunks_;
+  /// Shared with every copy of the history (the QueryService epoch
+  /// publish path), so a copy costs O(1) here whatever the history
+  /// length.
+  AppendLog<std::shared_ptr<const ChunkRep>> chunks_;
   /// One hierarchical index per signal (empty until the first ingest
-  /// fixes the geometry; gap chunks before that are backfilled). Sealed
-  /// blocks are shared across history copies.
+  /// fixes the geometry; gap chunks before that are backfilled); copies
+  /// share each signal's node log.
   std::vector<MomentIndex> index_;
 };
 

@@ -26,6 +26,20 @@ size_t QueryService::CacheKeyHash::operator()(const CacheKey& k) const {
   return static_cast<size_t>(h);
 }
 
+void QueryService::CacheShard::Unlink(Slot* slot) {
+  Entry& e = slot->second;
+  (e.older != nullptr ? e.older->second.newer : oldest) = e.newer;
+  (e.newer != nullptr ? e.newer->second.older : newest) = e.older;
+  e.older = nullptr;
+  e.newer = nullptr;
+}
+
+void QueryService::CacheShard::PushNewest(Slot* slot) {
+  slot->second.older = newest;
+  (newest != nullptr ? newest->second.newer : oldest) = slot;
+  newest = slot;
+}
+
 QueryService::QueryService(QueryServiceOptions options)
     : options_(options) {
   if (options_.cache_shards > 0 &&
@@ -144,8 +158,9 @@ StatusOr<AggregateResult> QueryService::AggregateOn(
     std::lock_guard<std::mutex> lock(shard->mu);
     auto it = shard->entries.find(key);
     if (it != shard->entries.end()) {
-      // LRU touch: move this entry's recency node to the back.
-      shard->lru.splice(shard->lru.end(), shard->lru, it->second.pos);
+      // LRU touch: this entry becomes the most recently used.
+      shard->Unlink(&*it);
+      shard->PushNewest(&*it);
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       SBR_OBS_COUNT("query.cache.hits", 1);
       return it->second.value;
@@ -168,12 +183,12 @@ StatusOr<AggregateResult> QueryService::AggregateOn(
       auto [it, fresh] = shard->entries.try_emplace(key);
       inserted = fresh;
       if (fresh) {
-        shard->lru.push_back(key);
         it->second.value = *result;
-        it->second.pos = std::prev(shard->lru.end());
+        shard->PushNewest(&*it);
         while (shard->entries.size() > options_.cache_capacity_per_shard) {
-          shard->entries.erase(shard->lru.front());
-          shard->lru.pop_front();
+          CacheShard::Slot* victim = shard->oldest;
+          shard->Unlink(victim);
+          shard->entries.erase(shard->entries.find(victim->first));
           ++evicted;
         }
       }

@@ -3,9 +3,11 @@
 // epoch snapshots published RCU-style — a std::shared_ptr to a frozen
 // CompressedHistory + HistoryStore pair, swapped atomically at
 // chunk-ingest boundaries — so queries never block ingest and never
-// observe a half-ingested chunk. Both stores share their chunk payloads
-// by shared_ptr, so freezing an epoch costs O(chunks) pointer copies,
-// not O(samples).
+// observe a half-ingested chunk. Both stores keep their chunk lists and
+// moment-index nodes in append-only logs that copies share
+// (storage/append_log.h), so freezing or dropping an epoch costs
+// O(signals) handle copies whatever the history length; only the
+// writer-side decoder and base mirror are copied by value.
 //
 // Concurrency contract:
 //  - Writer side (Ingest / MarkGap / ApplySnapshot): one logical writer
@@ -32,11 +34,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/transmission.h"
@@ -151,9 +153,13 @@ class QueryService {
   /// Point-in-time merged counters.
   QueryServiceCounters counters() const;
 
+  /// The base-signal size every sensor's stores decode with.
+  size_t m_base() const { return options_.m_base; }
+
  private:
   struct PerSensor {
-    /// Writer-owned mutable builders; copied into each published epoch.
+    /// Writer-owned mutable builders; copied into each published epoch
+    /// (the copies share the builders' logs, see Publish).
     CompressedHistory builder_compressed;
     HistoryStore builder_history;
     uint64_t epoch = 0;
@@ -176,19 +182,31 @@ class QueryService {
     size_t operator()(const CacheKey& k) const;
   };
   struct CacheShard {
-    mutable std::mutex mu;
-    /// Recency list: front = LRU victim, back = most recently used.
-    std::list<CacheKey> lru;
+    struct Entry;
+    using Slot = std::pair<const CacheKey, Entry>;
     struct Entry {
       AggregateResult value;
-      std::list<CacheKey>::iterator pos;  ///< this entry's lru node
+      /// Recency list threaded through the map's nodes (their addresses
+      /// survive rehashing), so an insert allocates one node, not two.
+      Slot* older = nullptr;
+      Slot* newer = nullptr;
     };
+    mutable std::mutex mu;  ///< guards the members below
     std::unordered_map<CacheKey, Entry, CacheKeyHash> entries;
+    Slot* oldest = nullptr;  ///< the LRU victim
+    Slot* newest = nullptr;  ///< the most recently used entry
+
+    void Unlink(Slot* slot);
+    void PushNewest(Slot* slot);
   };
 
   /// Writer path: looks up or creates the sensor's builder state.
   PerSensor* GetOrCreateLocked(uint32_t sensor_id);
-  /// Freezes the builders into a new epoch and swaps the RCU slot.
+  /// Freezes the builders into a new epoch and swaps the RCU slot. The
+  /// snapshot's logs are handles on the builders' logs: entries below a
+  /// snapshot's size are never written again, and the builder only
+  /// appends above them, so readers and the writer share no written
+  /// memory.
   void Publish(PerSensor* s);
   /// Aggregate answered on an explicit snapshot, consulting the cache.
   StatusOr<AggregateResult> AggregateOn(uint32_t sensor_id,

@@ -11,6 +11,7 @@
 #include "net/network.h"
 #include "net/node.h"
 #include "net/topology.h"
+#include "storage/query_service.h"
 #include "util/rng.h"
 
 namespace sbr::net {
@@ -330,6 +331,53 @@ TEST(BaseStation, ReceiveBytesDecodesWire) {
   EXPECT_FALSE(station.HasSensor(6));
 }
 
+TEST(BaseStation, RefusesQueryServiceWithMismatchedMBase) {
+  // A service decoding with another m_base would turn every chunk into a
+  // gap while ReceiveBytes still answered OK. The attach refuses it with
+  // a message naming both values and leaves it detached.
+  BaseStation station(64);
+  storage::QueryService wrong(storage::QueryServiceOptions{});  // m_base 0
+  const Status refused = station.AttachQueryService(&wrong);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.message().find("m_base 0"), std::string::npos)
+      << refused.message();
+  EXPECT_NE(refused.message().find("m_base 64"), std::string::npos)
+      << refused.message();
+  EXPECT_EQ(station.query_service(), nullptr);
+
+  storage::QueryServiceOptions opts;
+  opts.m_base = 64;
+  storage::QueryService service(opts);
+  ASSERT_TRUE(station.AttachQueryService(&service).ok());
+  EXPECT_EQ(station.query_service(), &service);
+  // A refused attach keeps the service already attached.
+  EXPECT_FALSE(station.AttachQueryService(&wrong).ok());
+  EXPECT_EQ(station.query_service(), &service);
+
+  SensorNode node(5, 1, 32, NodeOptions());
+  Rng rng(4);
+  for (size_t i = 0; i < 64; ++i) {
+    std::vector<double> s{rng.Uniform(0, 1)};
+    auto r = node.AddSamples(s);
+    ASSERT_TRUE(r.ok());
+    if (r->has_value()) {
+      BinaryWriter w;
+      node.MakeDataFrame(**r).Serialize(&w);
+      auto ack = station.ReceiveBytes(w.buffer());
+      ASSERT_TRUE(ack.ok());
+      EXPECT_EQ(ack->type, AckType::kAccept);
+    }
+  }
+  EXPECT_EQ(wrong.num_sensors(), 0u);
+  EXPECT_EQ(service.epoch(5), 2u);
+  auto agg = service.Aggregate(5, 0, 0, 64);
+  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+  EXPECT_EQ(agg->count, 64u);
+
+  ASSERT_TRUE(station.AttachQueryService(nullptr).ok());
+  EXPECT_EQ(station.query_service(), nullptr);
+}
+
 // ------------------------------------------------------------ NetworkSim
 
 TEST(NetworkSim, EndToEndRunProducesConsistentReport) {
@@ -540,7 +588,7 @@ TEST(NetworkSim, QueryServiceProbesDoNotPerturbReport) {
   ASSERT_TRUE(a.ok()) << a.status().ToString();
 
   NetworkSim probed(placements, opts, 256, EnergyParams(), link);
-  probed.EnableQueryService(/*probe_every_chunks=*/2);
+  ASSERT_TRUE(probed.EnableQueryService(/*probe_every_chunks=*/2).ok());
   auto b = probed.Run(feeds);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
 

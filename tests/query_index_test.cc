@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -25,6 +26,7 @@
 #include "datagen/phonecall.h"
 #include "datagen/stock.h"
 #include "datagen/weather.h"
+#include "storage/append_log.h"
 #include "storage/history_store.h"
 #include "storage/moment_index.h"
 #include "storage/query_engine.h"
@@ -93,22 +95,26 @@ size_t NaiveFirstGap(const std::vector<storage::MomentSummary>& leaves,
 }
 
 TEST(MomentIndexUnit, EveryRangeMatchesNaiveLeafFold) {
-  // 70 leaves crosses the 64-entry block seal, so both sealed-block and
-  // mutable-tail reads are on the query path; sprinkled gap leaves pin
-  // FirstGap against a linear scan.
+  // 400 leaves make about 800 nodes in the index's node log: past the
+  // 64-entry block cap and through two directory growths (at 191 and 703
+  // nodes), so all of them are on the Query and FirstGap paths.
+  // Sprinkled gap leaves pin FirstGap against a linear scan.
+  constexpr size_t kLeaves = 400;
   std::mt19937_64 rng(4242);
   std::vector<storage::MomentSummary> leaves;
   storage::MomentIndex index;
-  for (size_t i = 0; i < 70; ++i) {
+  for (size_t i = 0; i < kLeaves; ++i) {
     const bool gap = rng() % 9 == 0;
     leaves.push_back(gap ? storage::MomentSummary::Gap() : RandomLeaf(&rng));
     index.Append(leaves.back());
     ASSERT_EQ(index.size(), i + 1);
   }
   for (size_t lo = 0; lo <= leaves.size(); ++lo) {
+    // The ascending naive fold of [lo, hi), extended one leaf per hi.
+    storage::MomentSummary want;
     for (size_t hi = lo; hi <= leaves.size(); ++hi) {
+      if (hi > lo) want.Merge(leaves[hi - 1]);
       const storage::MomentSummary got = index.Query(lo, hi);
-      const storage::MomentSummary want = NaiveFold(leaves, lo, hi);
       ASSERT_EQ(got.count, want.count) << lo << "," << hi;
       ASSERT_EQ(got.has_gap, want.has_gap) << lo << "," << hi;
       // min/max are exact selections — identical in any association.
@@ -130,11 +136,11 @@ TEST(MomentIndexUnit, EveryRangeMatchesNaiveLeafFold) {
 TEST(MomentIndexUnit, CopiesShareSealedBlocksAndStayImmutable) {
   // The epoch-publish path copies the index; the copy must be a frozen
   // snapshot (bitwise stable answers) no matter how far the original
-  // advances past it — the COW property readers rely on.
+  // advances past it — the shared-log property readers rely on.
   std::mt19937_64 rng(77);
   std::vector<storage::MomentSummary> leaves;
   storage::MomentIndex index;
-  for (size_t i = 0; i < 130; ++i) {  // two sealed blocks + a tail
+  for (size_t i = 0; i < 130; ++i) {  // 255 nodes: mid-block, 2nd directory
     leaves.push_back(RandomLeaf(&rng));
     index.Append(leaves.back());
   }
@@ -154,6 +160,149 @@ TEST(MomentIndexUnit, CopiesShareSealedBlocksAndStayImmutable) {
   EXPECT_EQ(after.count, naive.count);
   EXPECT_EQ(after.min, naive.min);
   EXPECT_EQ(after.max, naive.max);
+}
+
+// ------------------------------------------------------------------
+// AppendLog unit oracle: the shared log under MomentIndex and both
+// stores' chunk lists. Its blocks hold 1, 2, 4, ..., 64 entries, then 64
+// each, so sizes 1, 3, 63, 127 and 191 end a block; its first directory
+// holds 8 blocks, so the append at size 191 grows the directory.
+// ------------------------------------------------------------------
+
+using Log = storage::AppendLog<uint64_t>;
+
+/// Entry i of a log whose appends are tagged `tag`.
+uint64_t Tagged(uint64_t tag, size_t i) { return (tag << 32) | i; }
+
+/// Appends tagged entries until the log holds `n`.
+void FillTo(Log* log, size_t n, uint64_t tag) {
+  while (log->size() < n) log->push_back(Tagged(tag, log->size()));
+}
+
+/// True if entries [0, size) are tag_a below `split` and tag_b above.
+::testing::AssertionResult Holds(const Log& log, size_t size, size_t split,
+                                 uint64_t tag_a, uint64_t tag_b) {
+  if (log.size() != size) {
+    return ::testing::AssertionFailure()
+           << "size " << log.size() << " != " << size;
+  }
+  for (size_t i = 0; i < size; ++i) {
+    const uint64_t want = Tagged(i < split ? tag_a : tag_b, i);
+    if (log[i] != want) {
+      return ::testing::AssertionFailure()
+             << "entry " << i << " of " << size << " is " << log[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(AppendLogUnit, ReadsBackEverySize) {
+  Log log;
+  EXPECT_TRUE(log.empty());
+  for (size_t n = 0; n <= 300; ++n) {
+    FillTo(&log, n, 1);
+    ASSERT_TRUE(Holds(log, n, n, 1, 1));
+    if (n > 0) {
+      ASSERT_EQ(log.back(), Tagged(1, n - 1));
+    }
+  }
+}
+
+TEST(AppendLogUnit, CopiesStayFrozenWhileTheOriginalAppends) {
+  const std::vector<size_t> sizes = {0,   1,   2,   63,  64, 65,
+                                     126, 127, 128, 191, 192};
+  Log log;
+  std::vector<Log> copies;
+  for (size_t n : sizes) {
+    FillTo(&log, n, 1);
+    copies.push_back(log);
+  }
+  FillTo(&log, 300, 1);
+  ASSERT_TRUE(Holds(log, 300, 300, 1, 1));
+  for (size_t k = 0; k < sizes.size(); ++k) {
+    EXPECT_TRUE(Holds(copies[k], sizes[k], sizes[k], 1, 1));
+  }
+}
+
+TEST(AppendLogUnit, DivergedCopiesReadBackOnlyTheirOwnAppends) {
+  // Split points on and off block boundaries and at the directory
+  // growth. Either side may append first: the one that falls behind
+  // forks, sharing the full blocks and copying the partial one.
+  for (size_t split : {0, 1, 2, 3, 5, 62, 63, 64, 100, 126, 127, 128, 150,
+                       190, 191, 192, 255, 256}) {
+    for (bool copy_first : {false, true}) {
+      Log original;
+      FillTo(&original, split, 1);
+      Log copy = original;
+      if (copy_first) {
+        FillTo(&copy, split + 1, 2);
+        FillTo(&original, split + 1, 3);
+      }
+      FillTo(&original, 400, 3);
+      FillTo(&copy, 300, 2);
+      ASSERT_TRUE(Holds(original, 400, split, 1, 3)) << split;
+      ASSERT_TRUE(Holds(copy, 300, split, 1, 2)) << split;
+    }
+    // Copies of copies fork again: three continuations of one prefix.
+    Log a;
+    FillTo(&a, split, 1);
+    Log b = a;
+    Log c = b;
+    FillTo(&b, split + 70, 2);
+    FillTo(&c, split + 5, 3);
+    FillTo(&a, split + 200, 4);
+    EXPECT_TRUE(Holds(a, split + 200, split, 1, 4)) << split;
+    EXPECT_TRUE(Holds(b, split + 70, split, 1, 2)) << split;
+    EXPECT_TRUE(Holds(c, split + 5, split, 1, 3)) << split;
+  }
+}
+
+TEST(AppendLogUnit, MovedFromLogIsEmptyAndAppendable) {
+  Log log;
+  FillTo(&log, 150, 1);
+  Log moved = std::move(log);
+  EXPECT_TRUE(Holds(moved, 150, 150, 1, 1));
+  EXPECT_TRUE(log.empty());  // NOLINT(bugprone-use-after-move)
+  FillTo(&log, 200, 2);
+  EXPECT_TRUE(Holds(log, 200, 0, 1, 2));
+  Log assigned;
+  FillTo(&assigned, 10, 3);
+  assigned = std::move(moved);
+  EXPECT_TRUE(Holds(assigned, 150, 150, 1, 1));
+  EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+  FillTo(&moved, 3, 4);
+  EXPECT_TRUE(Holds(moved, 3, 0, 1, 4));
+
+  storage::MomentIndex index;
+  for (int i = 0; i < 5; ++i) index.Append(storage::MomentSummary::Gap());
+  storage::MomentIndex index_moved = std::move(index);
+  EXPECT_EQ(index_moved.size(), 5u);
+  EXPECT_EQ(index.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  index.Append(storage::MomentSummary::Gap());
+  EXPECT_EQ(index.FirstGap(0, 1), 0u);
+}
+
+TEST(AppendLogUnit, EntriesLiveUntilTheLastHandleDrops) {
+  // Element lifetime follows the blocks: dropping a copy releases
+  // nothing the original still holds, and the last handle frees them
+  // all, forked partial blocks included.
+  auto tracked = std::make_shared<int>(7);
+  std::weak_ptr<int> watch = tracked;
+  {
+    storage::AppendLog<std::shared_ptr<int>> log;
+    for (int i = 0; i < 100; ++i) log.push_back(tracked);
+    auto copy = std::make_unique<storage::AppendLog<std::shared_ptr<int>>>(
+        log);
+    copy->push_back(tracked);  // forks: copies the partial block
+    log.push_back(nullptr);
+    tracked.reset();
+    EXPECT_FALSE(watch.expired());
+    copy.reset();
+    EXPECT_FALSE(watch.expired());
+    EXPECT_EQ(*log[99], 7);
+    EXPECT_EQ(log[100], nullptr);
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 // ------------------------------------------------------------------

@@ -8,9 +8,11 @@
 // reference answers per epoch are precomputed single-threaded from the
 // identical event sequence, so the assertion is bitwise equality.
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,9 +27,27 @@ namespace {
 constexpr size_t kChunkLen = 128;
 constexpr size_t kMBase = 256;
 
-/// Encodes `num_chunks` weather chunks into transmissions.
-std::vector<core::Transmission> EncodeChunks(size_t num_chunks,
-                                             uint64_t seed) {
+core::BaseSnapshot SnapshotOf(const core::SbrEncoder& encoder) {
+  core::BaseSnapshot snap;
+  snap.w = static_cast<uint32_t>(encoder.w());
+  const core::BaseSignal& base = encoder.base_signal();
+  if (base.w() == 0) return snap;
+  for (size_t slot = 0; slot < base.used_slots(); ++slot) {
+    core::BaseUpdate bu;
+    bu.slot = static_cast<uint32_t>(slot);
+    bu.values.assign(base.values().begin() + slot * base.w(),
+                     base.values().begin() + (slot + 1) * base.w());
+    snap.slots.push_back(std::move(bu));
+  }
+  return snap;
+}
+
+/// Encodes `num_chunks` weather chunks into transmissions. With `snaps`,
+/// also records the encoder's base state before each chunk as a resync
+/// payload (snaps[c] re-anchors a receiver that lost chunks before c).
+std::vector<core::Transmission> EncodeChunks(
+    size_t num_chunks, uint64_t seed,
+    std::vector<core::BaseSnapshot>* snaps = nullptr) {
   datagen::WeatherOptions wopts;
   wopts.length = num_chunks * kChunkLen;
   wopts.seed = seed;
@@ -44,6 +64,7 @@ std::vector<core::Transmission> EncodeChunks(size_t num_chunks,
   out.reserve(num_chunks);
   std::vector<double> chunk(n);
   for (size_t c = 0; c < num_chunks; ++c) {
+    if (snaps != nullptr) snaps->push_back(SnapshotOf(encoder));
     for (size_t s = 0; s < num_signals; ++s) {
       for (size_t k = 0; k < kChunkLen; ++k) {
         chunk[s * kChunkLen + k] = feed.values(s, c * kChunkLen + k);
@@ -209,31 +230,159 @@ TEST(QueryServiceConcurrency, ReadersSeeOnlyPublishedEpochs) {
   EXPECT_EQ(last.num_chunks, refs.back().num_chunks);
 }
 
+/// Every answer a snapshot gives over a fixed probe set, rendered bit
+/// for bit: aggregates (compressed and exact), points and reconstructs,
+/// with each failure's full status text (DataLoss names the lost chunk).
+std::vector<std::string> Fingerprint(const storage::SensorSnapshot& snap) {
+  std::vector<std::string> out;
+  auto bits = [](double v) {
+    return std::to_string(std::bit_cast<uint64_t>(v));
+  };
+  auto agg = [&](const StatusOr<storage::AggregateResult>& r) {
+    if (!r.ok()) return r.status().ToString();
+    return bits(r->sum) + " " + bits(r->avg) + " " + bits(r->min) + " " +
+           bits(r->max) + " " + bits(r->variance) + " " +
+           std::to_string(r->count);
+  };
+  const size_t len = snap.compressed.history_len();
+  const size_t chunks = snap.compressed.num_chunks();
+  out.push_back(std::to_string(snap.epoch) + " " + std::to_string(chunks) +
+                " " + std::to_string(snap.history.num_chunks()));
+  std::vector<std::pair<size_t, size_t>> ranges = {
+      {0, len}, {len / 3, len}, {len - kChunkLen, len}, {len - 1, len}};
+  // Chunk-aligned and unaligned spans across the whole history, so gap
+  // chunks and block boundaries of every log fall inside some of them.
+  for (size_t c = 0; c < chunks; c += 7) {
+    ranges.push_back({c * kChunkLen, std::min(len, (c + 5) * kChunkLen)});
+    ranges.push_back({c * kChunkLen + 17, std::min(len, c * kChunkLen + 300)});
+  }
+  for (auto [t0, t1] : ranges) {
+    for (size_t signal : {size_t{0}, size_t{2}}) {
+      out.push_back(agg(snap.compressed.Aggregate(signal, t0, t1)));
+      out.push_back(agg(snap.history.AggregateExact(signal, t0, t1)));
+      auto point = snap.compressed.Value(signal, t0);
+      out.push_back(point.ok() ? bits(*point) : point.status().ToString());
+      auto rec = snap.history.QueryRange(signal, t0, std::min(t1, t0 + 40));
+      std::string r = rec.ok() ? "" : rec.status().ToString();
+      if (rec.ok()) {
+        for (double v : *rec) r += bits(v) + ",";
+      }
+      out.push_back(std::move(r));
+    }
+  }
+  return out;
+}
+
 TEST(QueryService, SnapshotsAreImmutableUnderFurtherIngest) {
-  const auto txs = EncodeChunks(4, 7);
-  ASSERT_EQ(txs.size(), 4u);
+  // Hold epochs whose last chunk ends mid-block, at a block's end or
+  // right before a directory growth of the chunk log (blocks end at 63,
+  // 127 and 191 chunks; the directory grows at chunk 191) or of the
+  // moment-index node logs (2n - popcount(n) nodes: 127 at n = 64, 191 at
+  // n = 97). Then advance 300 chunks past the last one, with gaps and a
+  // resync snapshot among them. Every held epoch must keep answering bit
+  // for bit as it did when it was published.
+  const std::vector<size_t> holds = {40, 63, 64, 97, 127, 150, 191};
+  constexpr size_t kChunks = 191 + 300;
+  std::vector<core::BaseSnapshot> snaps;
+  const auto txs = EncodeChunks(kChunks, 7, &snaps);
+  ASSERT_EQ(txs.size(), kChunks);
   storage::QueryService service(ServiceOptions());
-  ASSERT_TRUE(service.Ingest(0, txs[0]).ok());
-  ASSERT_TRUE(service.Ingest(0, txs[1]).ok());
 
-  auto old_snap = service.Snapshot(0);
-  ASSERT_NE(old_snap, nullptr);
-  EXPECT_EQ(old_snap->epoch, 2u);
-  EXPECT_EQ(old_snap->compressed.num_chunks(), 2u);
-  auto before = old_snap->compressed.Aggregate(0, 0, 2 * kChunkLen);
-  ASSERT_TRUE(before.ok());
+  std::vector<std::shared_ptr<const storage::SensorSnapshot>> held;
+  std::vector<std::vector<std::string>> expected;
+  size_t c = 0;
+  while (c < kChunks) {
+    if (c == 100 || c == 260) {
+      // Lose chunks c and c + 1 for good; the resync snapshot re-anchors
+      // both views' base mirrors before chunk c + 2.
+      ASSERT_TRUE(service.MarkGap(0, 2).ok());
+      ASSERT_TRUE(service.ApplySnapshot(0, snaps[c + 2]).ok());
+      c += 2;
+    } else if (c % 53 == 52) {
+      // A gap chunk between two consecutive transmissions: no base
+      // update is lost, so no resync is needed.
+      ASSERT_TRUE(service.MarkGap(0).ok());
+    }
+    ASSERT_TRUE(service.Ingest(0, txs[c]).ok());
+    ++c;
+    auto snap = service.Snapshot(0);
+    const size_t n = snap->compressed.num_chunks();
+    if (held.size() < holds.size() && n == holds[held.size()]) {
+      held.push_back(snap);
+      expected.push_back(Fingerprint(*snap));
+    }
+  }
+  ASSERT_EQ(held.size(), holds.size());
+  // The last held epoch has 191 chunks in both views, and its gaps show
+  // up as DataLoss answers.
+  EXPECT_NE(expected.back()[0].find(" 191 191"), std::string::npos);
+  size_t dataloss = 0;
+  for (const std::string& line : expected.back()) {
+    dataloss += line.find("DATA_LOSS: range touches lost chunk") == 0;
+  }
+  EXPECT_GT(dataloss, 0u);
 
-  ASSERT_TRUE(service.Ingest(0, txs[2]).ok());
-  ASSERT_TRUE(service.MarkGap(0).ok());
+  EXPECT_GE(service.Snapshot(0)->compressed.num_chunks(), 191u + 300u);
+  for (size_t h = 0; h < held.size(); ++h) {
+    EXPECT_EQ(held[h]->compressed.num_chunks(), holds[h]);
+    EXPECT_EQ(Fingerprint(*held[h]), expected[h]) << "held at " << holds[h];
+  }
+}
 
-  // The old snapshot is frozen: same chunk count, same answers, while the
-  // service has moved on by two epochs.
-  EXPECT_EQ(old_snap->compressed.num_chunks(), 2u);
-  auto after = old_snap->compressed.Aggregate(0, 0, 2 * kChunkLen);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(before->sum, after->sum);
-  EXPECT_EQ(service.epoch(0), 4u);
-  EXPECT_EQ(service.Snapshot(0)->compressed.num_chunks(), 4u);
+// Readers pin one epoch that ends mid-block of the chunk log and of the
+// node logs while the writer fills the rest of those blocks and grows
+// every log's directory. Each reader keeps recomputing the pinned
+// epoch's answers; they must never change. Under TSan this also shows
+// that readers and the writer never touch the same memory.
+TEST(QueryServiceConcurrency, PinnedMidBlockEpochSurvivesDirectoryGrowth) {
+  constexpr size_t kPinAt = 150;   // chunk log block [127, 191)
+  constexpr size_t kChunks = 360;  // node logs pass 703 nodes at n = 354
+  constexpr size_t kReaders = 3;
+  const auto txs = EncodeChunks(kChunks, 31);
+  ASSERT_EQ(txs.size(), kChunks);
+  storage::QueryService service(ServiceOptions());
+  for (size_t c = 0; c < kPinAt; ++c) {
+    if (c == 70) {
+      ASSERT_TRUE(service.MarkGap(0).ok());
+    }
+    ASSERT_TRUE(service.Ingest(0, txs[c]).ok());
+  }
+  const auto pinned = service.Snapshot(0);
+  const std::vector<std::string> expected = Fingerprint(*pinned);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> checks{0};
+  std::atomic<size_t> started{0};
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      started.fetch_add(1);
+      while (!done.load(std::memory_order_acquire)) {
+        if (Fingerprint(*pinned) != expected) {
+          failures.fetch_add(1);
+          break;
+        }
+        checks.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  // Start writing only once every reader is looping, so the appends
+  // overlap the reads.
+  while (started.load() < kReaders) std::this_thread::yield();
+  size_t ingested = kPinAt;
+  while (ingested < kChunks && service.Ingest(0, txs[ingested]).ok()) {
+    ++ingested;
+  }
+  while (failures.load() == 0 && checks.load() < kReaders) {
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(ingested, kChunks);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(Fingerprint(*pinned), expected);
+  EXPECT_EQ(service.Snapshot(0)->compressed.num_chunks(), kChunks + 1);
 }
 
 TEST(QueryService, AggregateCacheHitsWithinEpochInvalidatesAcross) {

@@ -3,10 +3,14 @@
 // history store.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/encoder.h"
 #include "storage/chunk_log.h"
@@ -654,6 +658,219 @@ TEST(CompressedHistory, BoundsChecked) {
   EXPECT_FALSE(queries.Aggregate(9, 0, 10).ok());
   EXPECT_FALSE(queries.Aggregate(0, 5, 5).ok());
   EXPECT_FALSE(queries.Aggregate(0, 0, 100000).ok());
+}
+
+// ------------------------------------- Store copies that diverge (fork)
+
+// A stream with the encoder's resync payload before every chunk, so a
+// continuation can lose chunks and re-anchor like the protocol does.
+struct ForkStream {
+  std::vector<core::Transmission> txs;
+  /// snaps[c]: the encoder's base state just before chunk c.
+  std::vector<core::BaseSnapshot> snaps;
+};
+
+core::BaseSnapshot SnapshotOf(const core::SbrEncoder& enc) {
+  core::BaseSnapshot snap;
+  snap.w = static_cast<uint32_t>(enc.w());
+  const core::BaseSignal& base = enc.base_signal();
+  if (base.w() == 0) return snap;
+  for (size_t slot = 0; slot < base.used_slots(); ++slot) {
+    core::BaseUpdate bu;
+    bu.slot = static_cast<uint32_t>(slot);
+    bu.values.assign(base.values().begin() + slot * base.w(),
+                     base.values().begin() + (slot + 1) * base.w());
+    snap.slots.push_back(std::move(bu));
+  }
+  return snap;
+}
+
+ForkStream EncodeForkStream(size_t num_chunks) {
+  core::EncoderOptions opts;
+  opts.total_band = 24;
+  opts.m_base = 64;
+  core::SbrEncoder enc(opts);
+  Rng rng(21);
+  ForkStream out;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    out.snaps.push_back(SnapshotOf(enc));
+    std::vector<double> y(2 * 32);
+    for (size_t i = 0; i < y.size(); ++i) {
+      y[i] = std::sin(i * 0.31 + 0.7 * c) * (1.0 + c % 5) +
+             rng.Gaussian(0, 0.2);
+    }
+    auto t = enc.EncodeChunk(y, 2);
+    EXPECT_TRUE(t.ok()) << t.status().ToString();
+    out.txs.push_back(std::move(t).value());
+  }
+  return out;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// Status and every field of an aggregate, bit for bit.
+::testing::AssertionResult SameAggregate(
+    const StatusOr<AggregateResult>& got,
+    const StatusOr<AggregateResult>& want) {
+  if (got.status() != want.status()) {
+    return ::testing::AssertionFailure() << got.status().ToString()
+                                         << " vs " << want.status().ToString();
+  }
+  if (!got.ok()) return ::testing::AssertionSuccess();
+  if (Bits(got->sum) != Bits(want->sum) ||
+      Bits(got->avg) != Bits(want->avg) ||
+      Bits(got->min) != Bits(want->min) ||
+      Bits(got->max) != Bits(want->max) ||
+      Bits(got->variance) != Bits(want->variance) ||
+      got->count != want->count) {
+    return ::testing::AssertionFailure() << "sum " << got->sum << " vs "
+                                         << want->sum;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult SameValue(const StatusOr<double>& got,
+                                     const StatusOr<double>& want) {
+  if (got.status() != want.status()) {
+    return ::testing::AssertionFailure() << got.status().ToString()
+                                         << " vs " << want.status().ToString();
+  }
+  if (got.ok() && Bits(*got) != Bits(*want)) {
+    return ::testing::AssertionFailure() << *got << " vs " << *want;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Ranges over a 2 x 32-sample history of `chunks` chunks: every chunk,
+/// wide aligned spans and seeded unaligned ones (gaps included).
+std::vector<std::pair<size_t, size_t>> ProbeRanges(size_t chunks) {
+  const size_t len = chunks * 32;
+  std::vector<std::pair<size_t, size_t>> out;
+  for (size_t c = 0; c < chunks; ++c) out.push_back({c * 32, (c + 1) * 32});
+  for (size_t lo : {size_t{0}, size_t{32}, size_t{64 * 32}, len / 2}) {
+    if (lo < len) out.push_back({lo, len});
+  }
+  Rng rng(chunks);
+  for (int i = 0; i < 200; ++i) {
+    const size_t t0 =
+        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(len) - 1));
+    const size_t span = static_cast<size_t>(rng.UniformInt(1, 40 * 32));
+    out.push_back({t0, std::min(len, t0 + span)});
+  }
+  return out;
+}
+
+void ExpectSameAnswers(const CompressedHistory& got,
+                       const CompressedHistory& want) {
+  ASSERT_EQ(got.num_chunks(), want.num_chunks());
+  ASSERT_EQ(got.num_gaps(), want.num_gaps());
+  for (size_t c = 0; c < want.num_chunks(); ++c) {
+    ASSERT_EQ(got.IsGap(c), want.IsGap(c)) << c;
+  }
+  for (size_t signal = 0; signal < 2; ++signal) {
+    for (auto [t0, t1] : ProbeRanges(want.num_chunks())) {
+      ASSERT_TRUE(SameAggregate(got.Aggregate(signal, t0, t1),
+                                want.Aggregate(signal, t0, t1)))
+          << signal << " [" << t0 << ", " << t1 << ")";
+      ASSERT_TRUE(SameValue(got.Value(signal, t0), want.Value(signal, t0)))
+          << signal << " @" << t0;
+    }
+  }
+}
+
+void ExpectSameAnswers(const HistoryStore& got, const HistoryStore& want) {
+  ASSERT_EQ(got.num_chunks(), want.num_chunks());
+  ASSERT_EQ(got.num_gaps(), want.num_gaps());
+  for (size_t signal = 0; signal < 2; ++signal) {
+    for (auto [t0, t1] : ProbeRanges(want.num_chunks())) {
+      ASSERT_TRUE(SameAggregate(got.AggregateExact(signal, t0, t1),
+                                want.AggregateExact(signal, t0, t1)))
+          << signal << " [" << t0 << ", " << t1 << ")";
+      auto a = got.QueryRange(signal, t0, t1);
+      auto b = want.QueryRange(signal, t0, t1);
+      ASSERT_EQ(a.status(), b.status()) << signal << " [" << t0 << ")";
+      if (a.ok()) {
+        ASSERT_EQ(a->size(), b->size());
+        for (size_t i = 0; i < a->size(); ++i) {
+          ASSERT_EQ(Bits((*a)[i]), Bits((*b)[i])) << t0 + i;
+        }
+      }
+      ASSERT_TRUE(SameValue(got.QueryPoint(signal, t0),
+                            want.QueryPoint(signal, t0)))
+          << signal << " @" << t0;
+    }
+  }
+}
+
+TEST(StoreFork, DivergedCopiesAnswerLikeFreshStores) {
+  // Copy both stores after k chunks — mid-block, at a block's end and at
+  // the chunk log's directory growth (191) — then continue one copy with
+  // data chunks and the other with a loss, a resync snapshot and data.
+  // The copies share the original's logs until they append, so each must
+  // answer bit for bit like a store built fresh from its own sequence.
+  constexpr size_t kLost = 3;
+  constexpr size_t kMore = 70;
+  const ForkStream stream = EncodeForkStream(191 + kLost + kMore);
+  for (size_t k : {40, 63, 64, 127, 150, 191}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    CompressedHistory base_c(64);
+    HistoryStore base_h(64);
+    for (size_t c = 0; c < k; ++c) {
+      ASSERT_TRUE(base_c.Ingest(stream.txs[c]).ok());
+      ASSERT_TRUE(base_h.Ingest(stream.txs[c]).ok());
+    }
+    CompressedHistory data_c = base_c;
+    HistoryStore data_h = base_h;
+    CompressedHistory resync_c = base_c;
+    HistoryStore resync_h = base_h;
+    resync_c.MarkGap(kLost);
+    resync_h.MarkGap(kLost);
+    ASSERT_TRUE(resync_c.ApplySnapshot(stream.snaps[k + kLost]).ok());
+    ASSERT_TRUE(resync_h.ApplySnapshot(stream.snaps[k + kLost]).ok());
+    for (size_t i = 0; i < kMore; ++i) {
+      ASSERT_TRUE(data_c.Ingest(stream.txs[k + i]).ok());
+      ASSERT_TRUE(data_h.Ingest(stream.txs[k + i]).ok());
+      ASSERT_TRUE(resync_c.Ingest(stream.txs[k + kLost + i]).ok());
+      ASSERT_TRUE(resync_h.Ingest(stream.txs[k + kLost + i]).ok());
+    }
+
+    CompressedHistory fresh_data_c(64);
+    HistoryStore fresh_data_h(64);
+    for (size_t c = 0; c < k + kMore; ++c) {
+      ASSERT_TRUE(fresh_data_c.Ingest(stream.txs[c]).ok());
+      ASSERT_TRUE(fresh_data_h.Ingest(stream.txs[c]).ok());
+    }
+    CompressedHistory fresh_resync_c(64);
+    HistoryStore fresh_resync_h(64);
+    for (size_t c = 0; c < k; ++c) {
+      ASSERT_TRUE(fresh_resync_c.Ingest(stream.txs[c]).ok());
+      ASSERT_TRUE(fresh_resync_h.Ingest(stream.txs[c]).ok());
+    }
+    fresh_resync_c.MarkGap(kLost);
+    fresh_resync_h.MarkGap(kLost);
+    ASSERT_TRUE(fresh_resync_c.ApplySnapshot(stream.snaps[k + kLost]).ok());
+    ASSERT_TRUE(fresh_resync_h.ApplySnapshot(stream.snaps[k + kLost]).ok());
+    for (size_t i = 0; i < kMore; ++i) {
+      ASSERT_TRUE(fresh_resync_c.Ingest(stream.txs[k + kLost + i]).ok());
+      ASSERT_TRUE(fresh_resync_h.Ingest(stream.txs[k + kLost + i]).ok());
+    }
+
+    ExpectSameAnswers(data_c, fresh_data_c);
+    ExpectSameAnswers(data_h, fresh_data_h);
+    ExpectSameAnswers(resync_c, fresh_resync_c);
+    ExpectSameAnswers(resync_h, fresh_resync_h);
+    // The original never moved past k chunks.
+    ASSERT_EQ(base_c.num_chunks(), k);
+    ASSERT_EQ(base_h.num_chunks(), k);
+    CompressedHistory prefix_c(64);
+    HistoryStore prefix_h(64);
+    for (size_t c = 0; c < k; ++c) {
+      ASSERT_TRUE(prefix_c.Ingest(stream.txs[c]).ok());
+      ASSERT_TRUE(prefix_h.Ingest(stream.txs[c]).ok());
+    }
+    ExpectSameAnswers(base_c, prefix_c);
+    ExpectSameAnswers(base_h, prefix_h);
+  }
 }
 
 }  // namespace

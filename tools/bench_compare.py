@@ -1,30 +1,48 @@
 #!/usr/bin/env python3
 """Diff a bench JSON file against a committed baseline.
 
-Bench binaries (bench_query and friends) emit BENCH_*.json — a JSON array
-of records, each keyed by ("mix", "threads") or similar identifying
-fields. A blessed snapshot lives under bench/baselines/. This tool lines
-the two files up record by record and reports throughput and latency
-drift, failing (exit 1) when a comparable metric regresses beyond the
+Two input schemas are understood:
+
+- BENCH_*.json from the bench binaries (bench_query and friends): a JSON
+  array of records, each keyed by ("mix", "threads") or similar
+  identifying fields.
+- Google Benchmark's --benchmark_out JSON (bench_micro): an object whose
+  "benchmarks" array holds one record per run, keyed by "name". When a
+  benchmark ran with repetitions, only its median row is compared. Its
+  real_time is compared in nanoseconds whatever each file's time_unit.
+
+A blessed snapshot lives under bench/baselines/. This tool lines the two
+files up record by record and reports throughput and latency drift,
+failing (exit 1) when a comparable metric regresses beyond the
 threshold — the check a perf PR runs before moving the baseline.
 
 Usage:
   tools/bench_compare.py build/BENCH_query.json \
       bench/baselines/BENCH_query.json [--threshold 0.30]
+  build/bench/bench_micro --benchmark_filter=QueryServicePublish \
+      --benchmark_enable_random_interleaving=true \
+      --benchmark_out=build/BENCH_micro_publish.json
+  tools/bench_compare.py build/BENCH_micro_publish.json \
+      bench/baselines/BENCH_micro_publish.json --threshold 0.50
 
-Higher-is-better metrics: qps, speedup. Lower-is-better: seconds, p50_us,
+Higher-is-better metrics: qps, speedup, items_per_second,
+bytes_per_second. Lower-is-better: real_time_ns, seconds, p50_us,
 p99_us. Records present on only one side are reported but never fatal
-(new mixes appear, old ones retire). Only qps and speedup regressions are
-fatal; latency drift is advisory (single-run percentiles are noisy).
+(new mixes appear, old ones retire); a Google Benchmark record that
+failed on the current side is fatal. Latency percentiles and seconds
+drift are advisory (single-run percentiles are noisy); the others are
+fatal beyond the threshold.
 """
 
 import argparse
 import json
 import sys
 
-HIGHER_IS_BETTER = ("qps", "speedup")
-LOWER_IS_BETTER = ("p50_us", "p99_us", "seconds")
+HIGHER_IS_BETTER = ("qps", "speedup", "items_per_second", "bytes_per_second")
+LOWER_IS_BETTER = ("real_time_ns", "p50_us", "p99_us", "seconds")
+ADVISORY = ("p50_us", "p99_us", "seconds")
 KEY_FIELDS = ("mix", "threads", "name", "case")
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def record_key(record, index):
@@ -33,11 +51,31 @@ def record_key(record, index):
     return key if key else (("index", index),)
 
 
+def gbench_records(doc):
+    """The comparable rows of a Google Benchmark JSON document."""
+    records = []
+    for run in doc["benchmarks"]:
+        if (run.get("run_type") == "aggregate"
+                and run.get("aggregate_name") != "median"):
+            continue
+        record = dict(run)
+        if "real_time" in run:
+            unit = run.get("time_unit", "ns")
+            record["real_time_ns"] = run["real_time"] * NS_PER_UNIT[unit]
+        records.append(record)
+    return records
+
+
 def load(path):
     with open(path) as f:
-        records = json.load(f)
-    if not isinstance(records, list):
-        raise ValueError(f"{path}: expected a JSON array of records")
+        doc = json.load(f)
+    if isinstance(doc, dict) and isinstance(doc.get("benchmarks"), list):
+        records = gbench_records(doc)
+    elif isinstance(doc, list):
+        records = doc
+    else:
+        raise ValueError(f"{path}: expected a JSON array of records or "
+                         "Google Benchmark output")
     return {record_key(r, i): r for i, r in enumerate(records)}
 
 
@@ -51,7 +89,8 @@ def main():
     parser.add_argument("baseline", help="blessed snapshot to diff against")
     parser.add_argument(
         "--threshold", type=float, default=0.30,
-        help="fatal relative regression on qps/speedup (default 0.30)")
+        help="fatal relative regression on the non-advisory metrics "
+             "(default 0.30)")
     args = parser.parse_args()
 
     current = load(args.current)
@@ -64,6 +103,10 @@ def main():
             print(f"  only-in-baseline: {fmt_key(key)}")
             continue
         base, cur = baseline[key], current[key]
+        if cur.get("error_occurred"):
+            regressions.append(
+                f"{fmt_key(key)} failed: {cur.get('error_message', '')}")
+            continue
         for metric in HIGHER_IS_BETTER + LOWER_IS_BETTER:
             if metric not in base or metric not in cur:
                 continue
@@ -74,13 +117,13 @@ def main():
             worse = -delta if metric in HIGHER_IS_BETTER else delta
             marker = " "
             if worse > args.threshold:
-                if metric in HIGHER_IS_BETTER:
+                if metric in ADVISORY:
+                    marker = "~"  # advisory: latency/seconds drift
+                else:
                     marker = "!"
                     regressions.append(
                         f"{fmt_key(key)} {metric}: {b:.1f} -> {c:.1f} "
                         f"({delta:+.1%})")
-                else:
-                    marker = "~"  # advisory: latency/seconds drift
             print(f"{marker} {fmt_key(key):32s} {metric:10s} "
                   f"{b:14.3f} -> {c:14.3f}  {delta:+7.1%}")
             rows += 1
