@@ -28,6 +28,7 @@
 #include "linalg/dct.h"
 #include "obs/obs.h"
 #include "storage/query_service.h"
+#include "util/prefix_sums.h"
 #include "util/rng.h"
 
 namespace alloc_count {
@@ -144,6 +145,65 @@ void BM_BestMap(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * base_len);
 }
 BENCHMARK(BM_BestMap)->Arg(512)->Arg(2048);
+
+void BM_ShiftScanKernel(benchmark::State& state) {
+  // The SSE shift scan's block kernel — the instance this host dispatches
+  // to — on the Table-2 weather scan mix. Per chunk (N=6, M=4096,
+  // M_base=3456, 10% band) the memoized scans evaluate this many new
+  // shifts at each interval length (GetIntervals halves intervals, so the
+  // lengths are powers of two; counted over the 48 chunks of perfbench
+  // weather_field seed 1, 24 sensors x 2, and divided by 48). One
+  // iteration runs one chunk's scan work, about 8.5e7 multiply-adds;
+  // items/s is multiply-adds per second.
+  struct MixRow {
+    size_t len;
+    size_t shifts;
+  };
+  constexpr MixRow kMix[] = {{2, 30547},    {4, 94388},    {8, 149065},
+                             {16, 177491},  {32, 188968},  {64, 222520},
+                             {128, 215343}, {256, 125970}};
+  datagen::WeatherOptions wopts;
+  wopts.length = 3456;
+  const datagen::Dataset ds = datagen::GenerateWeather(wopts);
+  const auto x = ds.Signal(0);
+  const auto y = ds.Signal(1);
+  const PrefixSums prefix(x);
+  const ShiftBlockKernel kernel = SelectShiftBlockKernel();
+
+  std::vector<SseShiftScan> scans;
+  size_t madds = 0;
+  for (const MixRow& row : kMix) {
+    SseShiftScan scan;
+    scan.x = x.data();
+    scan.y = y.data();
+    scan.len = row.len;
+    scan.prefix = &prefix;
+    for (size_t i = 0; i < row.len; ++i) {
+      scan.sum_y += y[i];
+      scan.sum_y2 += y[i] * y[i];
+    }
+    scans.push_back(scan);
+    madds += (row.shifts + kShiftBlock - 1) / kShiftBlock * kShiftBlock *
+             row.len;
+  }
+  double err[kShiftBlock];
+  for (auto _ : state) {
+    for (size_t r = 0; r < scans.size(); ++r) {
+      // Block starts cycle over the whole base, as the scans' ranges do.
+      const size_t starts = x.size() - kMix[r].len + 2 - kShiftBlock;
+      size_t shift = 0;
+      for (size_t done = 0; done < kMix[r].shifts; done += kShiftBlock) {
+        kernel(scans[r], shift, err);
+        benchmark::DoNotOptimize(err);
+        shift += kShiftBlock;
+        if (shift >= starts) shift = 0;
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * madds));
+  state.SetLabel(kernel == FitShiftBlockBaseline ? "baseline" : "avx2");
+}
+BENCHMARK(BM_ShiftScanKernel);
 
 void BM_GetIntervals(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

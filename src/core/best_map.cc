@@ -23,9 +23,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // constant, not a correctness one.)
 constexpr size_t kMinShiftsParallel = 16;
 
-// Shifts one pass of SsePolicy's blocked kernel covers.
-constexpr size_t kShiftBlock = 8;
-
 // Deterministic selection rule shared by the serial scans and the parallel
 // chunk merge: lower error wins, and an *exact* error tie goes to the
 // lower shift. Serial ascending scans, partitioned scans at any chunk
@@ -194,73 +191,37 @@ class SsePolicy {
  public:
   SsePolicy(std::span<const double> x, std::span<const double> yseg,
             const PrefixSums* shared_prefix, const SseMoments& moments)
-      : xp_(x.data()),
-        yp_(yseg.data()),
-        len_(yseg.size()),
-        flen_(static_cast<double>(yseg.size())),
-        moments_(moments) {
+      : block_(SelectShiftBlockKernel()) {
     if (shared_prefix != nullptr) {
       // The workspace invariant: the shared table covers (at least) the
       // base signal being scanned, with identical values.
       assert(shared_prefix->size() >= x.size());
-      prefix_ = shared_prefix;
     } else {
       local_prefix_.Reset(x);
-      prefix_ = &local_prefix_;
     }
+    scan_.x = x.data();
+    scan_.y = yseg.data();
+    scan_.len = yseg.size();
+    scan_.prefix = shared_prefix != nullptr ? shared_prefix : &local_prefix_;
+    scan_.sum_y = moments.sum_y;
+    scan_.sum_y2 = moments.sum_y2;
   }
+  // scan_ points into local_prefix_.
+  SsePolicy(const SsePolicy&) = delete;
+  SsePolicy& operator=(const SsePolicy&) = delete;
 
   ShiftFit Fit(size_t shift) const {
-    double sum_xy = 0.0;
-    const double* xs = xp_ + shift;
-    for (size_t i = 0; i < len_; ++i) sum_xy += xs[i] * yp_[i];
-    return FitFromSumXy(shift, sum_xy);
+    const RegressionResult r = FitShiftSse(scan_, shift);
+    return {r.a, r.b, 0.0, r.err};
   }
 
-  // Errors of the kShiftBlock shifts starting at `shift` in one pass over
-  // y. The block's accumulators are independent add chains (the scalar
-  // loop is one chain bound by add latency), and each still adds
-  // x[shift + k + i] * y[i] in ascending i — the scalar loop's exact
-  // sequence — so every sum, fit and error is bitwise Fit's. This holds
-  // only without FP contraction (DESIGN.md §5e).
-  void FitBlock(size_t shift, double* err) const {
-    double sum_xy[kShiftBlock] = {};
-    const double* xs = xp_ + shift;
-    for (size_t i = 0; i < len_; ++i) {
-      const double yi = yp_[i];
-      for (size_t k = 0; k < kShiftBlock; ++k) sum_xy[k] += xs[i + k] * yi;
-    }
-    for (size_t k = 0; k < kShiftBlock; ++k) {
-      err[k] = FitFromSumXy(shift + k, sum_xy[k]).err;
-    }
-  }
+  // Errors of the kShiftBlock shifts starting at `shift`, bitwise Fit's,
+  // from the explicit-SIMD block kernel this host runs (regression.h).
+  void FitBlock(size_t shift, double* err) const { block_(scan_, shift, err); }
 
  private:
-  ShiftFit FitFromSumXy(size_t shift, double sum_xy) const {
-    const double sum_x = prefix_->RangeSum(shift, len_);
-    const double sum_x2 = prefix_->RangeSumSquares(shift, len_);
-    const double denom = flen_ * sum_x2 - sum_x * sum_x;
-
-    ShiftFit f;
-    if (denom <= 1e-12 * std::max(1.0, flen_ * sum_x2)) {
-      f.a = 0.0;
-      f.b = moments_.sum_y / flen_;
-      f.err = std::max(0.0, moments_.sum_y2 - f.b * moments_.sum_y);
-    } else {
-      f.a = (flen_ * sum_xy - sum_x * moments_.sum_y) / denom;
-      f.b = (moments_.sum_y - f.a * sum_x) / flen_;
-      f.err = std::max(
-          0.0, moments_.sum_y2 - f.a * sum_xy - f.b * moments_.sum_y);
-    }
-    return f;
-  }
-
-  const double* xp_;
-  const double* yp_;
-  size_t len_;
-  double flen_;
-  SseMoments moments_;
-  const PrefixSums* prefix_ = nullptr;
+  ShiftBlockKernel block_;
+  SseShiftScan scan_;
   PrefixSums local_prefix_;
 };
 
@@ -476,7 +437,11 @@ void BestMap(std::span<const double> x, std::span<const double> y,
       }
     } else {
       const RegressionResult r =
-          FitTime(options.metric, yseg, options.relative_floor, arena);
+          options.workspace != nullptr
+              ? options.workspace->TimeFit(yseg, interval->start,
+                                           options.metric,
+                                           options.relative_floor, arena)
+              : FitTime(options.metric, yseg, options.relative_floor, arena);
       if (r.err < interval->err) {
         SBR_OBS_COUNT("encode.best_map.linear_fallbacks", 1);
         interval->shift = kShiftLinearFallback;

@@ -1,6 +1,8 @@
 #include "core/get_base.h"
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
 #include <vector>
 
 #include "core/regression.h"
@@ -69,6 +71,75 @@ EncodeArena* ArenaFor(const GetBaseOptions& options, size_t chunk) {
                                       : nullptr;
 }
 
+// Two doubles, the baseline shift-scan kernel's vector type
+// (regression.cc): an SSE2 register, so the accumulators stay in registers.
+constexpr size_t kLanes = 2;
+typedef double Vec __attribute__((vector_size(kLanes * sizeof(double))));
+// Columns of one pair-sum block, eight accumulators wide.
+constexpr size_t kPairBlock = 16;
+
+// The SSE error matrix bitwise as pairwise FitSse(cands[i], cands[j])
+// computes it, from O(K W) hoisted sums and one sum_xy per unordered pair.
+// Each candidate's sum and sum of squares is FitSse's own ascending loop
+// (its x side and its y side add the same values in the same order), and
+// sum_xy adds c_i[t] * c_j[t] in ascending t; products commute exactly, so
+// (i, j) and (j, i) share its bits. The sums go through FitSse's closed
+// form; a degenerate base candidate needs FitSse's second pass over y, so
+// its pairs are handed to FitSse itself. At the paper's geometry this is
+// about 2e6 multiply-adds per chunk, so it runs serially.
+void SseErrorMatrix(const std::vector<std::span<const double>>& cands,
+                    std::vector<double>* err) {
+  const size_t k = cands.size();
+  const size_t w = cands[0].size();
+  std::vector<double> sum(k), sum2(k);
+  for (size_t c = 0; c < k; ++c) {
+    double s = 0.0, s2 = 0.0;
+    for (double v : cands[c]) {
+      s += v;
+      s2 += v * v;
+    }
+    sum[c] = s;
+    sum2[c] = s2;
+  }
+  // Transposed copy, columns padded to a whole pair block: row t holds
+  // every candidate's t-th value, so one pass over t feeds a block of
+  // columns with vector loads.
+  const size_t stride = (k + kPairBlock - 1) / kPairBlock * kPairBlock;
+  std::vector<double> cols(w * stride, 0.0);
+  for (size_t c = 0; c < k; ++c) {
+    for (size_t t = 0; t < w; ++t) cols[t * stride + c] = cands[c][t];
+  }
+
+  const auto store = [&](size_t i, size_t j, double sum_xy) {
+    const std::optional<RegressionResult> fit =
+        FitSseFromSums(w, sum[i], sum[j], sum_xy, sum2[i], sum2[j]);
+    (*err)[i * k + j] = fit ? fit->err : FitSse(cands[i], cands[j]).err;
+  };
+  double sum_xy[kPairBlock];
+  for (size_t i = 0; i < k; ++i) {
+    const double* ci = cands[i].data();
+    // Columns from i's block on: the block's columns below i repeat pairs
+    // already stored, with the same bits, and are skipped.
+    for (size_t j0 = i / kPairBlock * kPairBlock; j0 < k; j0 += kPairBlock) {
+      Vec acc[kPairBlock / kLanes] = {};
+      for (size_t t = 0; t < w; ++t) {
+        const Vec xv = {ci[t], ci[t]};
+        const double* row = &cols[t * stride + j0];
+        for (size_t v = 0; v < kPairBlock / kLanes; ++v) {
+          Vec yv;
+          std::memcpy(&yv, row + kLanes * v, sizeof(yv));
+          acc[v] += xv * yv;
+        }
+      }
+      std::memcpy(sum_xy, acc, sizeof(sum_xy));
+      for (size_t j = std::max(i, j0); j < std::min(k, j0 + kPairBlock); ++j) {
+        store(i, j, sum_xy[j - j0]);
+        if (j != i) store(j, i, sum_xy[j - j0]);
+      }
+    }
+  }
+}
+
 // Shared greedy-selection body over a fixed candidate list.
 std::vector<CandidateBaseInterval> SelectGreedy(
     const std::vector<std::span<const double>>& cands, size_t max_ins,
@@ -79,8 +150,9 @@ std::vector<CandidateBaseInterval> SelectGreedy(
   if (k == 0 || max_ins == 0) return result;
 
   // err[i * k + j]: error of approximating CBI j as a linear projection of
-  // CBI i. The diagonal is ~0 (a=1, b=0). Rows are independent, so the
-  // O(K^2 W) build fans out over the pool row by row.
+  // CBI i. The diagonal is ~0 (a=1, b=0). Under SSE the matrix comes from
+  // hoisted sums; otherwise rows are independent, so the O(K^2 W) build
+  // fans out over the pool row by row.
   std::vector<double> err(k * k);
   std::vector<double> best_err(k);
   util::ParallelFor(threads, k, [&](size_t chunk, size_t begin, size_t end) {
@@ -91,15 +163,19 @@ std::vector<CandidateBaseInterval> SelectGreedy(
               .err;
     }
   });
-  util::ParallelFor(threads, k, [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      for (size_t j = 0; j < k; ++j) {
-        err[i * k + j] =
-            Fit(options.metric, cands[i], cands[j], options.relative_floor)
-                .err;
+  if (options.metric == ErrorMetric::kSse) {
+    SseErrorMatrix(cands, &err);
+  } else {
+    util::ParallelFor(threads, k, [&](size_t, size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        for (size_t j = 0; j < k; ++j) {
+          err[i * k + j] =
+              Fit(options.metric, cands[i], cands[j], options.relative_floor)
+                  .err;
+        }
       }
-    }
-  });
+    });
+  }
 
   std::vector<bool> selected(k, false);
   max_ins = std::min(max_ins, k);

@@ -24,7 +24,8 @@ struct GetBaseOptions {
   /// not selected; the greedy loop stops early instead of padding the
   /// result with useless intervals.
   double min_benefit = 1e-9;
-  /// Worker threads for the benefit-matrix build and the greedy
+  /// Worker threads for the benefit-matrix build (all metrics but SSE,
+  /// whose matrix comes from hoisted sums serially) and the greedy
   /// re-scoring. Candidate rows are scored independently and merged with
   /// a deterministic reduction (higher benefit, then lower index), so the
   /// selection sequence is identical at any thread count.

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "core/workspace.h"
+#include "util/prefix_sums.h"
 #include "util/stats.h"
 
 namespace sbr::core {
@@ -44,6 +47,22 @@ double StripWidth(std::span<const double> x, std::span<const double> y,
 
 }  // namespace
 
+std::optional<RegressionResult> FitSseFromSums(size_t n, double sum_x,
+                                               double sum_y, double sum_xy,
+                                               double sum_x2, double sum_y2) {
+  const double len = static_cast<double>(n);
+  const double denom = len * sum_x2 - sum_x * sum_x;
+  const double scale = std::max(len * sum_x2, sum_x * sum_x);
+  if (denom <= kDegenerate * std::max(scale, 1.0)) return std::nullopt;
+  RegressionResult r;
+  r.a = (len * sum_xy - sum_x * sum_y) / denom;
+  r.b = (sum_y - r.a * sum_x) / len;
+  // Residual sum of squares via the normal equations; clamp tiny negative
+  // round-off to zero.
+  r.err = std::max(0.0, sum_y2 - r.a * sum_xy - r.b * sum_y);
+  return r;
+}
+
 RegressionResult FitSse(std::span<const double> x, std::span<const double> y) {
   assert(x.size() == y.size());
   const size_t n = x.size();
@@ -58,24 +77,135 @@ RegressionResult FitSse(std::span<const double> x, std::span<const double> y) {
     sum_x2 += x[i] * x[i];
     sum_y2 += y[i] * y[i];
   }
-  const double len = static_cast<double>(n);
-  const double denom = len * sum_x2 - sum_x * sum_x;
-  const double scale = std::max(len * sum_x2, sum_x * sum_x);
-  if (denom <= kDegenerate * std::max(scale, 1.0)) {
-    // x carries no information: best constant fit.
-    r.a = 0.0;
-    r.b = sum_y / len;
-    double err = 0.0;
-    for (size_t i = 0; i < n; ++i) err += (y[i] - r.b) * (y[i] - r.b);
-    r.err = err;
-    return r;
-  }
-  r.a = (len * sum_xy - sum_x * sum_y) / denom;
-  r.b = (sum_y - r.a * sum_x) / len;
-  // Residual sum of squares via the normal equations; clamp tiny negative
-  // round-off to zero.
-  r.err = std::max(0.0, sum_y2 - r.a * sum_xy - r.b * sum_y);
+  const auto fit = FitSseFromSums(n, sum_x, sum_y, sum_xy, sum_x2, sum_y2);
+  if (fit) return *fit;
+  // x carries no information: best constant fit.
+  r.a = 0.0;
+  r.b = sum_y / static_cast<double>(n);
+  double err = 0.0;
+  for (size_t i = 0; i < n; ++i) err += (y[i] - r.b) * (y[i] - r.b);
+  r.err = err;
   return r;
+}
+
+RegressionResult FitShiftSse(const SseShiftScan& scan, size_t shift) {
+  double sum_xy = 0.0;
+  const double* xs = scan.x + shift;
+  for (size_t i = 0; i < scan.len; ++i) sum_xy += xs[i] * scan.y[i];
+
+  const double flen = static_cast<double>(scan.len);
+  const double sum_x = scan.prefix->RangeSum(shift, scan.len);
+  const double sum_x2 = scan.prefix->RangeSumSquares(shift, scan.len);
+  const double denom = flen * sum_x2 - sum_x * sum_x;
+  RegressionResult f;
+  if (denom <= 1e-12 * std::max(1.0, flen * sum_x2)) {
+    f.a = 0.0;
+    f.b = scan.sum_y / flen;
+    f.err = std::max(0.0, scan.sum_y2 - f.b * scan.sum_y);
+  } else {
+    f.a = (flen * sum_xy - sum_x * scan.sum_y) / denom;
+    f.b = (scan.sum_y - f.a * sum_x) / flen;
+    f.err = std::max(0.0, scan.sum_y2 - f.a * sum_xy - f.b * scan.sum_y);
+  }
+  return f;
+}
+
+namespace {
+
+// A vector of kLanes doubles. Each instance uses its ISA's register width
+// (2 for SSE2, 4 for AVX2): GCC lowers a wider vector to register pairs
+// that round-trip through the stack, which costs more than the block saves.
+template <size_t kLanes>
+struct VectorOf {
+  typedef double type __attribute__((vector_size(kLanes * sizeof(double))));
+};
+
+// The shift-scan block, written once and compiled per instruction set by
+// the instances below. Lane l of accumulator v sums
+// x[shift + kLanes * v + l + i] * y[i] in ascending i — FitShiftSse's
+// sequence, so every sum_xy has its bits (the scalar loop is one add
+// chain, the block is sixteen independent ones). The epilogue is
+// FitShiftSse's closed form lane by lane: the degenerate branch is a
+// select, and both clamps use std::max's own comparison, (lo < v ? v : lo),
+// so -0 and NaN clamp as they do there. Every vector lives in this body:
+// none crosses a call, whose ABI would differ between the instances.
+template <size_t kLanes>
+[[gnu::always_inline]] inline void ShiftBlockBody(const SseShiftScan& scan,
+                                                  size_t shift, double* err) {
+  using V = typename VectorOf<kLanes>::type;
+  constexpr size_t kVectors = kShiftBlock / kLanes;
+  V acc[kVectors] = {};
+  const double* xs = scan.x + shift;
+  for (size_t i = 0; i < scan.len; ++i) {
+    V yv;
+    for (size_t l = 0; l < kLanes; ++l) yv[l] = scan.y[i];
+    for (size_t v = 0; v < kVectors; ++v) {
+      V xv;
+      std::memcpy(&xv, xs + i + kLanes * v, sizeof(xv));
+      acc[v] += xv * yv;
+    }
+  }
+
+  const double flen = static_cast<double>(scan.len);
+  const double deg_b = scan.sum_y / flen;
+  const double deg_err = std::max(0.0, scan.sum_y2 - deg_b * scan.sum_y);
+  const V zero = {};
+  const V one = zero + 1.0;
+  const V degenerate_err = zero + deg_err;
+  for (size_t v = 0; v < kVectors; ++v) {
+    V sum_x, sum_x2;
+    for (size_t l = 0; l < kLanes; ++l) {
+      sum_x[l] = scan.prefix->RangeSum(shift + kLanes * v + l, scan.len);
+      sum_x2[l] =
+          scan.prefix->RangeSumSquares(shift + kLanes * v + l, scan.len);
+    }
+    const V sum_xy = acc[v];
+    const V n_x2 = flen * sum_x2;
+    const V denom = n_x2 - sum_x * sum_x;
+    const V scale = one < n_x2 ? n_x2 : one;
+    const V a = (flen * sum_xy - sum_x * scan.sum_y) / denom;
+    const V b = (scan.sum_y - a * sum_x) / flen;
+    const V r = scan.sum_y2 - a * sum_xy - b * scan.sum_y;
+    const V fit_err = zero < r ? r : zero;
+    const V e = denom <= 1e-12 * scale ? degenerate_err : fit_err;
+    std::memcpy(err + kLanes * v, &e, sizeof(e));
+  }
+}
+
+}  // namespace
+
+void FitShiftBlockBaseline(const SseShiftScan& scan, size_t shift,
+                           double* err) {
+  ShiftBlockBody<2>(scan, shift, err);
+}
+
+#if SBR_SHIFT_BLOCK_AVX2
+// AVX2 alone. "fma", "arch=x86-64-v3" and "avx512f" (whose EVEX scalar
+// FMA GCC 12 uses) all let GCC fuse a * b + c into one rounding, which
+// changes the kernel's bits (DESIGN.md §5e).
+[[gnu::target("avx2")]] void FitShiftBlockAvx2(const SseShiftScan& scan,
+                                               size_t shift, double* err) {
+  ShiftBlockBody<4>(scan, shift, err);
+}
+#endif
+
+bool CpuHasAvx2() {
+#if SBR_SHIFT_BLOCK_AVX2
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+ShiftBlockKernel SelectShiftBlockKernel() {
+  static const ShiftBlockKernel kernel = []() -> ShiftBlockKernel {
+#if SBR_SHIFT_BLOCK_AVX2
+    if (CpuHasAvx2()) return FitShiftBlockAvx2;
+#endif
+    return FitShiftBlockBaseline;
+  }();
+  return kernel;
 }
 
 RegressionResult FitSseRelative(std::span<const double> x,

@@ -7,9 +7,15 @@
 #ifndef SBR_CORE_REGRESSION_H_
 #define SBR_CORE_REGRESSION_H_
 
+#include <cstddef>
+#include <optional>
 #include <span>
 
 #include "core/error_metric.h"
+
+namespace sbr {
+class PrefixSums;
+}  // namespace sbr
 
 namespace sbr::core {
 
@@ -26,6 +32,13 @@ struct RegressionResult {
 /// Fits y ~ a * x + b minimizing the sum of squared residuals.
 /// Degenerate x (zero variance) falls back to a = 0, b = mean(y).
 RegressionResult FitSse(std::span<const double> x, std::span<const double> y);
+
+/// FitSse's closed form from its five ascending sums over n > 0 points.
+/// Returns nullopt when x is degenerate: that fit needs a second pass over
+/// y, so callers holding only the sums hand such pairs to FitSse.
+std::optional<RegressionResult> FitSseFromSums(size_t n, double sum_x,
+                                               double sum_y, double sum_xy,
+                                               double sum_x2, double sum_y2);
 
 /// Fits y ~ a * x + b minimizing sum ((y - y') / max(|y|, floor))^2
 /// (weighted least squares with weights fixed by y).
@@ -53,6 +66,51 @@ RegressionResult Fit(ErrorMetric metric, std::span<const double> x,
 RegressionResult FitTime(ErrorMetric metric, std::span<const double> y,
                          double relative_floor,
                          EncodeArena* arena = nullptr);
+
+/// BestMap's SSE shift scan of one interval: fits y[0, len) against every
+/// window x[shift, shift + len) of a base signal. sum_x and sum_x2 of a
+/// window come from the base's prefix sums, sum_y and sum_y2 are hoisted
+/// per interval, so only sum_xy costs O(len) per shift.
+struct SseShiftScan {
+  const double* x = nullptr;
+  const double* y = nullptr;
+  size_t len = 0;
+  const PrefixSums* prefix = nullptr;  ///< over x; covers every window
+  double sum_y = 0.0;
+  double sum_y2 = 0.0;
+};
+
+/// The scan's fit at one shift, sum_xy added in ascending order: the
+/// reference every block kernel reproduces bit for bit.
+RegressionResult FitShiftSse(const SseShiftScan& scan, size_t shift);
+
+/// Shifts one call of a shift-scan block kernel covers.
+inline constexpr size_t kShiftBlock = 16;
+
+/// Writes FitShiftSse(scan, shift + k).err to err[k] for k < kShiftBlock,
+/// bitwise: each sum_xy is still added in ascending order, and no product
+/// is fused into an FMA (DESIGN.md §5e). The caller guarantees the block's
+/// windows lie inside x.
+using ShiftBlockKernel = void (*)(const SseShiftScan& scan, size_t shift,
+                                  double* err);
+
+/// The block kernel compiled for the baseline instruction set.
+void FitShiftBlockBaseline(const SseShiftScan& scan, size_t shift,
+                           double* err);
+
+#if defined(__x86_64__) || defined(__i386__)
+#define SBR_SHIFT_BLOCK_AVX2 1
+/// The same kernel compiled for AVX2 (without FMA). Call it only when
+/// CpuHasAvx2() is true.
+void FitShiftBlockAvx2(const SseShiftScan& scan, size_t shift, double* err);
+#endif
+
+/// True when the running CPU supports AVX2 (always false off x86).
+bool CpuHasAvx2();
+
+/// The block kernel this host runs: the AVX2 instance when the CPU has
+/// it, the baseline one otherwise. Chosen once per process.
+ShiftBlockKernel SelectShiftBlockKernel();
 
 /// Evaluates the error of a *given* line y' = a x + b under the metric
 /// (used by tests and by the decoder-side quality reporting).

@@ -143,6 +143,28 @@ RelativeMoments EncodeWorkspace::Relative(std::span<const double> yseg,
   return m;
 }
 
+RegressionResult EncodeWorkspace::TimeFit(std::span<const double> yseg,
+                                          size_t start, ErrorMetric metric,
+                                          double floor, EncodeArena* arena) {
+  const uint64_t key = Key(start, yseg.size());
+  const uint8_t policy = static_cast<uint8_t>(metric);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = intervals_.find(key);
+    if (it != intervals_.end() && it->second.has_time_fit &&
+        it->second.time_fit_policy == policy) {
+      return it->second.time_fit;
+    }
+  }
+  const RegressionResult fit = FitTime(metric, yseg, floor, arena);
+  std::lock_guard<std::mutex> lock(mu_);
+  IntervalEntry& e = intervals_[key];
+  e.time_fit = fit;
+  e.has_time_fit = true;
+  e.time_fit_policy = policy;
+  return fit;
+}
+
 EncodeWorkspace::ShiftMemo& EncodeWorkspace::MemoLocked(uint64_t key,
                                                         uint8_t policy) {
   ShiftMemo& memo = intervals_[key].memo;

@@ -10,11 +10,11 @@
 //  * a per-interval table keyed by the y-segment's (start, length) holding
 //    the interval's y-side moments — computed by the exact original
 //    accumulation loops, never by prefix-sum subtraction, so byte identity
-//    with the workspace-less kernels holds — and its shift-scan memo: how
-//    far an ascending scan over the shared trial buffer got and the steps
-//    of its running best, so every (interval, shift) pair is evaluated at
-//    most once per chunk however many search probes and the final
-//    approximation ask for it,
+//    with the workspace-less kernels holds —, its linear-in-time fall-back
+//    fit, and its shift-scan memo: how far an ascending scan over the
+//    shared trial buffer got and the steps of its running best, so every
+//    (interval, shift) pair is evaluated at most once per chunk however
+//    many search probes and the final approximation ask for it,
 //  * a pool of EncodeArenas, one per ParallelFor chunk, holding the
 //    relative-metric weight arrays, the time-ramp buffer and the shift-scan
 //    scratch.
@@ -34,6 +34,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/error_metric.h"
+#include "core/regression.h"
 #include "util/prefix_sums.h"
 
 namespace sbr::core {
@@ -131,11 +133,11 @@ class EncodeWorkspace {
   EncodeWorkspace(const EncodeWorkspace&) = delete;
   EncodeWorkspace& operator=(const EncodeWorkspace&) = delete;
 
-  /// Starts a new chunk: clears the per-interval table — moments and
-  /// shift memos (the y-series changes) — zeroes the per-chunk stats and
-  /// sizes the arena pool for `threads` ParallelFor chunks. Arena, trial
-  /// and step-pool buffers keep their capacity across chunks — that reuse
-  /// is the point.
+  /// Starts a new chunk: clears the per-interval table — moments, time
+  /// fits and shift memos (the y-series changes) — zeroes the per-chunk
+  /// stats and sizes the arena pool for `threads` ParallelFor chunks.
+  /// Arena, trial and step-pool buffers keep their capacity across chunks
+  /// — that reuse is the point.
   void BeginChunk(size_t threads);
 
   /// Reserves trial-base capacity for `total` values so the subsequent
@@ -191,6 +193,15 @@ class EncodeWorkspace {
   RelativeMoments Relative(std::span<const double> yseg, size_t start,
                            double floor, EncodeArena* arena);
 
+  /// BestMap's linear-in-time fall-back, FitTime(metric, yseg, floor), of
+  /// the interval at `start`: computed on the first ask for this metric in
+  /// the chunk, then answered from the interval table with the same bits.
+  /// Like the relative moments it assumes one floor per chunk. Thread-safe;
+  /// `arena` supplies the time ramp on a miss.
+  RegressionResult TimeFit(std::span<const double> yseg, size_t start,
+                           ErrorMetric metric, double floor,
+                           EncodeArena* arena);
+
   /// Shift-scan memo, the resume half: the cursor of a scan of shifts
   /// [0, num_shifts) for the interval (start, length) under policy
   /// `policy` (a tag distinguishing the metric policies). The scan must
@@ -238,12 +249,16 @@ class EncodeWorkspace {
 
   // One interval's cached state: its y-side moments under the metric
   // that last asked for them (SSE: sum_y, sum_y2; relative: sw, swy,
-  // swy2) and its shift memo.
+  // swy2), its time fit under the metric that last asked for it (tagged
+  // like the shift memo) and its shift memo.
   enum class MomentKind : uint8_t { kNone, kSse, kRelative };
   struct IntervalEntry {
     double moments[3] = {};
+    RegressionResult time_fit;
     ShiftMemo memo;
     MomentKind kind = MomentKind::kNone;
+    bool has_time_fit = false;
+    uint8_t time_fit_policy = 0;
   };
 
   // Cache key: (start << 32) | length. Chunk series are far below 2^32

@@ -2,12 +2,15 @@
 // linear-in-time fall-back, the 2W length cutoff, optimality against
 // brute-force scans, malformed-interval rejection, deterministic
 // tie-breaks, thread-count invariance of the parallel shift scan, and the
-// workspace's shift memo checked bit for bit against fresh scans.
+// workspace's shift memo checked bit for bit against fresh scans, the
+// explicit-SIMD scan-block instances against the scalar shift fit, and the
+// linear fall-back's time-fit memo across metric switches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
 #include <span>
 #include <string>
@@ -19,6 +22,7 @@
 #include "core/regression.h"
 #include "core/workspace.h"
 #include "datagen/weather.h"
+#include "util/prefix_sums.h"
 #include "util/rng.h"
 
 namespace sbr::core {
@@ -827,6 +831,206 @@ TEST(ShiftMemo, StaysWithinRawChunkBytesOnTable2Geometry) {
   }
   RecordProperty("shift_memo_peak_bytes", std::to_string(peak));
   EXPECT_LE(peak, n * m * sizeof(double));
+}
+
+
+// ------------------------------------------------ explicit-SIMD scan block
+
+// "%g" rendering of a double for failure messages (std::to_string prints
+// 1e150 in full).
+std::string Short(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", v);
+  return buf;
+}
+
+// Checks a scan-block instance against the scalar FitShiftSse, bit for bit,
+// at every block start of every (x, y) case: all alignments, every window
+// of a shift count that is not a multiple of the block. Reports the number
+// of mismatching errors and the first one.
+void ExpectBlockMatchesScalar(ShiftBlockKernel kernel,
+                              const std::vector<double>& x,
+                              const std::vector<double>& y,
+                              const std::string& where) {
+  ASSERT_GE(x.size(), y.size() + kShiftBlock - 1) << where;
+  const PrefixSums prefix(x);
+  SseShiftScan scan;
+  scan.x = x.data();
+  scan.y = y.data();
+  scan.len = y.size();
+  scan.prefix = &prefix;
+  for (double v : y) {
+    scan.sum_y += v;
+    scan.sum_y2 += v * v;
+  }
+  const size_t num_shifts = x.size() - y.size() + 1;
+  size_t mismatches = 0;
+  std::string first;
+  double err[kShiftBlock];
+  for (size_t s = 0; s + kShiftBlock <= num_shifts; ++s) {
+    kernel(scan, s, err);
+    for (size_t k = 0; k < kShiftBlock; ++k) {
+      const double want = FitShiftSse(scan, s + k).err;
+      if (std::bit_cast<uint64_t>(err[k]) != std::bit_cast<uint64_t>(want)) {
+        if (mismatches++ == 0) {
+          first = " first at shift " + std::to_string(s + k) + ": got " +
+                  Short(err[k]) + " want " + Short(want);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << where << first;
+}
+
+// The x/y families the block kernels must reproduce: random data, base
+// runs that are constant (degenerate windows, zeros included), a constant
+// y, and magnitudes of 1e+-150 with mixed signs. At 1e160 the squares
+// overflow, so sums go inf and the closed form NaN — the path where the
+// clamps must compare exactly as std::max does.
+void CheckBlockInstance(ShiftBlockKernel kernel) {
+  Rng rng(61);
+  for (size_t len = 1; len <= 40; ++len) {
+    // num_shifts = kShiftBlock + 21 + len % 7: never a whole number of
+    // blocks, so every alignment of a block inside the range is checked.
+    const size_t num_shifts = kShiftBlock + 21 + len % 7;
+    const size_t n = num_shifts + len - 1;
+    const std::string at = " len=" + std::to_string(len);
+
+    std::vector<double> x(n), y(len);
+    for (auto& v : x) v = rng.Uniform(-2, 2);
+    for (auto& v : y) v = rng.Uniform(-2, 2);
+    ExpectBlockMatchesScalar(kernel, x, y, "random" + at);
+
+    std::vector<double> flat = x;
+    for (size_t i = n / 4; i < n / 2; ++i) flat[i] = 3.0;
+    for (size_t i = n / 2; i < 3 * n / 4; ++i) flat[i] = 0.0;
+    ExpectBlockMatchesScalar(kernel, flat, y, "constant base runs" + at);
+    ExpectBlockMatchesScalar(kernel, x, std::vector<double>(len, -1.5),
+                             "constant y" + at);
+
+    for (const double xm : {1e160, 1e150, 1e-150, 1.0}) {
+      for (const double ym : {1e160, 1e150, 1e-150, 1.0}) {
+        std::vector<double> xs(n), ys(len);
+        for (auto& v : xs) v = xm * rng.Uniform(-1, 1);
+        for (auto& v : ys) v = ym * rng.Uniform(-1, 1);
+        ExpectBlockMatchesScalar(kernel, xs, ys,
+                                 "magnitudes x~" + Short(xm) + " y~" +
+                                     Short(ym) + at);
+      }
+    }
+  }
+}
+
+TEST(ShiftBlockKernel, BaselineInstanceMatchesScalarFitBitwise) {
+  CheckBlockInstance(FitShiftBlockBaseline);
+}
+
+TEST(ShiftBlockKernel, Avx2InstanceMatchesScalarFitBitwise) {
+#if SBR_SHIFT_BLOCK_AVX2
+  if (!CpuHasAvx2()) GTEST_SKIP() << "host CPU lacks AVX2";
+  CheckBlockInstance(FitShiftBlockAvx2);
+#else
+  GTEST_SKIP() << "no AVX2 instance off x86";
+#endif
+}
+
+TEST(ShiftBlockKernel, DispatchPicksAvx2ExactlyWhenTheCpuHasIt) {
+#if SBR_SHIFT_BLOCK_AVX2
+  EXPECT_EQ(SelectShiftBlockKernel(),
+            CpuHasAvx2() ? FitShiftBlockAvx2 : FitShiftBlockBaseline);
+#else
+  EXPECT_FALSE(CpuHasAvx2());
+  EXPECT_EQ(SelectShiftBlockKernel(), FitShiftBlockBaseline);
+#endif
+}
+
+TEST(ShiftBlockKernel, MemoizedScanWithBlockTailsMatchesReference) {
+  // The memoized SSE scan covers whole blocks with the dispatched kernel
+  // and the rest with the scalar fit, also at the unaligned starts of
+  // parallel chunks. Shift counts around multiples of the block, on data
+  // of every magnitude, must select the reference scan's shift and fit.
+  Rng rng(62);
+  for (const double mag : {1.0, 1e150, 1e-150}) {
+    for (size_t num_shifts : {1u, 15u, 16u, 17u, 31u, 33u, 47u, 100u}) {
+      for (size_t len : {1u, 2u, 7u, 16u, 40u}) {
+        std::vector<double> x(num_shifts + len - 1), y(len);
+        for (auto& v : x) v = mag * rng.Uniform(-1, 1);
+        for (auto& v : y) v = mag * rng.Uniform(-1, 1);
+        for (size_t threads : {1u, 3u}) {
+          EncodeWorkspace ws;
+          ws.BeginChunk(threads);
+          ws.SetBase(x);
+          BestMapOptions opts;
+          opts.allow_linear_fallback = false;
+          opts.threads = threads;
+          opts.workspace = &ws;
+          Interval iv;
+          iv.start = 0;
+          iv.length = len;
+          BestMap(x, y, /*w=*/64, opts, &iv);
+          ExpectSameBits(iv, FreshScan(x, y, 0, len, opts),
+                         "mag=" + Short(mag) +
+                             " shifts=" + std::to_string(num_shifts) +
+                             " len=" + std::to_string(len) +
+                             " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------- time-fit memo
+
+TEST(TimeFitMemo, MetricSwitchesOnOneWorkspaceMatchFreshFits) {
+  // One workspace, one chunk, BestMap under SSE, relative, minimax and
+  // quadratic in turn and then again: each linear fall-back is memoized
+  // per interval under its metric's tag, so a switch must never answer
+  // with another metric's fit. Ramps make the fall-back win; the 300-long
+  // interval exceeds the shift cutoff and is fall-back only. A new chunk
+  // with other values at the same intervals must not see the old fits.
+  Rng rng(63);
+  std::vector<double> x(200);
+  for (auto& v : x) v = rng.Uniform(-2, 2);
+  const auto make_y = [&](double slope) {
+    std::vector<double> y(600);
+    for (size_t i = 0; i < y.size(); ++i) {
+      y[i] = slope * static_cast<double>(i % 150) / 50.0 - 1.0 +
+             rng.Gaussian(0, 0.05) + (i >= 450 ? std::sin(0.2 * i) : 0.0);
+    }
+    return y;
+  };
+  const std::vector<std::pair<size_t, size_t>> intervals = {
+      {0, 300}, {300, 20}, {320, 100}, {420, 30}, {450, 128}};
+  const MemoPolicy order[] = {kMemoPolicies[0], kMemoPolicies[1],
+                              kMemoPolicies[2], kMemoPolicies[3],
+                              kMemoPolicies[0], kMemoPolicies[2],
+                              kMemoPolicies[1], kMemoPolicies[0]};
+  EncodeWorkspace ws;
+  for (const double slope : {1.0, -0.5}) {
+    const std::vector<double> y = make_y(slope);
+    ws.BeginChunk(1);
+    ws.SetBase(x);
+    for (const MemoPolicy& p : order) {
+      BestMapOptions opts;
+      opts.metric = p.metric;
+      opts.quadratic = p.quadratic;
+      opts.relative_floor = 0.25;
+      opts.workspace = &ws;
+      size_t fallbacks = 0;
+      for (const auto& [start, length] : intervals) {
+        Interval iv;
+        iv.start = start;
+        iv.length = length;
+        BestMap(x, y, /*w=*/64, opts, &iv);
+        fallbacks += iv.shift == kShiftLinearFallback;
+        ExpectSameBits(iv, FreshScan(x, y, start, length, opts),
+                       std::string(p.name) +
+                           " slope=" + std::to_string(slope) +
+                           " start=" + std::to_string(start));
+      }
+      EXPECT_GE(fallbacks, 2u) << p.name;
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 // Unit tests for GetBase and its low-memory variant: candidate
 // enumeration, benefit-driven selection, the benefit-adjustment rule (the
-// Figure 4 example) and equivalence of the two implementations.
+// Figure 4 example), equivalence of the two implementations, and the SSE
+// error matrix checked bit for bit against pairwise fits.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/get_base.h"
@@ -186,6 +190,125 @@ TEST(GetBase, HandlesTailRemainderRows) {
   GetBaseOptions opts;
   const auto selected = GetBase(y, 2, 8, 100, opts);
   EXPECT_LE(selected.size(), 8u);  // at most K = 2 * 4 candidates
+}
+
+// The greedy selection with every matrix entry an independent pairwise
+// Fit — GetBase's SSE path before its error matrix came from hoisted sums,
+// kept here as the reference that path must reproduce bit for bit. Serial
+// ascending argmax with a strict comparison: higher benefit, then lower
+// index, the rule the parallel merge implements.
+std::vector<CandidateBaseInterval> PairwiseReference(
+    std::span<const double> y, std::span<const size_t> row_lengths, size_t w,
+    size_t max_ins) {
+  std::vector<std::span<const double>> cands;
+  size_t offset = 0;
+  for (size_t len : row_lengths) {
+    for (size_t k = 0; (k + 1) * w <= len; ++k) {
+      cands.push_back(y.subspan(offset + k * w, w));
+    }
+    offset += len;
+  }
+  const size_t k = cands.size();
+  std::vector<double> best_err(k), err(k * k);
+  for (size_t j = 0; j < k; ++j) {
+    best_err[j] = FitTime(ErrorMetric::kSse, cands[j], 1.0).err;
+  }
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = 0; j < k; ++j) {
+      err[i * k + j] = Fit(ErrorMetric::kSse, cands[i], cands[j], 1.0).err;
+    }
+  }
+  std::vector<CandidateBaseInterval> result;
+  std::vector<bool> selected(k, false);
+  for (size_t round = 0; round < std::min(max_ins, k); ++round) {
+    double best_benefit = -1.0;
+    size_t best_i = k;
+    for (size_t i = 0; i < k; ++i) {
+      if (selected[i]) continue;
+      double benefit = 0.0;
+      for (size_t j = 0; j < k; ++j) {
+        const double gain = best_err[j] - err[i * k + j];
+        if (gain > 0.0) benefit += gain;
+      }
+      if (benefit > best_benefit) {
+        best_benefit = benefit;
+        best_i = i;
+      }
+    }
+    if (best_i == k || best_benefit <= GetBaseOptions{}.min_benefit) break;
+    selected[best_i] = true;
+    CandidateBaseInterval cbi;
+    cbi.values.assign(cands[best_i].begin(), cands[best_i].end());
+    cbi.source_index = best_i;
+    cbi.benefit = best_benefit;
+    result.push_back(std::move(cbi));
+    for (size_t j = 0; j < k; ++j) {
+      best_err[j] = std::min(best_err[j], err[best_i * k + j]);
+    }
+  }
+  return result;
+}
+
+void ExpectSameSelection(const std::vector<CandidateBaseInterval>& got,
+                         const std::vector<CandidateBaseInterval>& want,
+                         const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].source_index, want[i].source_index)
+        << where << " pick " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].benefit),
+              std::bit_cast<uint64_t>(want[i].benefit))
+        << where << " pick " << i;
+    EXPECT_EQ(got[i].values, want[i].values) << where << " pick " << i;
+  }
+}
+
+TEST(GetBase, SseMatrixMatchesPairwiseFitsBitwise) {
+  // Candidate counts on both sides of the matrix's 16-column blocks, rows
+  // of differing lengths, a constant candidate (degenerate as a base: its
+  // pairs take FitSse's second pass) next to an all-zero one, mixed
+  // magnitudes, and every thread count: the selection order, indices and
+  // benefits must be the pairwise reference's, bit for bit.
+  Rng rng(8);
+  struct Case {
+    std::vector<size_t> rows;
+    size_t w;
+  };
+  const Case cases[] = {{{40}, 8},            // K = 5
+                        {{136}, 8},           // K = 17
+                        {{200, 200, 200}, 8}, // K = 75
+                        {{96, 150, 61}, 6}};  // K = 16 + 25 + 10
+  for (const Case& c : cases) {
+    for (const double mag : {1.0, 1e-3, 1e6}) {
+      std::vector<double> y;
+      for (size_t len : c.rows) {
+        for (size_t i = 0; i < len; ++i) {
+          y.push_back(mag * (std::sin(0.37 * static_cast<double>(i)) +
+                             rng.Gaussian(0, 0.4)));
+        }
+      }
+      // Window 1 constant, window 2 all zeros.
+      for (size_t i = c.w; i < 2 * c.w; ++i) y[i] = 2.5 * mag;
+      for (size_t i = 2 * c.w; i < 3 * c.w; ++i) y[i] = 0.0;
+      const size_t max_ins = 12;
+      const auto want = PairwiseReference(y, c.rows, c.w, max_ins);
+      ASSERT_GE(want.size(), 2u);
+      for (size_t threads : {1u, 4u}) {
+        GetBaseOptions opts;
+        opts.threads = threads;
+        const std::string where = "rows=" + std::to_string(c.rows.size()) +
+                                  " w=" + std::to_string(c.w) +
+                                  " mag=" + std::to_string(mag) +
+                                  " threads=" + std::to_string(threads);
+        ExpectSameSelection(
+            GetBaseMultiRate(y, c.rows, c.w, max_ins, opts), want, where);
+        if (c.rows.size() == 1 || c.rows[0] == c.rows[1]) {
+          ExpectSameSelection(
+              GetBase(y, c.rows.size(), c.w, max_ins, opts), want, where);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
