@@ -245,30 +245,22 @@ void BM_GetBaseLowMem(benchmark::State& state) {
 }
 BENCHMARK(BM_GetBaseLowMem)->Arg(4096);
 
-void BM_EncodeChunkThreads(benchmark::State& state) {
-  // Thread-scaling row for the full encode path (BestMap scans + GetBase
-  // matrix + search probes); arg = EncoderOptions::threads. Output is
-  // bitwise identical across rows, only the wall clock moves.
-  const size_t threads = static_cast<size_t>(state.range(0));
+void BM_EncodeChunk(benchmark::State& state) {
+  // One whole chunk encode (GetBase matrix + search probes + BestMap
+  // scans) on the calling thread.
   const size_t n = 16384;
   const auto y = RandomSeries(n, 15);
   for (auto _ : state) {
     EncoderOptions opts;
     opts.total_band = n / 10;
     opts.m_base = 1024;
-    opts.threads = threads;
     SbrEncoder enc(opts);
     auto t = enc.EncodeChunk(y, /*num_signals=*/4);
     benchmark::DoNotOptimize(t);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_EncodeChunkThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
+BENCHMARK(BM_EncodeChunk)->UseRealTime();
 
 void BM_BestMapWorkspace(benchmark::State& state) {
   // Per-encode heap-allocation accounting on a scaled-down Table-2 weather
@@ -309,7 +301,7 @@ void BM_BestMapWorkspace(benchmark::State& state) {
     const uint64_t c0 = alloc_count::count.load(std::memory_order_relaxed);
     const uint64_t b0 = alloc_count::bytes.load(std::memory_order_relaxed);
 
-    if (reuse) ws.BeginChunk(/*threads=*/1);
+    if (reuse) ws.BeginChunk();
     gi.best_map.workspace = reuse ? &ws : nullptr;
     SearchContext ctx;
     ctx.current_base = {};

@@ -10,23 +10,15 @@
 #include "core/workspace.h"
 #include "obs/metrics.h"
 #include "util/prefix_sums.h"
-#include "util/thread_pool.h"
 
 namespace sbr::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Shift ranges below this size are scanned on the calling thread even when
-// options.threads > 1; the pool dispatch would cost more than the scan.
-// (The partition never affects the result, so this is purely a tuning
-// constant, not a correctness one.)
-constexpr size_t kMinShiftsParallel = 16;
-
-// Deterministic selection rule shared by the serial scans and the parallel
-// chunk merge: lower error wins, and an *exact* error tie goes to the
-// lower shift. Serial ascending scans, partitioned scans at any chunk
-// count and any merge order therefore pick the same interval bitwise.
+// Deterministic selection rule shared by the reference and the memoized
+// scan: lower error wins, and an *exact* error tie goes to the lower
+// shift, so both pick the same interval bitwise.
 bool BetterShift(double err, int64_t shift, const Interval& best) {
   return err < best.err || (err == best.err && shift < best.shift);
 }
@@ -57,45 +49,17 @@ struct ShiftFit {
 // The driver guards its own geometry: len > x.size() would underflow
 // num_shifts into a near-infinite out-of-bounds scan, so a caller bug must
 // degrade to a no-op here rather than rely on BestMap's gate.
-//
-// Parallel runs partition [0, num_shifts) into static chunks on the shared
-// pool, scan each chunk into a local best, and merge the chunk bests in
-// chunk order with the deterministic rule above; threads <= 1 (or a tiny
-// range) scans inline on the calling thread.
 template <typename Policy>
 void ScanShifts(std::span<const double> x, std::span<const double> yseg,
-                size_t threads, Interval* best, const Policy& policy) {
+                Interval* best, const Policy& policy) {
   const size_t len = yseg.size();
   if (len == 0 || len > x.size()) return;
   const size_t num_shifts = x.size() - len + 1;
   SBR_OBS_COUNT("encode.best_map.shifts_scanned", num_shifts);
-
-  const auto scan = [&](size_t begin, size_t end, Interval* out) {
-    for (size_t shift = begin; shift < end; ++shift) {
-      const ShiftFit f = policy.Fit(shift);
-      if (BetterShift(f.err, static_cast<int64_t>(shift), *out)) {
-        TakeShift(out, static_cast<int64_t>(shift), f.a, f.b, f.c, f.err);
-      }
-    }
-  };
-
-  if (threads <= 1 || num_shifts < kMinShiftsParallel) {
-    scan(0, num_shifts, best);
-    return;
-  }
-  const size_t num_chunks = util::NumChunks(threads, num_shifts);
-  std::vector<Interval> partial(num_chunks);
-  for (Interval& p : partial) {
-    p.shift = kShiftLinearFallback;
-    p.err = kInf;
-  }
-  util::ParallelFor(threads, num_shifts,
-                    [&](size_t chunk, size_t begin, size_t end) {
-                      scan(begin, end, &partial[chunk]);
-                    });
-  for (const Interval& p : partial) {
-    if (BetterShift(p.err, p.shift, *best)) {
-      TakeShift(best, p.shift, p.a, p.b, p.c, p.err);
+  for (size_t shift = 0; shift < num_shifts; ++shift) {
+    const ShiftFit f = policy.Fit(shift);
+    if (BetterShift(f.err, static_cast<int64_t>(shift), *best)) {
+      TakeShift(best, static_cast<int64_t>(shift), f.a, f.b, f.c, f.err);
     }
   }
 }
@@ -117,13 +81,13 @@ void FitErrors(const Policy& policy, size_t begin, size_t end, double* err) {
 // The shift scan every workspace caller runs (DESIGN.md §5e). The
 // workspace memoizes, per interval, how many shifts of the shared trial
 // buffer are scanned and the steps of the ascending scan's running best.
-// A call evaluates only the shifts no earlier call of this chunk did — in
-// parallel on the pool for large ranges — lists the new steps with one
-// serial sweep, and takes the last step below num_shifts. Fit
-// depends only on x[shift, shift + len), the shared prefix sums and the
-// interval's y moments, and every trial base is a prefix of one buffer,
-// so that step is exactly the shift the reference scan selects; its fit
-// is recomputed once with the same Fit, giving the same bits.
+// A call evaluates only the shifts no earlier call of this chunk did,
+// lists the new steps with one sweep, and takes the last step below
+// num_shifts. Fit depends only on x[shift, shift + len), the shared
+// prefix sums and the interval's y moments, and every trial base is a
+// prefix of one buffer, so that step is exactly the shift the reference
+// scan selects; its fit is recomputed once with the same Fit, giving the
+// same bits.
 template <typename Policy>
 void ScanShiftsMemo(size_t x_size, size_t start, size_t len, uint8_t tag,
                     const BestMapOptions& options, Interval* best,
@@ -131,7 +95,7 @@ void ScanShiftsMemo(size_t x_size, size_t start, size_t len, uint8_t tag,
   if (len == 0 || len > x_size) return;
   const size_t num_shifts = x_size - len + 1;
   EncodeWorkspace& ws = *options.workspace;
-  EncodeArena& arena = ws.arena(options.arena);
+  EncodeArena& arena = ws.arena();
   const ShiftCursor cursor = ws.ResumeShifts(start, len, tag, num_shifts);
   std::vector<uint32_t>& steps = arena.shift_steps();
   steps.clear();
@@ -143,16 +107,7 @@ void ScanShiftsMemo(size_t x_size, size_t start, size_t len, uint8_t tag,
     std::vector<double>& errors = arena.shift_errors();
     if (errors.size() < n) errors.resize(n);
     double* err = errors.data();
-    const auto evaluate = [&](size_t, size_t begin, size_t end) {
-      FitErrors(policy, from + begin, from + end, err + begin);
-    };
-    // Inline for one thread or a tiny range: wrapping the body in the
-    // pool's std::function would heap-allocate on every scan.
-    if (options.threads <= 1 || n < kMinShiftsParallel) {
-      evaluate(0, 0, n);
-    } else {
-      util::ParallelFor(options.threads, n, evaluate);
-    }
+    FitErrors(policy, from, num_shifts, err);
     for (size_t i = 0; i < n; ++i) {
       if (err[i] < running) {
         running = err[i];
@@ -177,7 +132,7 @@ void Scan(std::span<const double> x, std::span<const double> yseg,
   if (options.workspace != nullptr) {
     ScanShiftsMemo(x.size(), start, yseg.size(), tag, options, best, policy);
   } else {
-    ScanShifts(x, yseg, options.threads, best, policy);
+    ScanShifts(x, yseg, best, policy);
   }
 }
 
@@ -345,7 +300,6 @@ void RunMetricScan(std::span<const double> x, std::span<const double> yseg,
                    size_t start, const BestMapOptions& options,
                    Interval* best) {
   EncodeWorkspace* ws = options.workspace;
-  EncodeArena* arena = ws != nullptr ? &ws->arena(options.arena) : nullptr;
 
   // Shift-memo tag: one per policy, so a workspace reused across metrics
   // never answers one policy's scan from another's staircase.
@@ -370,9 +324,9 @@ void RunMetricScan(std::span<const double> x, std::span<const double> yseg,
       const double* wy;
       RelativeMoments m;
       if (ws != nullptr) {
-        m = ws->Relative(yseg, start, options.relative_floor, arena);
-        w = arena->weights().data();
-        wy = arena->weighted_values().data();
+        m = ws->Relative(yseg, start, options.relative_floor);
+        w = ws->arena().weights().data();
+        wy = ws->arena().weighted_values().data();
       } else {
         m = ComputeRelativeMoments(yseg, options.relative_floor, &local_w,
                                    &local_wy);
@@ -423,11 +377,10 @@ void BestMap(std::span<const double> x, std::span<const double> y,
   }
 
   if (options.allow_linear_fallback || !scan_possible) {
-    EncodeArena* arena = options.workspace != nullptr
-                             ? &options.workspace->arena(options.arena)
-                             : nullptr;
+    EncodeWorkspace* ws = options.workspace;
     if (options.quadratic) {
-      const QuadraticResult q = FitTimeQuadratic(yseg, arena);
+      const QuadraticResult q =
+          FitTimeQuadratic(yseg, ws != nullptr ? &ws->arena() : nullptr);
       if (q.err < interval->err) {
         interval->shift = kShiftLinearFallback;
         interval->a = q.a;
@@ -437,11 +390,9 @@ void BestMap(std::span<const double> x, std::span<const double> y,
       }
     } else {
       const RegressionResult r =
-          options.workspace != nullptr
-              ? options.workspace->TimeFit(yseg, interval->start,
-                                           options.metric,
-                                           options.relative_floor, arena)
-              : FitTime(options.metric, yseg, options.relative_floor, arena);
+          ws != nullptr ? ws->TimeFit(yseg, interval->start, options.metric,
+                                      options.relative_floor)
+                        : FitTime(options.metric, yseg, options.relative_floor);
       if (r.err < interval->err) {
         SBR_OBS_COUNT("encode.best_map.linear_fallbacks", 1);
         interval->shift = kShiftLinearFallback;

@@ -5,9 +5,8 @@
 #ifndef SBR_CORE_BEST_MAP_H_
 #define SBR_CORE_BEST_MAP_H_
 
+#include <cstddef>
 #include <span>
-
-#include <cstdint>
 
 #include "core/error_metric.h"
 #include "core/interval.h"
@@ -34,25 +33,15 @@ struct BestMapOptions {
   /// y' = a x + b + c x^2 instead of a line. SSE metric only; each
   /// interval then costs 5 transmitted values instead of 4.
   bool quadratic = false;
-  /// Worker threads for the shift scan: the shift range is partitioned
-  /// into static chunks on the shared pool and the per-chunk bests are
-  /// merged deterministically (lowest error, then lowest shift), so the
-  /// selected interval is bitwise identical at any thread count. 1 (the
-  /// default) keeps the scan on the calling thread.
-  size_t threads = 1;
   /// Optional encode workspace (see core/workspace.h): supplies the shared
-  /// base-signal prefix sums, the per-interval moment cache and per-thread
-  /// arena scratch, making the scan allocation-free. The caller must have
+  /// base-signal prefix sums, the per-interval moment cache and the arena
+  /// scratch, making the scan allocation-free. The caller must have
   /// called BeginChunk for the current chunk and SetBase/AppendBase so the
   /// prefix table covers the `x` being scanned. Null (the default) keeps
   /// every kernel self-contained, materializing its state per call.
   /// Purely an allocation/reuse knob: results are bitwise identical with
   /// or without a workspace.
   EncodeWorkspace* workspace = nullptr;
-  /// Arena index within the workspace: the ParallelFor chunk id of the
-  /// enclosing parallel region (0 when called serially), so concurrent
-  /// search probes never share scratch.
-  uint32_t arena = 0;
 };
 
 /// Fills interval->shift / a / b / err with the best mapping of
@@ -63,7 +52,7 @@ struct BestMapOptions {
 /// rejected without touching `y`: it comes back as the linear-fallback
 /// marker with infinite error and zero coefficients.
 /// Exact error ties between shifts select the lowest shift, so the result
-/// does not depend on scan order or on options.threads.
+/// does not depend on scan order.
 void BestMap(std::span<const double> x, std::span<const double> y,
              size_t w, const BestMapOptions& options, Interval* interval);
 

@@ -81,7 +81,6 @@ std::vector<CandidateBaseInterval> SbrEncoder::BuildCandidates(
   GetBaseOptions gb;
   gb.metric = options_.metric;
   gb.relative_floor = options_.relative_floor;
-  gb.threads = options_.threads;
   gb.workspace = workspace_;
   switch (options_.base_strategy) {
     case BaseStrategy::kGetBase:
@@ -151,10 +150,9 @@ StatusOr<Transmission> SbrEncoder::EncodeImpl(
   SBR_OBS_SPAN(chunk_span, "encode.chunk");
   SBR_OBS_TIMER(chunk_timer, "encode.chunk_us");
   // One workspace reset per chunk: clears the per-interval moment cache
-  // (y changes) and sizes the arena pool for the configured thread count.
-  // Everything downstream — GetBase scoring, search probes, the final
-  // approximation — draws its scratch from this workspace.
-  workspace_->BeginChunk(options_.threads);
+  // (y changes). Everything downstream — GetBase scoring, search probes,
+  // the final approximation — draws its scratch from this workspace.
+  workspace_->BeginChunk();
 
   GetIntervalsOptions gi;
   gi.best_map.metric = options_.metric;
@@ -162,7 +160,6 @@ StatusOr<Transmission> SbrEncoder::EncodeImpl(
   gi.best_map.allow_linear_fallback = options_.allow_linear_fallback;
   gi.best_map.max_shift_multiple = options_.max_shift_multiple;
   gi.best_map.quadratic = options_.quadratic;
-  gi.best_map.threads = options_.threads;
   gi.values_per_interval =
       options_.base_strategy == BaseStrategy::kNone ? 3 : 4;
   if (options_.quadratic) ++gi.values_per_interval;

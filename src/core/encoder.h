@@ -74,13 +74,11 @@ struct EncoderOptions {
   /// bit-identical; the precision loss shows up only as a slightly larger
   /// approximation error.
   bool compact_wire = false;
-  /// Worker threads for the encoding hot paths: BestMap shift scans, the
-  /// GetBase benefit matrix and greedy re-scoring, and the insert-count
-  /// search probes (NetworkSim additionally fans its per-node encodes out
-  /// over the same count). Every parallel loop uses static chunking with a
-  /// deterministic reduction, so the emitted transmissions are bitwise
-  /// identical at any value. 1 (the default) runs everything on the
-  /// calling thread; pass sbr::util::HardwareThreads() to use the machine.
+  /// Nodes net::NetworkSim simulates concurrently, each with its own
+  /// encoder; the encoder itself does not read it, since one chunk's
+  /// encode always runs on the calling thread. The report is bitwise
+  /// identical at any value. 1 (the default) simulates the nodes one after
+  /// another; pass sbr::util::HardwareThreads() to use the machine.
   size_t threads = 1;
 };
 
@@ -166,7 +164,7 @@ class SbrEncoder {
   std::vector<double> dct_base_;  // only for kDctFixed
   EncodeStats stats_;
   /// Arena for the encode hot path (see core/workspace.h): prefix sums
-  /// over the (trial) base signal, per-interval moment cache, per-thread
+  /// over the (trial) base signal, per-interval moment cache, arena
   /// scratch. Owned by default; an injected workspace is only borrowed.
   EncodeWorkspace owned_workspace_;
   EncodeWorkspace* workspace_ = nullptr;

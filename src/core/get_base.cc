@@ -7,7 +7,6 @@
 
 #include "core/regression.h"
 #include "core/workspace.h"
-#include "util/thread_pool.h"
 
 namespace sbr::core {
 namespace {
@@ -31,44 +30,38 @@ std::vector<std::span<const double>> EnumerateCandidates(
   return cands;
 }
 
-// Deterministic parallel argmax over the unselected candidates: each chunk
-// finds its local (benefit, index) best, and the chunk bests are merged in
-// chunk order preferring higher benefit, then lower index — exactly the
-// candidate the serial ascending loop would pick.
+// Argmax of score(i) over the unselected candidates, ascending, so a tie
+// goes to the lower index. Returns k when no candidate is left.
 template <typename Score>
-void BestCandidate(size_t k, size_t threads,
-                   const std::vector<bool>& selected, const Score& score,
-                   double* best_benefit, size_t* best_i) {
-  const size_t num_chunks = util::NumChunks(threads, k);
-  std::vector<double> chunk_benefit(num_chunks, -1.0);
-  std::vector<size_t> chunk_i(num_chunks, k);
-  util::ParallelFor(threads, k, [&](size_t chunk, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      if (selected[i]) continue;
-      const double benefit = score(i);
-      if (benefit > chunk_benefit[chunk]) {
-        chunk_benefit[chunk] = benefit;
-        chunk_i[chunk] = i;
-      }
-    }
-  });
+size_t BestCandidate(size_t k, const std::vector<bool>& selected,
+                     const Score& score, double* best_benefit) {
   *best_benefit = -1.0;
-  *best_i = k;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    if (chunk_benefit[c] > *best_benefit ||
-        (chunk_benefit[c] == *best_benefit && chunk_i[c] < *best_i)) {
-      *best_benefit = chunk_benefit[c];
-      *best_i = chunk_i[c];
+  size_t best_i = k;
+  for (size_t i = 0; i < k; ++i) {
+    if (selected[i]) continue;
+    const double benefit = score(i);
+    if (benefit > *best_benefit) {
+      *best_benefit = benefit;
+      best_i = i;
     }
   }
+  return best_i;
 }
 
-// Per-chunk arena lookup shared by the scoring loops: workspace callers
-// get the arena of the ParallelFor chunk they run on, others fall back to
-// the thread-local arena inside FitTime.
-EncodeArena* ArenaFor(const GetBaseOptions& options, size_t chunk) {
-  return options.workspace != nullptr ? &options.workspace->arena(chunk)
-                                      : nullptr;
+// Each candidate's linear-in-time fit error: the greedy baseline. Workspace
+// callers draw the ramp from its arena, others from FitTime's thread-local
+// fallback.
+std::vector<double> TimeFitErrors(
+    const std::vector<std::span<const double>>& cands,
+    const GetBaseOptions& options) {
+  EncodeArena* arena =
+      options.workspace != nullptr ? &options.workspace->arena() : nullptr;
+  std::vector<double> err(cands.size());
+  for (size_t j = 0; j < cands.size(); ++j) {
+    err[j] = FitTime(options.metric, cands[j], options.relative_floor, arena)
+                 .err;
+  }
+  return err;
 }
 
 // Two doubles, the baseline shift-scan kernel's vector type
@@ -145,36 +138,24 @@ std::vector<CandidateBaseInterval> SelectGreedy(
     const std::vector<std::span<const double>>& cands, size_t max_ins,
     const GetBaseOptions& options) {
   const size_t k = cands.size();
-  const size_t threads = options.threads;
   std::vector<CandidateBaseInterval> result;
   if (k == 0 || max_ins == 0) return result;
 
   // err[i * k + j]: error of approximating CBI j as a linear projection of
   // CBI i. The diagonal is ~0 (a=1, b=0). Under SSE the matrix comes from
-  // hoisted sums; otherwise rows are independent, so the O(K^2 W) build
-  // fans out over the pool row by row.
+  // hoisted sums; otherwise every pair is fitted, O(K^2 W).
   std::vector<double> err(k * k);
-  std::vector<double> best_err(k);
-  util::ParallelFor(threads, k, [&](size_t chunk, size_t begin, size_t end) {
-    EncodeArena* arena = ArenaFor(options, chunk);
-    for (size_t j = begin; j < end; ++j) {
-      best_err[j] =
-          FitTime(options.metric, cands[j], options.relative_floor, arena)
-              .err;
-    }
-  });
+  std::vector<double> best_err = TimeFitErrors(cands, options);
   if (options.metric == ErrorMetric::kSse) {
     SseErrorMatrix(cands, &err);
   } else {
-    util::ParallelFor(threads, k, [&](size_t, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        for (size_t j = 0; j < k; ++j) {
-          err[i * k + j] =
-              Fit(options.metric, cands[i], cands[j], options.relative_floor)
-                  .err;
-        }
+    for (size_t i = 0; i < k; ++i) {
+      for (size_t j = 0; j < k; ++j) {
+        err[i * k + j] =
+            Fit(options.metric, cands[i], cands[j], options.relative_floor)
+                .err;
       }
-    });
+    }
   }
 
   std::vector<bool> selected(k, false);
@@ -182,18 +163,18 @@ std::vector<CandidateBaseInterval> SelectGreedy(
   result.reserve(max_ins);
   for (size_t round = 0; round < max_ins; ++round) {
     double best_benefit = -1.0;
-    size_t best_i = k;
-    BestCandidate(k, threads, selected,
-                  [&](size_t i) {
-                    double benefit = 0.0;
-                    const double* row = &err[i * k];
-                    for (size_t j = 0; j < k; ++j) {
-                      const double gain = best_err[j] - row[j];
-                      if (gain > 0.0) benefit += gain;
-                    }
-                    return benefit;
-                  },
-                  &best_benefit, &best_i);
+    const size_t best_i = BestCandidate(
+        k, selected,
+        [&](size_t i) {
+          double benefit = 0.0;
+          const double* row = &err[i * k];
+          for (size_t j = 0; j < k; ++j) {
+            const double gain = best_err[j] - row[j];
+            if (gain > 0.0) benefit += gain;
+          }
+          return benefit;
+        },
+        &best_benefit);
     if (best_i == k || best_benefit <= options.min_benefit) break;
     selected[best_i] = true;
     CandidateBaseInterval cbi;
@@ -234,19 +215,10 @@ std::vector<CandidateBaseInterval> GetBaseLowMem(
   const std::vector<size_t> lengths(num_signals, y.size() / num_signals);
   const auto cands = EnumerateCandidates(y, lengths, w);
   const size_t k = cands.size();
-  const size_t threads = options.threads;
   std::vector<CandidateBaseInterval> result;
   if (k == 0 || max_ins == 0) return result;
 
-  std::vector<double> best_err(k);
-  util::ParallelFor(threads, k, [&](size_t chunk, size_t begin, size_t end) {
-    EncodeArena* arena = ArenaFor(options, chunk);
-    for (size_t j = begin; j < end; ++j) {
-      best_err[j] =
-          FitTime(options.metric, cands[j], options.relative_floor, arena)
-              .err;
-    }
-  });
+  std::vector<double> best_err = TimeFitErrors(cands, options);
 
   auto pair_err = [&](size_t i, size_t j) {
     return Fit(options.metric, cands[i], cands[j], options.relative_floor)
@@ -257,20 +229,19 @@ std::vector<CandidateBaseInterval> GetBaseLowMem(
   max_ins = std::min(max_ins, k);
   result.reserve(max_ins);
   for (size_t round = 0; round < max_ins; ++round) {
+    // The O(K^2 W) re-scoring is the whole cost of the low-memory variant.
     double best_benefit = -1.0;
-    size_t best_i = k;
-    // The O(K^2 W) re-scoring is the whole cost of the low-memory variant;
-    // each candidate's rescan is independent.
-    BestCandidate(k, threads, selected,
-                  [&](size_t i) {
-                    double benefit = 0.0;
-                    for (size_t j = 0; j < k; ++j) {
-                      const double gain = best_err[j] - pair_err(i, j);
-                      if (gain > 0.0) benefit += gain;
-                    }
-                    return benefit;
-                  },
-                  &best_benefit, &best_i);
+    const size_t best_i = BestCandidate(
+        k, selected,
+        [&](size_t i) {
+          double benefit = 0.0;
+          for (size_t j = 0; j < k; ++j) {
+            const double gain = best_err[j] - pair_err(i, j);
+            if (gain > 0.0) benefit += gain;
+          }
+          return benefit;
+        },
+        &best_benefit);
     if (best_i == k || best_benefit <= options.min_benefit) break;
     selected[best_i] = true;
     CandidateBaseInterval cbi;
@@ -278,11 +249,9 @@ std::vector<CandidateBaseInterval> GetBaseLowMem(
     cbi.source_index = best_i;
     cbi.benefit = best_benefit;
     result.push_back(std::move(cbi));
-    util::ParallelFor(threads, k, [&](size_t, size_t begin, size_t end) {
-      for (size_t j = begin; j < end; ++j) {
-        best_err[j] = std::min(best_err[j], pair_err(best_i, j));
-      }
-    });
+    for (size_t j = 0; j < k; ++j) {
+      best_err[j] = std::min(best_err[j], pair_err(best_i, j));
+    }
   }
   return result;
 }

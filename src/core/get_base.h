@@ -24,16 +24,9 @@ struct GetBaseOptions {
   /// not selected; the greedy loop stops early instead of padding the
   /// result with useless intervals.
   double min_benefit = 1e-9;
-  /// Worker threads for the benefit-matrix build (all metrics but SSE,
-  /// whose matrix comes from hoisted sums serially) and the greedy
-  /// re-scoring. Candidate rows are scored independently and merged with
-  /// a deterministic reduction (higher benefit, then lower index), so the
-  /// selection sequence is identical at any thread count.
-  size_t threads = 1;
   /// Optional encode workspace: the per-candidate linear-in-time fits draw
-  /// their ramp scratch from the workspace arena of the ParallelFor chunk
-  /// they run on instead of thread-local fallback storage. BeginChunk must
-  /// have sized the arena pool for `threads`. Bitwise-neutral.
+  /// their ramp scratch from the workspace arena instead of thread-local
+  /// fallback storage. Bitwise-neutral.
   EncodeWorkspace* workspace = nullptr;
 };
 

@@ -17,7 +17,7 @@ namespace {
 
 // The single time-ramp code path: every linear-in-time fit materializes
 // t = 0..n-1 from an EncodeArena's grow-only buffer. Workspace callers
-// pass their per-thread arena; workspace-less callers share one
+// pass the workspace arena; workspace-less callers share one
 // thread-local fallback arena, so no call allocates a fresh ramp.
 std::span<const double> TimeRampFor(size_t n, EncodeArena* arena) {
   if (arena != nullptr) return arena->TimeRamp(n);

@@ -1,6 +1,5 @@
 #include "core/search.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -8,7 +7,6 @@
 #include "core/workspace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace sbr::core {
 namespace {
@@ -20,7 +18,6 @@ class Prober {
  public:
   explicit Prober(const SearchContext& ctx)
       : ctx_(ctx),
-        threads_(ctx.get_intervals.best_map.threads),
         workspace_(ctx.workspace),
         errors_(ctx.candidates->size() + 1, kNan) {
     if (workspace_ == nullptr) return;
@@ -49,44 +46,16 @@ class Prober {
     assert(pos < errors_.size());
     if (std::isnan(errors_[pos])) {
       ++probes_;
-      Evaluate(pos, /*arena=*/0);
+      Evaluate(pos);
     }
     return errors_[pos];
-  }
-
-  // Evaluates the listed probes that are still unprobed, concurrently when
-  // the encoder runs threaded. Each probe is an independent GetIntervals
-  // run writing a distinct memo slot, so the table fills with exactly the
-  // values — and, for unconditionally-needed probes, exactly the probe
-  // count — the serial order would produce. Concurrent probes read the
-  // shared trial buffer and use their chunk's workspace arena for scratch.
-  void Prefetch(std::initializer_list<size_t> positions) {
-    std::vector<size_t> missing;
-    for (size_t pos : positions) {
-      assert(pos < errors_.size());
-      if (std::isnan(errors_[pos]) &&
-          std::find(missing.begin(), missing.end(), pos) == missing.end()) {
-        missing.push_back(pos);
-      }
-    }
-    probes_ += missing.size();
-    if (threads_ <= 1 || missing.size() < 2) {
-      for (size_t pos : missing) Evaluate(pos, /*arena=*/0);
-      return;
-    }
-    util::ParallelFor(threads_, missing.size(),
-                      [&](size_t chunk, size_t begin, size_t end) {
-                        for (size_t m = begin; m < end; ++m) {
-                          Evaluate(missing[m], chunk);
-                        }
-                      });
   }
 
   size_t probes() const { return probes_; }
   std::vector<double> TakeErrors() { return std::move(errors_); }
 
  private:
-  void Evaluate(size_t pos, size_t arena) {
+  void Evaluate(size_t pos) {
     SBR_OBS_SPAN(probe_span, "encode.search.probe");
     SBR_OBS_COUNT("encode.search.probe_evals", 1);
     const size_t insert_cost = pos * (ctx_.w + 1);
@@ -104,7 +73,6 @@ class Prober {
     if (workspace_ != nullptr) {
       trial = workspace_->TrialPrefix(offsets_[pos]);
       gi.best_map.workspace = workspace_;
-      gi.best_map.arena = static_cast<uint32_t>(arena);
     } else {
       local_trial.assign(ctx_.current_base.begin(), ctx_.current_base.end());
       for (size_t i = 0; i < pos; ++i) {
@@ -123,7 +91,6 @@ class Prober {
   }
 
   const SearchContext& ctx_;
-  size_t threads_ = 1;
   EncodeWorkspace* workspace_ = nullptr;
   std::vector<size_t> offsets_;  // trial length per probe position
   std::vector<double> errors_;
@@ -135,10 +102,6 @@ class Prober {
 size_t Search(Prober& prober, size_t start, size_t end) {
   if (end == start) return start;
   const size_t middle = (start + end) / 2;
-  // Both probes are needed unconditionally, so they evaluate concurrently;
-  // the conditional third probe (end, or middle + 1) stays lazy so the
-  // probe set — and therefore the memo table — matches the serial run.
-  prober.Prefetch({middle, start});
   const double e_middle = prober.Error(middle);
   const double e_start = prober.Error(start);
   if (e_middle > e_start) {

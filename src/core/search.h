@@ -40,9 +40,7 @@ struct SearchContext {
   /// against a prefix *view* of that buffer — no per-probe base copy, no
   /// per-interval prefix rebuild. Because every probe's base is a prefix
   /// of that one buffer, the workspace's shift memo lets a probe scan only
-  /// the shifts no earlier probe of the chunk scanned. Probes that run
-  /// concurrently (Prefetch) are assigned distinct workspace arenas by
-  /// ParallelFor chunk id and merge into the shared memo.
+  /// the shifts no earlier probe of the chunk scanned.
   /// Results are bitwise identical with or without a workspace.
   EncodeWorkspace* workspace = nullptr;
 };

@@ -6,12 +6,9 @@
 
 namespace sbr::core {
 
-void EncodeWorkspace::BeginChunk(size_t threads) {
-  const size_t pool = std::max<size_t>(threads, 1);
-  if (arenas_.size() < pool) arenas_.resize(pool);
+void EncodeWorkspace::BeginChunk() {
   trial_.clear();
   prefix_.Reset({});
-  std::lock_guard<std::mutex> lock(mu_);
   intervals_.clear();
   DropShiftMemo();
   stats_ = WorkspaceStats{};
@@ -23,7 +20,6 @@ void EncodeWorkspace::ReserveBase(size_t total) {
 }
 
 void EncodeWorkspace::SetBase(std::span<const double> x) {
-  std::lock_guard<std::mutex> lock(mu_);
   // Bitwise (not ==) comparison: the memo is exact only if every window
   // it scanned holds the same bits.
   if (x.size() <= trial_.size() &&
@@ -42,7 +38,6 @@ void EncodeWorkspace::SetBase(std::span<const double> x) {
 }
 
 void EncodeWorkspace::AppendBase(std::span<const double> values) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (trial_.size() < trial_lengths_.back()) DropShiftMemo();
   trial_.insert(trial_.end(), values.begin(), values.end());
   for (double v : values) prefix_.Append(v);
@@ -64,14 +59,10 @@ bool EncodeWorkspace::IsTrialLength(size_t length) const {
 }
 
 SseMoments EncodeWorkspace::Sse(std::span<const double> yseg, size_t start) {
-  const uint64_t key = Key(start, yseg.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = intervals_.find(key);
-    if (it != intervals_.end() && it->second.kind == MomentKind::kSse) {
-      ++stats_.moment_hits;
-      return {it->second.moments[0], it->second.moments[1]};
-    }
+  IntervalEntry& e = intervals_[Key(start, yseg.size())];
+  if (e.kind == MomentKind::kSse) {
+    ++stats_.moment_hits;
+    return {e.moments[0], e.moments[1]};
   }
   // The exact accumulation loop of the workspace-less kernel: summing in
   // index order keeps the cached moments bitwise identical to a local
@@ -81,9 +72,7 @@ SseMoments EncodeWorkspace::Sse(std::span<const double> yseg, size_t start) {
     m.sum_y += v;
     m.sum_y2 += v * v;
   }
-  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.moment_misses;
-  IntervalEntry& e = intervals_[key];
   e.moments[0] = m.sum_y;
   e.moments[1] = m.sum_y2;
   e.kind = MomentKind::kSse;
@@ -91,29 +80,17 @@ SseMoments EncodeWorkspace::Sse(std::span<const double> yseg, size_t start) {
 }
 
 RelativeMoments EncodeWorkspace::Relative(std::span<const double> yseg,
-                                          size_t start, double floor,
-                                          EncodeArena* arena) {
+                                          size_t start, double floor) {
   const size_t len = yseg.size();
-  std::vector<double>& w = arena->weights();
-  std::vector<double>& wy = arena->weighted_values();
+  std::vector<double>& w = arena_.weights();
+  std::vector<double>& wy = arena_.weighted_values();
   w.resize(len);
   wy.resize(len);
 
-  const uint64_t key = Key(start, len);
-  bool cached = false;
-  RelativeMoments m;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = intervals_.find(key);
-    if (it != intervals_.end() && it->second.kind == MomentKind::kRelative) {
-      ++stats_.moment_hits;
-      m = {it->second.moments[0], it->second.moments[1],
-           it->second.moments[2]};
-      cached = true;
-    }
-  }
-  if (cached) {
-    // Moments are cached but this arena's weight arrays may hold another
+  IntervalEntry& e = intervals_[Key(start, len)];
+  if (e.kind == MomentKind::kRelative) {
+    ++stats_.moment_hits;
+    // Moments are cached but the arena's weight arrays may hold another
     // interval's values; refill them. Each element is independent of the
     // others, so the fill needs no particular order to stay byte-stable.
     for (size_t i = 0; i < len; ++i) {
@@ -121,10 +98,11 @@ RelativeMoments EncodeWorkspace::Relative(std::span<const double> yseg,
       w[i] = 1.0 / (d * d);
       wy[i] = w[i] * yseg[i];
     }
-    return m;
+    return {e.moments[0], e.moments[1], e.moments[2]};
   }
   // Miss path: the exact loop of ComputeRelativeMoments, weights and
   // running sums interleaved in index order.
+  RelativeMoments m;
   for (size_t i = 0; i < len; ++i) {
     const double d = std::max(std::abs(yseg[i]), floor);
     w[i] = 1.0 / (d * d);
@@ -133,9 +111,7 @@ RelativeMoments EncodeWorkspace::Relative(std::span<const double> yseg,
     m.swy += wy[i];
     m.swy2 += wy[i] * yseg[i];
   }
-  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.moment_misses;
-  IntervalEntry& e = intervals_[key];
   e.moments[0] = m.sw;
   e.moments[1] = m.swy;
   e.moments[2] = m.swy2;
@@ -145,28 +121,18 @@ RelativeMoments EncodeWorkspace::Relative(std::span<const double> yseg,
 
 RegressionResult EncodeWorkspace::TimeFit(std::span<const double> yseg,
                                           size_t start, ErrorMetric metric,
-                                          double floor, EncodeArena* arena) {
-  const uint64_t key = Key(start, yseg.size());
+                                          double floor) {
   const uint8_t policy = static_cast<uint8_t>(metric);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = intervals_.find(key);
-    if (it != intervals_.end() && it->second.has_time_fit &&
-        it->second.time_fit_policy == policy) {
-      return it->second.time_fit;
-    }
-  }
-  const RegressionResult fit = FitTime(metric, yseg, floor, arena);
-  std::lock_guard<std::mutex> lock(mu_);
-  IntervalEntry& e = intervals_[key];
-  e.time_fit = fit;
+  IntervalEntry& e = intervals_[Key(start, yseg.size())];
+  if (e.has_time_fit && e.time_fit_policy == policy) return e.time_fit;
+  e.time_fit = FitTime(metric, yseg, floor, &arena_);
   e.has_time_fit = true;
   e.time_fit_policy = policy;
-  return fit;
+  return e.time_fit;
 }
 
-EncodeWorkspace::ShiftMemo& EncodeWorkspace::MemoLocked(uint64_t key,
-                                                        uint8_t policy) {
+EncodeWorkspace::ShiftMemo& EncodeWorkspace::Memo(uint64_t key,
+                                                  uint8_t policy) {
   ShiftMemo& memo = intervals_[key].memo;
   if (memo.generation != memo_generation_ || memo.policy != policy) {
     memo = ShiftMemo{};
@@ -178,8 +144,7 @@ EncodeWorkspace::ShiftMemo& EncodeWorkspace::MemoLocked(uint64_t key,
 
 ShiftCursor EncodeWorkspace::ResumeShifts(size_t start, size_t length,
                                           uint8_t policy, size_t num_shifts) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const ShiftMemo& memo = MemoLocked(Key(start, length), policy);
+  const ShiftMemo& memo = Memo(Key(start, length), policy);
   if (num_shifts < memo.scanned && !IsTrialLength(num_shifts + length - 1)) {
     return {0, std::numeric_limits<double>::infinity(), /*record=*/false};
   }
@@ -195,22 +160,18 @@ int64_t EncodeWorkspace::CommitShifts(size_t start, size_t length,
   if (!cursor.record) {
     return steps.empty() ? -1 : static_cast<int64_t>(steps.back());
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ShiftMemo& memo = MemoLocked(Key(start, length), policy);
-  // Memo drops never overlap a scan, so the recorded range can only have
-  // grown since the cursor was taken.
-  assert(memo.scanned >= cursor.from);
+  ShiftMemo& memo = Memo(Key(start, length), policy);
+  // Nothing scans the interval between the two halves, so the memo still
+  // ends where the cursor resumed.
+  assert(memo.scanned == cursor.from);
   stats_.shifts_reused += std::min(cursor.from, num_shifts);
   if (num_shifts > memo.scanned) {
-    // Another probe may have recorded part of this range meanwhile; its
-    // steps there are these steps (both scans started from the same
-    // state), so only the ones beyond its end are new. Of those, keep the
-    // last one below each probe's shift count (trial length - length + 1)
-    // — the only ones a probe can be answered with — and the newest, which
-    // answers this scan and seeds the next extension.
-    auto step = std::lower_bound(steps.begin(), steps.end(), memo.scanned);
+    // Of the new steps, keep the last one below each probe's shift count
+    // (trial length - length + 1) — the only ones a probe can be answered
+    // with — and the newest, which answers this scan and seeds the next
+    // extension.
     auto cut = trial_lengths_.begin();
-    for (; step != steps.end(); ++step) {
+    for (auto step = steps.begin(); step != steps.end(); ++step) {
       const bool newest = step + 1 == steps.end();
       // First probe shift count above this step.
       while (cut != trial_lengths_.end() && *cut < *step + length) ++cut;
@@ -222,9 +183,7 @@ int64_t EncodeWorkspace::CommitShifts(size_t start, size_t length,
         memo.last = node;
       }
     }
-    if (!steps.empty() && steps.back() >= memo.scanned) {
-      memo.best_err = steps_err;
-    }
+    if (!steps.empty()) memo.best_err = steps_err;
     memo.scanned = static_cast<uint32_t>(num_shifts);
   }
   // The answer is the last step below num_shifts: the running best of an
@@ -244,16 +203,8 @@ int64_t EncodeWorkspace::CommitShifts(size_t start, size_t length,
 }
 
 size_t EncodeWorkspace::shift_memo_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t bytes = step_pool_.capacity() * sizeof(uint32_t) +
-                 intervals_.size() * sizeof(ShiftMemo);
-  for (const EncodeArena& a : arenas_) bytes += a.shift_scratch_bytes();
-  return bytes;
-}
-
-WorkspaceStats EncodeWorkspace::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  return step_pool_.capacity() * sizeof(uint32_t) +
+         intervals_.size() * sizeof(ShiftMemo) + arena_.shift_scratch_bytes();
 }
 
 }  // namespace sbr::core

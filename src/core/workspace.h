@@ -15,13 +15,15 @@
 //    shared trial buffer got and the steps of its running best, so every
 //    (interval, shift) pair is evaluated at most once per chunk however
 //    many search probes and the final approximation ask for it,
-//  * a pool of EncodeArenas, one per ParallelFor chunk, holding the
-//    relative-metric weight arrays, the time-ramp buffer and the shift-scan
-//    scratch.
+//  * one EncodeArena holding the relative-metric weight arrays, the
+//    time-ramp buffer and the shift-scan scratch.
 //
-// The workspace is purely an allocation/reuse mechanism: every consumer
-// produces bitwise-identical results with or without one (golden_test
-// pins this; best_map_test checks the memo against fresh scans).
+// One chunk's encode runs on one thread (DESIGN.md §5d), so the workspace
+// takes no lock: concurrency lives one level up, one encoder and one
+// workspace per sensor. The workspace is purely an allocation/reuse
+// mechanism: every consumer produces bitwise-identical results with or
+// without one (golden_test pins this; best_map_test checks the memo
+// against fresh scans).
 #ifndef SBR_CORE_WORKSPACE_H_
 #define SBR_CORE_WORKSPACE_H_
 
@@ -29,7 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -68,11 +69,9 @@ struct WorkspaceStats {
   size_t shifts_reused = 0;
 };
 
-/// Grow-only scratch owned by one ParallelFor chunk (or one serial
-/// caller): no two concurrent BestMap calls may share an arena, which the
-/// pipeline guarantees by indexing EncodeWorkspace::arena(chunk) with the
-/// enclosing parallel region's chunk id. Default-constructible so
-/// workspace-less callers can keep a thread-local fallback.
+/// Grow-only scratch of one encode: the workspace owns one, and
+/// workspace-less callers keep a thread-local fallback (hence
+/// default-constructible).
 class EncodeArena {
  public:
   /// The time ramp t = 0, 1, ..., n-1 used by every linear-in-time fit.
@@ -124,9 +123,7 @@ struct ShiftCursor {
 /// One workspace per encoder (owned by SbrEncoder, or borrowed via its
 /// two-argument constructor). BeginChunk resets it at the start of every
 /// encode; sharing across *sequentially* encoding encoders is therefore
-/// safe, concurrent sharing is not. The moment cache is internally
-/// mutex-guarded because concurrent search probes (and the parallel
-/// GetIntervals bodies they run) query it from pool threads.
+/// safe, concurrent sharing is not: nothing in it is synchronized.
 class EncodeWorkspace {
  public:
   EncodeWorkspace() = default;
@@ -134,11 +131,10 @@ class EncodeWorkspace {
   EncodeWorkspace& operator=(const EncodeWorkspace&) = delete;
 
   /// Starts a new chunk: clears the per-interval table — moments, time
-  /// fits and shift memos (the y-series changes) — zeroes the per-chunk
-  /// stats and sizes the arena pool for `threads` ParallelFor chunks.
-  /// Arena, trial and step-pool buffers keep their capacity across chunks
-  /// — that reuse is the point.
-  void BeginChunk(size_t threads);
+  /// fits and shift memos (the y-series changes) — and zeroes the
+  /// per-chunk stats. Arena, trial and step-pool buffers keep their
+  /// capacity across chunks — that reuse is the point.
+  void BeginChunk();
 
   /// Reserves trial-base capacity for `total` values so the subsequent
   /// SetBase/AppendBase sequence does not reallocate.
@@ -173,34 +169,28 @@ class EncodeWorkspace {
   /// Prefix sums over the current trial base (SsePolicy's shared table).
   const PrefixSums& base_prefix() const { return prefix_; }
 
-  /// Scratch arena of ParallelFor chunk `chunk`. BeginChunk must have
-  /// sized the pool for the thread count in use.
-  EncodeArena& arena(size_t chunk) {
-    assert(chunk < arenas_.size());
-    return arenas_[chunk];
-  }
+  /// The scratch arena every stage of the encode draws from.
+  EncodeArena& arena() { return arena_; }
 
   /// y-side SSE moments of the interval starting at `start` (its offset
-  /// in the chunk's concatenated series, which keys the cache). Thread-safe.
+  /// in the chunk's concatenated series, which keys the cache).
   SseMoments Sse(std::span<const double> yseg, size_t start);
 
   /// y-side weighted moments of the interval at `start` under the
-  /// relative metric, additionally filling `arena`'s weights() and
+  /// relative metric, additionally filling the arena's weights() and
   /// weighted_values() arrays for the shift scan. The moments are cached;
   /// the weight arrays are rebuilt elementwise per call (each element is
   /// independent, so the fill is order-insensitive and byte-stable).
-  /// Thread-safe; concurrent callers must pass distinct arenas.
   RelativeMoments Relative(std::span<const double> yseg, size_t start,
-                           double floor, EncodeArena* arena);
+                           double floor);
 
   /// BestMap's linear-in-time fall-back, FitTime(metric, yseg, floor), of
   /// the interval at `start`: computed on the first ask for this metric in
   /// the chunk, then answered from the interval table with the same bits.
-  /// Like the relative moments it assumes one floor per chunk. Thread-safe;
-  /// `arena` supplies the time ramp on a miss.
+  /// Like the relative moments it assumes one floor per chunk; the arena
+  /// supplies the time ramp on a miss.
   RegressionResult TimeFit(std::span<const double> yseg, size_t start,
-                           ErrorMetric metric, double floor,
-                           EncodeArena* arena);
+                           ErrorMetric metric, double floor);
 
   /// Shift-scan memo, the resume half: the cursor of a scan of shifts
   /// [0, num_shifts) for the interval (start, length) under policy
@@ -211,7 +201,7 @@ class EncodeWorkspace {
   /// far (the steps). The memo keeps only the steps that can answer a scan
   /// over one of the trial lengths SetBase/AppendBase produced, so a scan
   /// over any other length that ends inside the recorded range gets a
-  /// non-recording cursor from shift 0. Thread-safe.
+  /// non-recording cursor from shift 0.
   ShiftCursor ResumeShifts(size_t start, size_t length, uint8_t policy,
                            size_t num_shifts);
 
@@ -219,19 +209,18 @@ class EncodeWorkspace {
   /// shifts found after `cursor`, the last of which has error `steps_err`)
   /// as scanned up to `num_shifts`, and returns the shift an ascending scan
   /// of [0, num_shifts) selects under BestMap's lowest-error, lowest-shift
-  /// rule — or -1 when no shift has a finite error. Concurrent commits for
-  /// one interval merge: the steps are a function of the shared buffer, so
-  /// a longer commit only ever extends a shorter one. Thread-safe.
+  /// rule — or -1 when no shift has a finite error. No other scan of the
+  /// interval may run between the two halves.
   int64_t CommitShifts(size_t start, size_t length, uint8_t policy,
                        const ShiftCursor& cursor, size_t num_shifts,
                        std::span<const uint32_t> steps, double steps_err);
 
   /// Bytes of capacity the shift memo holds: the step pool, the memo
-  /// fields of the interval table and every arena's scan scratch.
+  /// fields of the interval table and the arena's scan scratch.
   size_t shift_memo_bytes() const;
 
   /// Per-chunk reuse counters (since the last BeginChunk).
-  WorkspaceStats stats() const;
+  const WorkspaceStats& stats() const { return stats_; }
 
  private:
   static constexpr uint32_t kNoStep = std::numeric_limits<uint32_t>::max();
@@ -271,7 +260,7 @@ class EncodeWorkspace {
 
   // The interval's memo, reset first when it belongs to a dropped
   // generation or another policy.
-  ShiftMemo& MemoLocked(uint64_t key, uint8_t policy);
+  ShiftMemo& Memo(uint64_t key, uint8_t policy);
   // Forgets every interval's shift memo in O(1); the current trial length
   // becomes the only one the memo is kept for.
   void DropShiftMemo();
@@ -280,14 +269,13 @@ class EncodeWorkspace {
 
   std::vector<double> trial_;
   PrefixSums prefix_;
-  std::vector<EncodeArena> arenas_;
+  EncodeArena arena_;
   // The trial lengths since the memo was last dropped, ascending: the
   // probe lengths whose answers the memo's kept steps preserve. The memo
   // may have scanned windows up to the last one, so the buffer must not
   // change below it while the memo lives.
   std::vector<size_t> trial_lengths_ = {0};
 
-  mutable std::mutex mu_;
   // The relative moments assume one relative_floor per chunk (it is fixed
   // by EncoderOptions), so the floor is not part of the key.
   std::unordered_map<uint64_t, IntervalEntry> intervals_;

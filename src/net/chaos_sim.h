@@ -166,9 +166,9 @@ struct ChaosReport {
   uint64_t Digest() const;
 };
 
-/// One chaos run. Single-threaded lockstep by design — the *encoders* may
-/// still run multi-threaded via ChaosOptions::encoder.threads, which is
-/// how the chaos suite doubles as a thread-invariance test.
+/// One chaos run. Single-threaded lockstep by design, encoders included
+/// (ChaosOptions::encoder.threads is not read: it only sets NetworkSim's
+/// node fan-out).
 class ChaosSim {
  public:
   explicit ChaosSim(ChaosOptions options);

@@ -1,6 +1,6 @@
 // Combined stage-report export: one JSON + one CSV artifact carrying the
 // merged metrics snapshot and the per-stage span aggregation. This is the
-// format the benches (bench_table2, bench_network, bench_parallel) emit
+// format the benches (bench_table2, bench_network) emit
 // and the observability tests assert the schema of — keep the two in
 // sync with DESIGN.md §5f.
 //

@@ -141,10 +141,4 @@ void ParallelFor(
   ThreadPool::Shared().ParallelFor(n, threads, body);
 }
 
-size_t NumChunks(size_t threads, size_t n) {
-  if (n == 0) return 0;
-  if (threads <= 1) return 1;
-  return std::min(threads, n);
-}
-
 }  // namespace sbr::util

@@ -1,9 +1,11 @@
-// Fixed-size worker pool for the parallel encoding engine. The only
-// primitive the kernels use is ParallelFor with *static chunking*: the
-// index range [0, n) is cut into min(threads, n) contiguous chunks whose
-// boundaries depend only on (n, threads), never on the pool size or on
-// runtime timing, so per-chunk partial results can be merged in chunk
-// order for bitwise-deterministic reductions at any thread count.
+// Fixed-size worker pool behind net::NetworkSim's per-node fan-out (one
+// chunk's encode is single-threaded; one encoder per sensor is the unit
+// of concurrency). The one primitive is ParallelFor with *static
+// chunking*: the index range [0, n) is cut into min(threads, n)
+// contiguous chunks whose boundaries depend only on (n, threads), never
+// on the pool size or on runtime timing, so per-chunk results can be
+// merged in chunk order for bitwise-deterministic reductions at any
+// thread count.
 //
 // The calling thread always participates (it claims chunks from the same
 // shared counter the workers drain), which makes nested ParallelFor calls
@@ -61,18 +63,13 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Convenience used by the encoding kernels: `threads` is the user-facing
-/// option (1 = run inline on the calling thread, the exact serial path);
-/// larger values fan the range out over the shared pool. Chunk boundaries
-/// depend only on (threads, n).
+/// Convenience front end: `threads` is the user-facing option (1 = run
+/// inline on the calling thread, the exact serial path); larger values
+/// fan the range out over the shared pool. Chunk boundaries depend only
+/// on (threads, n).
 void ParallelFor(
     size_t threads, size_t n,
     const std::function<void(size_t chunk, size_t begin, size_t end)>& body);
-
-/// Number of chunks ParallelFor(threads, n, ...) produces (0 when n == 0,
-/// 1 when threads <= 1, min(threads, n) otherwise). Callers sizing
-/// per-chunk partial-result buffers must use this.
-size_t NumChunks(size_t threads, size_t n);
 
 }  // namespace sbr::util
 

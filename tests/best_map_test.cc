@@ -1,10 +1,10 @@
 // Unit tests for BestMap: shift selection over the base signal, the
 // linear-in-time fall-back, the 2W length cutoff, optimality against
 // brute-force scans, malformed-interval rejection, deterministic
-// tie-breaks, thread-count invariance of the parallel shift scan, and the
-// workspace's shift memo checked bit for bit against fresh scans, the
-// explicit-SIMD scan-block instances against the scalar shift fit, and the
-// linear fall-back's time-fit memo across metric switches.
+// tie-breaks, the workspace's shift memo checked bit for bit against
+// fresh scans, the explicit-SIMD scan-block instances against the scalar
+// shift fit, and the linear fall-back's time-fit memo across metric
+// switches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <numeric>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/best_map.h"
@@ -361,12 +360,12 @@ TEST(BestMap, StartBeyondSeriesRejected) {
   EXPECT_TRUE(std::isinf(iv.err));
 }
 
-// ----------------------------------------------- determinism / threading
+// ---------------------------------------------------------- determinism
 
 TEST(BestMap, ExactTiePrefersLowestShift) {
   // A periodic integer-valued base makes shifts {0, 4, 8, ...} produce
   // bitwise-identical (zero) errors; the deterministic tie-break must pick
-  // shift 0 regardless of scan order or thread count.
+  // shift 0.
   std::vector<double> x;
   for (int r = 0; r < 16; ++r) {
     x.push_back(1.0);
@@ -375,64 +374,13 @@ TEST(BestMap, ExactTiePrefersLowestShift) {
     x.push_back(3.0);
   }
   std::vector<double> y(x.begin(), x.begin() + 8);
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    Interval iv;
-    iv.start = 0;
-    iv.length = 8;
-    BestMapOptions opts;
-    opts.threads = threads;
-    BestMap(x, y, /*w=*/8, opts, &iv);
-    EXPECT_EQ(iv.shift, 0) << "threads=" << threads;
-    EXPECT_NEAR(iv.err, 0.0, 1e-12);
-  }
-}
-
-TEST(BestMap, ThreadCountsProduceBitwiseIdenticalIntervals) {
-  // The determinism contract of the parallel scan: for every metric, the
-  // interval selected with threads in {2, 4, 8} is bitwise identical to
-  // the serial result over seeded random inputs.
-  Rng rng(22);
-  std::vector<double> x(512), y(4096);
-  for (auto& v : x) v = rng.Uniform(-2, 2);
-  for (auto& v : y) v = std::sin(v) + rng.Uniform(-0.5, 0.5);
-
-  struct Case {
-    ErrorMetric metric;
-    bool quadratic;
-  };
-  const Case cases[] = {{ErrorMetric::kSse, false},
-                        {ErrorMetric::kSseRelative, false},
-                        {ErrorMetric::kMaxAbs, false},
-                        {ErrorMetric::kSse, true}};
-  for (const Case& c : cases) {
-    for (size_t start : {0u, 777u, 4000u}) {
-      for (size_t length : {1u, 33u, 96u}) {
-        if (start + length > y.size()) continue;
-        BestMapOptions opts;
-        opts.metric = c.metric;
-        opts.quadratic = c.quadratic;
-        Interval serial;
-        serial.start = start;
-        serial.length = length;
-        BestMap(x, y, /*w=*/64, opts, &serial);
-        for (size_t threads : {2u, 4u, 8u}) {
-          Interval iv;
-          iv.start = start;
-          iv.length = length;
-          opts.threads = threads;
-          BestMap(x, y, /*w=*/64, opts, &iv);
-          EXPECT_EQ(iv.shift, serial.shift)
-              << "metric=" << static_cast<int>(c.metric)
-              << " quad=" << c.quadratic << " start=" << start
-              << " len=" << length << " threads=" << threads;
-          EXPECT_EQ(iv.a, serial.a);
-          EXPECT_EQ(iv.b, serial.b);
-          EXPECT_EQ(iv.c, serial.c);
-          EXPECT_EQ(iv.err, serial.err);
-        }
-      }
-    }
-  }
+  Interval iv;
+  iv.start = 0;
+  iv.length = 8;
+  BestMapOptions opts;
+  BestMap(x, y, /*w=*/8, opts, &iv);
+  EXPECT_EQ(iv.shift, 0);
+  EXPECT_NEAR(iv.err, 0.0, 1e-12);
 }
 
 // ------------------------------------------------------ shift-scan memo
@@ -458,8 +406,6 @@ void ExpectSameBits(const Interval& got, const Interval& want,
 Interval FreshScan(std::span<const double> x, std::span<const double> y,
                    size_t start, size_t length, BestMapOptions opts) {
   opts.workspace = nullptr;
-  opts.arena = 0;
-  opts.threads = 1;
   Interval iv;
   iv.start = start;
   iv.length = length;
@@ -538,7 +484,7 @@ void GrowTrial(EncodeWorkspace* ws, const std::vector<double>& x,
 TEST(ShiftMemo, PrefixesInAnyOrderMatchFreshScans) {
   // One trial buffer, BestMap over its prefixes in ascending, descending
   // and shuffled order: every answer must equal a fresh workspace-less
-  // scan bit for bit, for every policy and thread count. The prefix
+  // scan bit for bit, for every policy. The prefix
   // lengths include len == |x| (one shift) for the 128-long interval.
   // "grown" builds the buffer as the search does, so every prefix is a
   // trial length; "whole" sets it in one piece, so only |x| is, and the
@@ -554,11 +500,10 @@ TEST(ShiftMemo, PrefixesInAnyOrderMatchFreshScans) {
       {"shuffled", shuffled}};
 
   for (const MemoPolicy& p : kMemoPolicies) {
-    for (size_t threads : {1u, 2u, 4u}) {
-      for (const auto& [order_name, order] : orders) {
-       for (const bool grown : {true, false}) {
+    for (const auto& [order_name, order] : orders) {
+      for (const bool grown : {true, false}) {
         EncodeWorkspace ws;
-        ws.BeginChunk(threads);
+        ws.BeginChunk();
         if (grown) {
           GrowTrial(&ws, x, ascending);
         } else {
@@ -567,7 +512,6 @@ TEST(ShiftMemo, PrefixesInAnyOrderMatchFreshScans) {
         BestMapOptions opts;
         opts.metric = p.metric;
         opts.quadratic = p.quadratic;
-        opts.threads = threads;
         opts.workspace = &ws;
         for (size_t t : order) {
           const std::span<const double> prefix(x.data(), t);
@@ -579,7 +523,6 @@ TEST(ShiftMemo, PrefixesInAnyOrderMatchFreshScans) {
             ExpectSameBits(iv, FreshScan(prefix, mi.y, start, length, opts),
                            std::string(p.name) + " " + order_name +
                                (grown ? " grown" : " whole") +
-                               " threads=" + std::to_string(threads) +
                                " T=" + std::to_string(t) +
                                " start=" + std::to_string(start) +
                                " len=" + std::to_string(length));
@@ -589,7 +532,6 @@ TEST(ShiftMemo, PrefixesInAnyOrderMatchFreshScans) {
           EXPECT_GT(ws.stats().shifts_reused, 0u)
               << p.name << " " << order_name;
         }
-       }
       }
     }
   }
@@ -603,7 +545,7 @@ TEST(ShiftMemo, ExactTieAndDegenerateWindowsKeepTheReferenceAnswer) {
   const std::vector<double> x = MemoTrialBuffer();
   const MemoIntervals mi = MakeMemoIntervals(x);
   EncodeWorkspace ws;
-  ws.BeginChunk(1);
+  ws.BeginChunk();
   GrowTrial(&ws, x, {106, 110, 180, 200, 256});
   BestMapOptions opts;
   opts.allow_linear_fallback = false;
@@ -634,8 +576,9 @@ TEST(ShiftMemo, ExactTieAndDegenerateWindowsKeepTheReferenceAnswer) {
 }
 
 TEST(ShiftMemo, BlockedKernelTiesBitwiseWithScalarTail) {
-  // The memoized SSE scan evaluates whole blocks of 8 shifts with the
-  // blocked kernel and the remainder with the scalar Fit. A window that
+  // The memoized SSE scan evaluates whole blocks of kShiftBlock (16)
+  // shifts with the blocked kernel and the remainder with the scalar Fit:
+  // here 75 shifts, four blocks and an 11-shift tail. A window that
   // recurs at shift 5 (inside a block) and at the last shift (in the
   // tail) must produce bitwise-equal errors on both paths, or the exact
   // tie would not resolve to the lower shift as in the reference scan.
@@ -654,7 +597,7 @@ TEST(ShiftMemo, BlockedKernelTiesBitwiseWithScalarTail) {
       y[i] = 1.7 * x[5 + i] - 0.3 + rng.Gaussian(0, 0.05);
     }
     EncodeWorkspace ws;
-    ws.BeginChunk(1);
+    ws.BeginChunk();
     ws.SetBase(x);
     BestMapOptions opts;
     opts.workspace = &ws;
@@ -668,56 +611,13 @@ TEST(ShiftMemo, BlockedKernelTiesBitwiseWithScalarTail) {
   }
 }
 
-TEST(ShiftMemo, ConcurrentScansMergeIntoOneMemo) {
-  // Concurrent search probes share the memo: four threads scan the same
-  // intervals over different prefixes, each with its own arena. Every
-  // answer must still be the reference one, whatever order the commits
-  // land in.
-  const std::vector<double> x = MemoTrialBuffer();
-  const MemoIntervals mi = MakeMemoIntervals(x);
-  for (int round = 0; round < 8; ++round) {
-    EncodeWorkspace ws;
-    ws.BeginChunk(4);
-    const size_t prefixes[4] = {97, 256, 161, 128};
-    GrowTrial(&ws, x, {97, 128, 161, 256});
-    std::vector<std::vector<Interval>> got(4);
-    std::vector<std::thread> workers;
-    for (uint32_t a = 0; a < 4; ++a) {
-      workers.emplace_back([&, a] {
-        BestMapOptions opts;
-        opts.workspace = &ws;
-        opts.arena = a;
-        const std::span<const double> prefix(x.data(), prefixes[a]);
-        for (const auto& [start, length] : mi.intervals) {
-          Interval iv;
-          iv.start = start;
-          iv.length = length;
-          BestMap(prefix, mi.y, /*w=*/64, opts, &iv);
-          got[a].push_back(iv);
-        }
-      });
-    }
-    for (std::thread& t : workers) t.join();
-    for (size_t a = 0; a < 4; ++a) {
-      const std::span<const double> prefix(x.data(), prefixes[a]);
-      for (size_t i = 0; i < mi.intervals.size(); ++i) {
-        const auto& [start, length] = mi.intervals[i];
-        ExpectSameBits(got[a][i],
-                       FreshScan(prefix, mi.y, start, length, {}),
-                       "arena=" + std::to_string(a) +
-                           " start=" + std::to_string(start));
-      }
-    }
-  }
-}
-
 TEST(ShiftMemo, SetBaseKeepsMemoOnBitwisePrefixAndDropsItOtherwise) {
   const std::vector<double> x = MemoTrialBuffer();
   const MemoIntervals mi = MakeMemoIntervals(x);
   // y[80, 96) is an affine image of x[150, 166): shift 150 fits exactly.
   const size_t start = 80, length = 16;
   EncodeWorkspace ws;
-  ws.BeginChunk(1);
+  ws.BeginChunk();
   GrowTrial(&ws, x, {200, 256});
   BestMapOptions opts;
   opts.workspace = &ws;
@@ -780,7 +680,7 @@ TEST(ShiftMemo, SetBaseKeepsMemoOnBitwisePrefixAndDropsItOtherwise) {
   // Cut back to a trial length (memo kept), then append different values
   // where the cut-off tail was: the memo must be dropped before they land.
   EncodeWorkspace regrow_ws;
-  regrow_ws.BeginChunk(1);
+  regrow_ws.BeginChunk();
   GrowTrial(&regrow_ws, x, {120, 256});
   opts.workspace = &regrow_ws;
   Interval full;
@@ -946,9 +846,9 @@ TEST(ShiftBlockKernel, DispatchPicksAvx2ExactlyWhenTheCpuHasIt) {
 
 TEST(ShiftBlockKernel, MemoizedScanWithBlockTailsMatchesReference) {
   // The memoized SSE scan covers whole blocks with the dispatched kernel
-  // and the rest with the scalar fit, also at the unaligned starts of
-  // parallel chunks. Shift counts around multiples of the block, on data
-  // of every magnitude, must select the reference scan's shift and fit.
+  // and the rest with the scalar fit. Shift counts around multiples of
+  // the block, on data of every magnitude, must select the reference
+  // scan's shift and fit.
   Rng rng(62);
   for (const double mag : {1.0, 1e150, 1e-150}) {
     for (size_t num_shifts : {1u, 15u, 16u, 17u, 31u, 33u, 47u, 100u}) {
@@ -956,24 +856,20 @@ TEST(ShiftBlockKernel, MemoizedScanWithBlockTailsMatchesReference) {
         std::vector<double> x(num_shifts + len - 1), y(len);
         for (auto& v : x) v = mag * rng.Uniform(-1, 1);
         for (auto& v : y) v = mag * rng.Uniform(-1, 1);
-        for (size_t threads : {1u, 3u}) {
-          EncodeWorkspace ws;
-          ws.BeginChunk(threads);
-          ws.SetBase(x);
-          BestMapOptions opts;
-          opts.allow_linear_fallback = false;
-          opts.threads = threads;
-          opts.workspace = &ws;
-          Interval iv;
-          iv.start = 0;
-          iv.length = len;
-          BestMap(x, y, /*w=*/64, opts, &iv);
-          ExpectSameBits(iv, FreshScan(x, y, 0, len, opts),
-                         "mag=" + Short(mag) +
-                             " shifts=" + std::to_string(num_shifts) +
-                             " len=" + std::to_string(len) +
-                             " threads=" + std::to_string(threads));
-        }
+        EncodeWorkspace ws;
+        ws.BeginChunk();
+        ws.SetBase(x);
+        BestMapOptions opts;
+        opts.allow_linear_fallback = false;
+        opts.workspace = &ws;
+        Interval iv;
+        iv.start = 0;
+        iv.length = len;
+        BestMap(x, y, /*w=*/64, opts, &iv);
+        ExpectSameBits(iv, FreshScan(x, y, 0, len, opts),
+                       "mag=" + Short(mag) +
+                           " shifts=" + std::to_string(num_shifts) +
+                           " len=" + std::to_string(len));
       }
     }
   }
@@ -1008,7 +904,7 @@ TEST(TimeFitMemo, MetricSwitchesOnOneWorkspaceMatchFreshFits) {
   EncodeWorkspace ws;
   for (const double slope : {1.0, -0.5}) {
     const std::vector<double> y = make_y(slope);
-    ws.BeginChunk(1);
+    ws.BeginChunk();
     ws.SetBase(x);
     for (const MemoPolicy& p : order) {
       BestMapOptions opts;

@@ -90,23 +90,6 @@ TEST(ChaosSweep, SameSeedReplaysBitIdentically) {
   EXPECT_NE(first, 0u);
 }
 
-// The lockstep sim is single-threaded; the encoders underneath fan out.
-// Chaos outcomes must be bitwise identical at any encoder thread count
-// (this is the case the tsan preset hammers).
-TEST(ChaosSweep, EncoderThreadCountDoesNotChangeOutcome) {
-  auto run = [](size_t threads) {
-    ChaosOptions opts =
-        BaseOptions("threads_" + std::to_string(threads), 777);
-    opts.encoder.threads = threads;
-    ChaosSim sim(std::move(opts));
-    auto report = sim.Run();
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_TRUE(report.ok() && report->clean());
-    return report.ok() ? report->Digest() : 0;
-  };
-  EXPECT_EQ(run(1), run(4));
-}
-
 /// Options with the link perfect and every fault disarmed; tests arm one.
 ChaosOptions QuietOptions(const std::string& dir_tag, uint64_t seed) {
   ChaosOptions opts = BaseOptions(dir_tag, seed);

@@ -19,13 +19,11 @@ namespace sbr {
 namespace {
 
 std::vector<uint8_t> EncodeToBytes(const datagen::ExperimentSetup& setup,
-                                   size_t chunks, size_t ratio_pct,
-                                   size_t threads = 1) {
+                                   size_t chunks, size_t ratio_pct) {
   const size_t n = setup.dataset.num_signals() * setup.chunk_len;
   core::EncoderOptions opts;
   opts.total_band = n * ratio_pct / 100;
   opts.m_base = setup.m_base;
-  opts.threads = threads;
   core::SbrEncoder enc(opts);
   BinaryWriter w;
   for (size_t c = 0; c < chunks; ++c) {
@@ -79,18 +77,6 @@ TEST(Determinism, PaperSetupStructuralGoldens) {
     const size_t n = s.dataset.num_signals() * s.chunk_len;
     EXPECT_EQ(n, 30720u);
     EXPECT_EQ(static_cast<size_t>(std::sqrt(static_cast<double>(n))), 175u);
-  }
-}
-
-TEST(Determinism, EncoderOutputIdenticalAcrossThreadCounts) {
-  // The parallel-encoding contract: EncoderOptions::threads is a pure
-  // performance knob. The serialized transmission stream — intervals,
-  // base updates, everything — must be byte-identical at any thread count.
-  const auto setup = datagen::Fig6StockSetup();
-  const auto serial = EncodeToBytes(setup, 3, 10, /*threads=*/1);
-  for (size_t threads : {2u, 4u, 8u}) {
-    EXPECT_EQ(EncodeToBytes(setup, 3, 10, threads), serial)
-        << "threads=" << threads;
   }
 }
 

@@ -267,8 +267,8 @@ TEST(GetBase, SseMatrixMatchesPairwiseFitsBitwise) {
   // Candidate counts on both sides of the matrix's 16-column blocks, rows
   // of differing lengths, a constant candidate (degenerate as a base: its
   // pairs take FitSse's second pass) next to an all-zero one, mixed
-  // magnitudes, and every thread count: the selection order, indices and
-  // benefits must be the pairwise reference's, bit for bit.
+  // magnitudes: the selection order, indices and benefits must be the
+  // pairwise reference's, bit for bit.
   Rng rng(8);
   struct Case {
     std::vector<size_t> rows;
@@ -293,19 +293,15 @@ TEST(GetBase, SseMatrixMatchesPairwiseFitsBitwise) {
       const size_t max_ins = 12;
       const auto want = PairwiseReference(y, c.rows, c.w, max_ins);
       ASSERT_GE(want.size(), 2u);
-      for (size_t threads : {1u, 4u}) {
-        GetBaseOptions opts;
-        opts.threads = threads;
-        const std::string where = "rows=" + std::to_string(c.rows.size()) +
-                                  " w=" + std::to_string(c.w) +
-                                  " mag=" + std::to_string(mag) +
-                                  " threads=" + std::to_string(threads);
-        ExpectSameSelection(
-            GetBaseMultiRate(y, c.rows, c.w, max_ins, opts), want, where);
-        if (c.rows.size() == 1 || c.rows[0] == c.rows[1]) {
-          ExpectSameSelection(
-              GetBase(y, c.rows.size(), c.w, max_ins, opts), want, where);
-        }
+      const GetBaseOptions opts;
+      const std::string where = "rows=" + std::to_string(c.rows.size()) +
+                                " w=" + std::to_string(c.w) +
+                                " mag=" + std::to_string(mag);
+      ExpectSameSelection(GetBaseMultiRate(y, c.rows, c.w, max_ins, opts),
+                          want, where);
+      if (c.rows.size() == 1 || c.rows[0] == c.rows[1]) {
+        ExpectSameSelection(GetBase(y, c.rows.size(), c.w, max_ins, opts),
+                            want, where);
       }
     }
   }

@@ -1,7 +1,7 @@
 // Golden byte-identity suite: the serialized transmission stream for every
 // pinned configuration (weather/stock x {SSE, relative, max-abs} plus the
 // quadratic and low-memory-base variants) must match the recorded digests
-// exactly, at every supported thread count. This is the contract the
+// exactly. This is the contract the
 // encode-pipeline refactors are held to: workspace reuse, incremental
 // prefix sums and kernel unification are pure architecture changes, and
 // any drift in the emitted bytes fails here before it can silently shift
@@ -43,22 +43,18 @@ TEST(Golden, EncodedBytesMatchRecordedDigests) {
   for (const auto& c : golden::GoldenCases()) {
     ASSERT_TRUE(by_name.count(c.name)) << c.name;
     const auto& expect = by_name[c.name];
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      bool ok = false;
-      const auto bytes = golden::EncodeGoldenStream(c, threads, &ok);
-      ASSERT_TRUE(ok) << c.name << " threads=" << threads;
-      EXPECT_EQ(bytes.size(), expect.bytes)
-          << c.name << " threads=" << threads;
-      EXPECT_EQ(Crc32(bytes), expect.crc32)
-          << c.name << " threads=" << threads;
-    }
+    bool ok = false;
+    const auto bytes = golden::EncodeGoldenStream(c, &ok);
+    ASSERT_TRUE(ok) << c.name;
+    EXPECT_EQ(bytes.size(), expect.bytes) << c.name;
+    EXPECT_EQ(Crc32(bytes), expect.crc32) << c.name;
   }
 }
 
 TEST(Golden, ObservabilityEnabledDoesNotChangeBytes) {
   // The observability contract: metrics and spans recording at full tilt
-  // never touches the emitted bytes. Same digests, every case, every
-  // thread count, with the runtime gate on. (The compiled-out half of the
+  // never touches the emitted bytes. Same digests, every case, with the
+  // runtime gate on. (The compiled-out half of the
   // contract is this same binary built with the `noobs` preset, where the
   // gate below is a no-op and the sites do not exist.)
   obs::EnabledScope enabled;
@@ -67,15 +63,11 @@ TEST(Golden, ObservabilityEnabledDoesNotChangeBytes) {
   for (const auto& c : golden::GoldenCases()) {
     ASSERT_TRUE(by_name.count(c.name)) << c.name;
     const auto& expect = by_name[c.name];
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      bool ok = false;
-      const auto bytes = golden::EncodeGoldenStream(c, threads, &ok);
-      ASSERT_TRUE(ok) << c.name << " threads=" << threads;
-      EXPECT_EQ(bytes.size(), expect.bytes)
-          << c.name << " threads=" << threads << " (obs enabled)";
-      EXPECT_EQ(Crc32(bytes), expect.crc32)
-          << c.name << " threads=" << threads << " (obs enabled)";
-    }
+    bool ok = false;
+    const auto bytes = golden::EncodeGoldenStream(c, &ok);
+    ASSERT_TRUE(ok) << c.name;
+    EXPECT_EQ(bytes.size(), expect.bytes) << c.name << " (obs enabled)";
+    EXPECT_EQ(Crc32(bytes), expect.crc32) << c.name << " (obs enabled)";
   }
 }
 

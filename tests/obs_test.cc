@@ -1,9 +1,9 @@
 // Observability subsystem tests: registry semantics (counter / gauge /
 // histogram, merge-on-read under concurrent writers — the `parallel`
-// label runs this binary under TSan), span nesting determinism across
-// encoder thread counts, the runtime/compile-time gates, and the stage
-// report schema the benches emit (obs/export.h). Every test leaves the
-// global registry and trace collector clean so ordering never matters.
+// label runs this binary under TSan), span nesting determinism of one
+// encode, the runtime/compile-time gates, and the stage report schema
+// the benches emit (obs/export.h). Every test leaves the global registry
+// and trace collector clean so ordering never matters.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -160,9 +160,9 @@ TEST_F(ObsTest, CompiledOutMacrosAreInert) {
   EXPECT_TRUE(TraceCollector::Global().Drain().empty());
 }
 
-// Encodes one deterministic weather-like chunk at the given thread count
-// with observability enabled, returning the drained span events.
-std::vector<SpanEvent> TraceOneEncode(size_t threads) {
+// Encodes one deterministic weather-like chunk with observability
+// enabled, returning the drained span events.
+std::vector<SpanEvent> TraceOneEncode() {
   TraceCollector::Global().Clear();
   EnabledScope enabled;
   const size_t num_signals = 4, m = 256;
@@ -174,7 +174,6 @@ std::vector<SpanEvent> TraceOneEncode(size_t threads) {
   core::EncoderOptions opts;
   opts.total_band = y.size() / 8;
   opts.m_base = 128;
-  opts.threads = threads;
   core::SbrEncoder enc(opts);
   auto t = enc.EncodeChunk(y, num_signals);
   EXPECT_TRUE(t.ok());
@@ -201,50 +200,34 @@ void CheckWellFormed(const std::vector<SpanEvent>& events) {
   }
 }
 
-TEST_F(ObsTest, SpanNestingIsWellFormedAndDeterministicAcrossThreads) {
+TEST_F(ObsTest, SpanNestingIsWellFormedAndDeterministic) {
   if (!CompiledIn()) GTEST_SKIP() << "instrumentation compiled out";
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    const auto events = TraceOneEncode(threads);
-    CheckWellFormed(events);
+  const auto events = TraceOneEncode();
+  CheckWellFormed(events);
 
-    // The stage structure is deterministic: same stages, same counts, on
-    // a repeat run at the same thread count (timings move, names do not).
-    const auto again = TraceOneEncode(threads);
-    CheckWellFormed(again);
-    const auto agg1 = TraceCollector::Aggregate(events);
-    const auto agg2 = TraceCollector::Aggregate(again);
-    ASSERT_EQ(agg1.size(), agg2.size()) << "threads=" << threads;
-    for (size_t i = 0; i < agg1.size(); ++i) {
-      EXPECT_EQ(agg1[i].name, agg2[i].name) << "threads=" << threads;
-      EXPECT_EQ(agg1[i].count, agg2[i].count)
-          << agg1[i].name << " threads=" << threads;
-    }
-
-    // The single-threaded run nests everything on one tid; the encode
-    // stages must be present in either mode.
-    std::set<std::string> names;
-    for (const auto& a : agg1) names.insert(a.name);
-    EXPECT_TRUE(names.count("encode.chunk")) << "threads=" << threads;
-    EXPECT_TRUE(names.count("encode.get_base")) << "threads=" << threads;
-    EXPECT_TRUE(names.count("encode.search")) << "threads=" << threads;
-    EXPECT_TRUE(names.count("encode.approx")) << "threads=" << threads;
-    if (threads == 1) {
-      std::set<uint32_t> tids;
-      for (const auto& e : events) tids.insert(e.tid);
-      EXPECT_EQ(tids.size(), 1u);
-    }
+  // The stage structure is deterministic: same stages, same counts, on
+  // a repeat run (timings move, names do not).
+  const auto again = TraceOneEncode();
+  CheckWellFormed(again);
+  const auto agg1 = TraceCollector::Aggregate(events);
+  const auto agg2 = TraceCollector::Aggregate(again);
+  ASSERT_EQ(agg1.size(), agg2.size());
+  for (size_t i = 0; i < agg1.size(); ++i) {
+    EXPECT_EQ(agg1[i].name, agg2[i].name);
+    EXPECT_EQ(agg1[i].count, agg2[i].count) << agg1[i].name;
   }
 
-  // Stage *names* also agree across thread counts (the stage set is a
-  // property of the pipeline, not of the chunking).
-  std::set<std::string> s1, s4;
-  for (const auto& a : TraceCollector::Aggregate(TraceOneEncode(1))) {
-    s1.insert(a.name);
-  }
-  for (const auto& a : TraceCollector::Aggregate(TraceOneEncode(4))) {
-    s4.insert(a.name);
-  }
-  EXPECT_EQ(s1, s4);
+  // The encode runs on the calling thread: every stage is present and
+  // nests on one tid.
+  std::set<std::string> names;
+  for (const auto& a : agg1) names.insert(a.name);
+  EXPECT_TRUE(names.count("encode.chunk"));
+  EXPECT_TRUE(names.count("encode.get_base"));
+  EXPECT_TRUE(names.count("encode.search"));
+  EXPECT_TRUE(names.count("encode.approx"));
+  std::set<uint32_t> tids;
+  for (const auto& e : events) tids.insert(e.tid);
+  EXPECT_EQ(tids.size(), 1u);
 }
 
 TEST_F(ObsTest, EncodeCountersMirrorEncodeStats) {
@@ -348,7 +331,7 @@ TEST_F(ObsTest, StageReportSchemaAndAttribution) {
 
 TEST_F(ObsTest, ChromeTraceAndCsvExports) {
   if (!CompiledIn()) GTEST_SKIP() << "instrumentation compiled out";
-  const auto events = TraceOneEncode(1);
+  const auto events = TraceOneEncode();
   ASSERT_FALSE(events.empty());
   const std::string json = TraceCollector::ToChromeJson(events);
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
@@ -376,7 +359,7 @@ TEST_F(ObsTest, PoolMetricsAttributeChunks) {
   // asserted.
   const int64_t chunks = snap.ValueOf("pool.caller_chunks") +
                          snap.ValueOf("pool.worker_chunks");
-  EXPECT_EQ(chunks, static_cast<int64_t>(util::NumChunks(4, 1000)));
+  EXPECT_EQ(chunks, 4);  // min(threads, n) static chunks
   EXPECT_EQ(snap.ValueOf("pool.parallel_fors"), 1);
 }
 

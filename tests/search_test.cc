@@ -1,7 +1,7 @@
 // Unit tests for the insert-count binary search (Algorithms 6 & 7):
 // memoization, budget guards, unimodal-minimum location, the
-// insert-vs-approximate bandwidth trade-off, and the workspace's shared
-// shift memo under concurrent probes.
+// insert-vs-approximate bandwidth trade-off, and the workspace's shift
+// memo shared across probes.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -200,9 +200,8 @@ TEST(Search, ExistingBaseReducesNeedForInsertions) {
 
 TEST(Search, SharedShiftMemoMatchesWorkspaceLessSearch) {
   // With a workspace every probe scans against one trial buffer and the
-  // probes share its shift memo, concurrently under Prefetch when
-  // threaded. The probe record must be bitwise the workspace-less serial
-  // search's at every thread count, for each linear metric.
+  // probes share its shift memo. The probe record must be bitwise the
+  // workspace-less search's, for each linear metric.
   Rng rng(6);
   const size_t w = 24, num_signals = 4, m = 192;
   std::vector<double> y(num_signals * m);
@@ -227,24 +226,19 @@ TEST(Search, SharedShiftMemoMatchesWorkspaceLessSearch) {
     ctx.get_intervals.best_map.metric = metric;
     const SearchResult want = SearchInsertCount(ctx);
 
-    for (size_t threads : {1u, 2u, 4u}) {
-      EncodeWorkspace ws;
-      ws.BeginChunk(threads);
-      ctx.get_intervals.best_map.threads = threads;
-      ctx.workspace = &ws;
-      const SearchResult got = SearchInsertCount(ctx);
-      EXPECT_EQ(got.ins, want.ins) << "threads=" << threads;
-      EXPECT_EQ(got.probes, want.probes) << "threads=" << threads;
-      ASSERT_EQ(got.errors.size(), want.errors.size());
-      for (size_t i = 0; i < want.errors.size(); ++i) {
-        EXPECT_EQ(std::bit_cast<uint64_t>(got.errors[i]),
-                  std::bit_cast<uint64_t>(want.errors[i]))
-            << "threads=" << threads << " pos=" << i;
-      }
-      EXPECT_GT(ws.stats().shifts_reused, 0u) << "threads=" << threads;
-      ctx.workspace = nullptr;
-      ctx.get_intervals.best_map.threads = 1;
+    EncodeWorkspace ws;
+    ws.BeginChunk();
+    ctx.workspace = &ws;
+    const SearchResult got = SearchInsertCount(ctx);
+    EXPECT_EQ(got.ins, want.ins);
+    EXPECT_EQ(got.probes, want.probes);
+    ASSERT_EQ(got.errors.size(), want.errors.size());
+    for (size_t i = 0; i < want.errors.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.errors[i]),
+                std::bit_cast<uint64_t>(want.errors[i]))
+          << "pos=" << i;
     }
+    EXPECT_GT(ws.stats().shifts_reused, 0u);
   }
 }
 
