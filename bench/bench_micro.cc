@@ -8,12 +8,17 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
 #include <new>
 #include <span>
+#include <string>
 #include <vector>
+#if defined(__unix__)
+#include <unistd.h>
+#endif
 
 #include "compress/wavelet.h"
 #include "core/best_map.h"
@@ -26,8 +31,10 @@
 #include "datagen/dataset.h"
 #include "datagen/weather.h"
 #include "linalg/dct.h"
+#include "net/base_station.h"
 #include "obs/obs.h"
 #include "storage/query_service.h"
+#include "util/crc32.h"
 #include "util/prefix_sums.h"
 #include "util/rng.h"
 
@@ -446,6 +453,105 @@ BENCHMARK(BM_QueryServicePublish)
     ->Repetitions(15)
     ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMicrosecond);
+
+// Station-ingest fleet for BM_StationReceiveBytes: 16 sensors x 100
+// chunks of the same geometry as the publish rows (N=6, M=128,
+// M_base=256, TotalBand 76), each sensor its own weather feed with a live
+// base signal, serialized as in-order data frames and interleaved
+// round-robin as a station hears them.
+constexpr size_t kStationSensors = 16;
+constexpr size_t kStationChunks = 100;
+
+const std::vector<std::vector<uint8_t>>& StationFrames() {
+  static const std::vector<std::vector<uint8_t>> frames = [] {
+    std::vector<std::vector<std::vector<uint8_t>>> per_sensor(
+        kStationSensors);
+    for (uint32_t id = 0; id < kStationSensors; ++id) {
+      datagen::WeatherOptions wopts;
+      wopts.length = kStationChunks * kPublishChunkLen;
+      wopts.seed = 100 + id;
+      const datagen::Dataset ds = datagen::GenerateWeather(wopts);
+      const size_t signals = ds.num_signals();
+      EncoderOptions opts;
+      opts.total_band = 76;
+      opts.m_base = kPublishMBase;
+      SbrEncoder enc(opts);
+      std::vector<double> y(signals * kPublishChunkLen);
+      for (size_t c = 0; c < kStationChunks; ++c) {
+        for (size_t s = 0; s < signals; ++s) {
+          for (size_t k = 0; k < kPublishChunkLen; ++k) {
+            y[s * kPublishChunkLen + k] =
+                ds.values(s, c * kPublishChunkLen + k);
+          }
+        }
+        const Transmission t = std::move(enc.EncodeChunk(y, signals)).value();
+        BinaryWriter writer;
+        MakeDataFrame(id, c, 0, t).Serialize(&writer);
+        per_sensor[id].push_back(writer.TakeBuffer());
+      }
+    }
+    std::vector<std::vector<uint8_t>> out;
+    for (size_t c = 0; c < kStationChunks; ++c) {
+      for (auto& sensor : per_sensor) out.push_back(std::move(sensor[c]));
+    }
+    return out;
+  }();
+  return frames;
+}
+
+void BM_StationReceiveBytes(benchmark::State& state) {
+  // One BaseStation::ReceiveBytes of an in-order data frame, with durable
+  // per-sensor logs and a QueryService attached: envelope check, receive
+  // state machine, log append, the station's timeline ingest and the
+  // service's ingest + epoch publish. Each repetition starts a fresh
+  // station on empty logs and feeds the whole fleet once, so histories
+  // grow from 0 to 100 chunks per sensor within it.
+  const auto& frames = StationFrames();
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "sbr_bench_station").string();
+#if defined(__unix__)
+  dir += "_" + std::to_string(::getpid());
+#endif
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    storage::QueryServiceOptions opts;
+    opts.m_base = kPublishMBase;
+    storage::QueryService service(opts);
+    net::BaseStation station(kPublishMBase, dir);
+    if (!station.AttachQueryService(&service).ok()) {
+      state.SkipWithError("attach failed");
+      return;
+    }
+    size_t next = 0;
+    size_t rejected = 0;
+    for (auto _ : state) {
+      auto ack = station.ReceiveBytes(frames[next++]);
+      if (!ack.ok() || ack->type != net::AckType::kAccept) ++rejected;
+    }
+    if (rejected > 0) state.SkipWithError("a frame was not accepted");
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_StationReceiveBytes)
+    ->Iterations(kStationSensors * kStationChunks)
+    ->Repetitions(10)
+    ->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_Crc32(benchmark::State& state) {
+  // CRC-32 of one frame-sized buffer (the frame check and the log record
+  // each checksum every frame once). Bytes/s; not gated.
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(7);
+  std::vector<uint8_t> buf(n);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(buf));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_Crc32)->Arg(512);
 
 void BM_HaarForward(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

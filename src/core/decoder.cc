@@ -10,88 +10,15 @@
 
 namespace sbr::core {
 
-Status SbrDecoder::ApplyHeader(const Transmission& t) {
-  if (t.num_signals == 0 || t.w == 0 || t.TotalSamples() == 0) {
-    return Status::DataLoss("transmission header has zero geometry");
-  }
-  if (!t.signal_lengths.empty() &&
-      t.signal_lengths.size() != t.num_signals) {
-    return Status::DataLoss("signal_lengths count mismatch");
-  }
-  if (t.base_kind == BaseKind::kNone) {
-    // A self-contained (degraded-mode) transmission references no base
-    // signal, so it neither initializes nor constrains the stream's base
-    // state — it is decodable at any point of any stream.
-    return Status::Ok();
-  }
-  if (w_ == 0) {
-    w_ = t.w;
-    base_kind_ = t.base_kind;
-    if (base_kind_ == BaseKind::kStored) {
-      if (options_.m_base < w_) {
-        return Status::InvalidArgument("decoder m_base smaller than W");
-      }
-      base_ = BaseSignal(w_, options_.m_base);
-    } else if (base_kind_ == BaseKind::kDctFixed) {
-      dct_base_ = MakeDctFixedBase(w_);
-    }
-    return Status::Ok();
-  }
-  if (t.w != w_) {
-    return Status::DataLoss("transmission W changed mid-stream");
-  }
-  if (t.base_kind != base_kind_) {
-    return Status::DataLoss("transmission base kind changed mid-stream");
-  }
-  return Status::Ok();
-}
-
-StatusOr<std::vector<double>> SbrDecoder::DecodeChunk(const Transmission& t) {
-  SBR_OBS_SPAN(decode_span, "decode.chunk");
-  SBR_OBS_TIMER(decode_timer, "decode.chunk_us");
-  SBR_OBS_COUNT("decode.chunks", 1);
-  auto result = DecodeChunkImpl(t);
-  if (result.ok()) {
-    SBR_OBS_COUNT("decode.values", result->size());
-  } else {
-    SBR_OBS_COUNT("decode.errors", 1);
-  }
-  return result;
-}
-
-StatusOr<std::vector<double>> SbrDecoder::DecodeChunkImpl(
-    const Transmission& t) {
-  SBR_RETURN_IF_ERROR(ApplyHeader(t));
-
-  const bool self_contained = t.base_kind == BaseKind::kNone;
-  if ((self_contained || base_kind_ != BaseKind::kStored) &&
-      !t.base_updates.empty()) {
-    return Status::DataLoss("base updates present without a stored base");
-  }
-  for (const BaseUpdate& bu : t.base_updates) {
-    SBR_RETURN_IF_ERROR(base_.Overwrite(bu.slot, bu.values));
-  }
-
-  // A self-contained transmission gets an empty base span: any interval
-  // that still claims a base reference is corrupt, not silently decoded
-  // against unrelated state.
-  std::span<const double> x;
-  if (!self_contained) {
-    if (base_kind_ == BaseKind::kStored) {
-      x = base_.values();
-    } else if (base_kind_ == BaseKind::kDctFixed) {
-      x = dct_base_;
-    }
-  }
-
-  const size_t total_len = t.TotalSamples();
-  if (total_len > options_.max_chunk_samples) {
+StatusOr<std::vector<Interval>> ResolveIntervals(
+    std::span<const IntervalRecord> records, size_t total_len,
+    size_t base_len, size_t max_chunk_samples) {
+  if (total_len > max_chunk_samples) {
     return Status::DataLoss("chunk of " + std::to_string(total_len) +
                             " samples exceeds the decoder limit");
   }
-
   // Rebuild intervals: sort by start, infer lengths from the gaps.
-  std::vector<IntervalRecord> recs = t.intervals;
+  std::vector<IntervalRecord> recs(records.begin(), records.end());
   std::sort(recs.begin(), recs.end(),
             [](const IntervalRecord& a, const IntervalRecord& b) {
               return a.start < b.start;
@@ -116,16 +43,68 @@ StatusOr<std::vector<double>> SbrDecoder::DecodeChunkImpl(
     iv.c = recs[i].c;
     if (iv.shift != kShiftLinearFallback) {
       if (iv.shift < 0 ||
-          static_cast<size_t>(iv.shift) + iv.length > x.size()) {
+          static_cast<size_t>(iv.shift) + iv.length > base_len) {
         return Status::DataLoss("interval shift outside the base signal");
       }
     }
     intervals.push_back(iv);
   }
-  return ReconstructFromIntervals(x, total_len, intervals);
+  return intervals;
 }
 
-Status SbrDecoder::ApplySnapshot(const BaseSnapshot& snapshot) {
+Status BaseMirror::Advance(const Transmission& t) {
+  if (t.num_signals == 0 || t.w == 0 || t.TotalSamples() == 0) {
+    return Status::DataLoss("transmission header has zero geometry");
+  }
+  if (!t.signal_lengths.empty() &&
+      t.signal_lengths.size() != t.num_signals) {
+    return Status::DataLoss("signal_lengths count mismatch");
+  }
+  const bool self_contained = t.base_kind == BaseKind::kNone;
+  if (self_contained) {
+    // A self-contained (degraded-mode) transmission references no base
+    // signal, so it neither initializes nor constrains the stream's base
+    // state — it is decodable at any point of any stream.
+    if (!t.base_updates.empty()) {
+      return Status::DataLoss("base updates present without a stored base");
+    }
+    return Status::Ok();
+  }
+  if (w_ == 0) {
+    w_ = t.w;
+    base_kind_ = t.base_kind;
+    ++generation_;
+    if (base_kind_ == BaseKind::kStored) {
+      if (m_base_ < w_) {
+        return Status::InvalidArgument("decoder m_base smaller than W");
+      }
+      base_ = BaseSignal(w_, m_base_);
+    } else if (base_kind_ == BaseKind::kDctFixed) {
+      dct_base_ = MakeDctFixedBase(w_);
+    }
+  } else if (t.w != w_) {
+    return Status::DataLoss("transmission W changed mid-stream");
+  } else if (t.base_kind != base_kind_) {
+    return Status::DataLoss("transmission base kind changed mid-stream");
+  }
+  if (base_kind_ != BaseKind::kStored && !t.base_updates.empty()) {
+    return Status::DataLoss("base updates present without a stored base");
+  }
+  for (const BaseUpdate& bu : t.base_updates) {
+    SBR_RETURN_IF_ERROR(base_.Overwrite(bu.slot, bu.values));
+    ++generation_;
+  }
+  return Status::Ok();
+}
+
+std::span<const double> BaseMirror::BaseFor(const Transmission& t) const {
+  if (t.base_kind == BaseKind::kNone) return {};
+  if (base_kind_ == BaseKind::kStored) return base_.values();
+  if (base_kind_ == BaseKind::kDctFixed) return dct_base_;
+  return {};
+}
+
+Status BaseMirror::ApplySnapshot(const BaseSnapshot& snapshot) {
   if (snapshot.w == 0) {
     // The sensor had not warmed up yet (no base signal); nothing to mirror.
     return Status::Ok();
@@ -133,6 +112,7 @@ Status SbrDecoder::ApplySnapshot(const BaseSnapshot& snapshot) {
   if (w_ == 0) {
     w_ = snapshot.w;
     base_kind_ = snapshot.base_kind;
+    ++generation_;
     if (base_kind_ == BaseKind::kDctFixed) {
       dct_base_ = MakeDctFixedBase(w_);
     }
@@ -147,15 +127,40 @@ Status SbrDecoder::ApplySnapshot(const BaseSnapshot& snapshot) {
     }
     return Status::Ok();
   }
-  if (options_.m_base < w_) {
+  if (m_base_ < w_) {
     return Status::InvalidArgument("decoder m_base smaller than W");
   }
-  BaseSignal rebuilt(w_, options_.m_base);
+  BaseSignal rebuilt(w_, m_base_);
   for (const BaseUpdate& s : snapshot.slots) {
     SBR_RETURN_IF_ERROR(rebuilt.Overwrite(s.slot, s.values));
   }
   base_ = std::move(rebuilt);
+  ++generation_;
   return Status::Ok();
+}
+
+StatusOr<std::vector<double>> SbrDecoder::DecodeChunk(const Transmission& t) {
+  SBR_OBS_SPAN(decode_span, "decode.chunk");
+  SBR_OBS_TIMER(decode_timer, "decode.chunk_us");
+  SBR_OBS_COUNT("decode.chunks", 1);
+  auto result = DecodeChunkImpl(t);
+  if (result.ok()) {
+    SBR_OBS_COUNT("decode.values", result->size());
+  } else {
+    SBR_OBS_COUNT("decode.errors", 1);
+  }
+  return result;
+}
+
+StatusOr<std::vector<double>> SbrDecoder::DecodeChunkImpl(
+    const Transmission& t) {
+  SBR_RETURN_IF_ERROR(mirror_.Advance(t));
+  const std::span<const double> x = mirror_.BaseFor(t);
+  const size_t total_len = t.TotalSamples();
+  auto intervals = ResolveIntervals(t.intervals, total_len, x.size(),
+                                    options_.max_chunk_samples);
+  if (!intervals.ok()) return intervals.status();
+  return ReconstructFromIntervals(x, total_len, *intervals);
 }
 
 StatusOr<linalg::Matrix> SbrDecoder::DecodeChunkToMatrix(

@@ -175,18 +175,30 @@ std::vector<double> ReconstructFromIntervals(
   std::vector<double> out(total_len, 0.0);
   for (const Interval& iv : intervals) {
     assert(iv.start + iv.length <= total_len);
+    assert(iv.shift == kShiftLinearFallback ||
+           static_cast<size_t>(iv.shift) + iv.length <= x.size());
     for (size_t i = 0; i < iv.length; ++i) {
-      if (iv.shift == kShiftLinearFallback) {
-        const double t = static_cast<double>(i);
-        out[iv.start + i] = iv.a * t + iv.b + iv.c * t * t;
-      } else {
-        assert(static_cast<size_t>(iv.shift) + iv.length <= x.size());
-        const double xv = x[static_cast<size_t>(iv.shift) + i];
-        out[iv.start + i] = iv.a * xv + iv.b + iv.c * xv * xv;
-      }
+      out[iv.start + i] = IntervalSample(x, iv, i);
     }
   }
   return out;
+}
+
+void ReconstructRange(std::span<const double> x,
+                      std::span<const Interval> intervals, size_t lo,
+                      size_t hi, double* out) {
+  if (lo >= hi) return;
+  // First interval containing lo (the intervals tile the chunk).
+  auto it = std::upper_bound(
+      intervals.begin(), intervals.end(), lo,
+      [](size_t pos, const Interval& iv) { return pos < iv.start; });
+  assert(it != intervals.begin());
+  --it;
+  for (size_t pos = lo; pos < hi; ++it) {
+    assert(it != intervals.end());
+    const size_t end = std::min<size_t>(hi, it->start + it->length);
+    for (; pos < end; ++pos) *out++ = IntervalSample(x, *it, pos - it->start);
+  }
 }
 
 }  // namespace sbr::core

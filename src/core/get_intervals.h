@@ -59,12 +59,33 @@ StatusOr<ApproximationResult> GetIntervalsMultiRate(
     std::span<const size_t> row_lengths, size_t budget_values, size_t w,
     const GetIntervalsOptions& options);
 
+/// Sample `i` (0-based within the interval) of interval `iv` mapped onto
+/// base `x`: the one reconstruction formula every decode path evaluates,
+/// so a chunk, a range or a single point of it agree bit for bit.
+inline double IntervalSample(std::span<const double> x, const Interval& iv,
+                             size_t i) {
+  if (iv.shift == kShiftLinearFallback) {
+    const double t = static_cast<double>(i);
+    return iv.a * t + iv.b + iv.c * t * t;
+  }
+  const double xv = x[static_cast<size_t>(iv.shift) + i];
+  return iv.a * xv + iv.b + iv.c * xv * xv;
+}
+
 /// Reconstructs the approximate series from intervals produced by
 /// GetIntervals (the decoder-side inverse). `x` must be the same base
 /// signal the intervals were encoded against.
 std::vector<double> ReconstructFromIntervals(
     std::span<const double> x, size_t total_len,
     std::span<const Interval> intervals);
+
+/// Ranged form: writes samples [lo, hi) of the reconstruction into
+/// out[0, hi - lo). `intervals` must be sorted by start and tile the chunk
+/// (as ResolveIntervals returns them) with hi within it. Equal bit for bit
+/// to the same positions of ReconstructFromIntervals.
+void ReconstructRange(std::span<const double> x,
+                      std::span<const Interval> intervals, size_t lo,
+                      size_t hi, double* out);
 
 }  // namespace sbr::core
 

@@ -45,11 +45,16 @@ StatusOr<BaseStation::PerSensor*> BaseStation::GetOrCreate(
     if (!opened.ok()) return opened.status();
     log = std::move(opened).value();
   }
-  // Replay any recovered records so the history matches the log.
+  // Replay any recovered records so the history matches the log. The
+  // station's timeline serves materialized reads; aggregates are the
+  // query service's, so it skips the moment index and the per-version
+  // min/max tables.
+  const storage::IndexOptions no_index{.enabled = false};
   auto history = log.empty()
-                     ? StatusOr<storage::HistoryStore>(
-                           storage::HistoryStore(m_base_))
-                     : storage::HistoryStore::FromLog(log, m_base_);
+                     ? StatusOr<storage::CompressedHistory>(
+                           storage::CompressedHistory(m_base_, no_index))
+                     : storage::CompressedHistory::FromLog(log, m_base_,
+                                                           no_index);
   if (!history.ok()) return history.status();
   auto [pos, inserted] = sensors_.emplace(
       sensor_id, PerSensor{std::move(log), std::move(history).value()});
@@ -426,7 +431,7 @@ ProtocolStats BaseStation::stats(uint32_t sensor_id) const {
   return it == sensors_.end() ? ProtocolStats() : it->second.stats;
 }
 
-StatusOr<const storage::HistoryStore*> BaseStation::History(
+StatusOr<const storage::CompressedHistory*> BaseStation::History(
     uint32_t sensor_id) const {
   auto it = sensors_.find(sensor_id);
   if (it == sensors_.end()) {

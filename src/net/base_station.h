@@ -1,7 +1,10 @@
 // BaseStation: receives transmissions from many sensors, appends each to
-// the sensor's chunk log and maintains a queryable decoded history per
-// sensor (paper Figure 1: one log file per sensor, plus the base-signal
-// updates folded into the same stream).
+// the sensor's chunk log and keeps one queryable timeline per sensor
+// (paper Figure 1: one log file per sensor, plus the base-signal updates
+// folded into the same stream). The timeline is a
+// storage::CompressedHistory: interval lists against shared base-signal
+// versions, never decoded samples — "Y_i at any point in the past" is
+// decoded on demand when it is read.
 //
 // On-air frames pass through the fault-tolerant receive protocol first:
 // CRC validation, duplicate suppression, a bounded reorder window, and
@@ -17,7 +20,7 @@
 
 #include "core/transmission.h"
 #include "storage/chunk_log.h"
-#include "storage/history_store.h"
+#include "storage/query_engine.h"
 #include "util/status.h"
 
 namespace sbr::storage {
@@ -99,8 +102,10 @@ class BaseStation {
     return sensors_.count(sensor_id) > 0;
   }
 
-  /// Decoded history of a sensor; NotFound if never heard from.
-  StatusOr<const storage::HistoryStore*> History(uint32_t sensor_id) const;
+  /// The sensor's timeline (materialized reads decode on demand);
+  /// NotFound if never heard from.
+  StatusOr<const storage::CompressedHistory*> History(
+      uint32_t sensor_id) const;
 
   /// The raw log of a sensor; NotFound if never heard from.
   StatusOr<const storage::ChunkLog*> Log(uint32_t sensor_id) const;
@@ -119,7 +124,7 @@ class BaseStation {
  private:
   struct PerSensor {
     storage::ChunkLog log;
-    storage::HistoryStore history;
+    storage::CompressedHistory history;
     // Receive-protocol state.
     uint64_t expected_seq = 0;
     uint32_t epoch = 0;
@@ -131,7 +136,7 @@ class BaseStation {
 
   StatusOr<PerSensor*> GetOrCreate(uint32_t sensor_id);
   StatusOr<FrameAck> HandleFrame(core::Frame frame);
-  /// Decodes and stores one in-order data frame's transmission.
+  /// Logs and ingests one in-order data frame's transmission.
   Status IngestData(PerSensor* s, const core::Transmission& t);
   /// Records `chunks` DataLoss gaps in history and log.
   Status DeclareGap(PerSensor* s, size_t chunks);

@@ -55,7 +55,7 @@ Rng ChunkRng(uint64_t data_seed, uint32_t node_id, size_t round) {
 /// Applies an accepted snapshot to a history with the same timeline
 /// reconciliation the station performs, so shadow and station agree on
 /// where every post-snapshot chunk lands.
-Status ReconcileSnapshot(storage::HistoryStore* history,
+Status ReconcileSnapshot(storage::DecodedHistory* history,
                          const core::BaseSnapshot& snap) {
   const uint64_t len = history->num_chunks();
   const uint64_t target =
@@ -584,7 +584,7 @@ void ChaosSim::CheckInvariants() {
       violate("history lookup failed: " + history.status().ToString());
       continue;
     }
-    const storage::HistoryStore& h = **history;
+    const storage::CompressedHistory& h = **history;
     nr.station_chunks = h.num_chunks();
     nr.station_gaps = h.num_gaps();
 

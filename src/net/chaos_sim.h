@@ -16,8 +16,9 @@
 // frame, because the shadow history must record exactly what the station
 // ingested).
 //
-// The harness keeps a per-node *shadow history*: an oracle HistoryStore
-// fed exactly the transmissions and snapshots the station accepted, but
+// The harness keeps a per-node *shadow history*: an oracle DecodedHistory
+// (decoded at ingest, independent of the station's on-demand reads) fed
+// exactly the transmissions and snapshots the station accepted, but
 // living outside the blast radius of every fault. After the run it checks
 // the recovery invariants the lifecycle layer promises:
 //
@@ -64,7 +65,7 @@
 #include "net/sim_engine.h"
 #include "net/topology.h"
 #include "storage/chunk_log.h"
-#include "storage/history_store.h"
+#include "storage/decoded_history.h"
 #include "util/status.h"
 
 namespace sbr::net {
@@ -188,7 +189,7 @@ class ChaosSim {
     storage::ChunkLog ckpt;
     std::string ckpt_path;
     FaultChannel channel;
-    storage::HistoryStore shadow;
+    storage::DecodedHistory shadow;
     ChaosNodeReport report;
     /// Engine route up the tree: hop h crosses the edge channel owned by
     /// the h-th node on the path and charges that node's report. Built

@@ -181,7 +181,7 @@ Status NetworkSim::RunNode(size_t index, const datagen::Dataset& feed,
   // lookups need the station lock: after this node's last frame, no other
   // node touches this sensor's per-sensor state, so the history reads run
   // unlocked.
-  const storage::HistoryStore* history = nullptr;
+  const storage::CompressedHistory* history = nullptr;
   {
     std::lock_guard<std::mutex> lock(engine_.station_mutex());
     nr.duplicates_suppressed =
@@ -193,7 +193,7 @@ Status NetworkSim::RunNode(size_t index, const datagen::Dataset& feed,
     }
   }
   if (history != nullptr) {
-    const storage::HistoryStore& h = *history;
+    const storage::CompressedHistory& h = *history;
     std::vector<double> truth(h.chunk_len());
     for (size_t c = 0; c < h.num_chunks(); ++c) {
       if (h.IsGap(c)) continue;

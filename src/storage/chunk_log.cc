@@ -1,7 +1,11 @@
 #include "storage/chunk_log.h"
 
-#include <filesystem>
-#include <fstream>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <utility>
 
 #include "util/crc32.h"
 
@@ -40,27 +44,89 @@ std::vector<uint8_t> OneChunkGapPayload() {
 
 }  // namespace
 
+ChunkLog::~ChunkLog() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+ChunkLog::ChunkLog(ChunkLog&& other) noexcept
+    : path_(std::move(other.path_)),
+      fd_(std::exchange(other.fd_, -1)),
+      writable_(std::exchange(other.writable_, false)),
+      records_(std::move(other.records_)),
+      dropped_records_(other.dropped_records_),
+      quarantined_records_(other.quarantined_records_),
+      recovered_lineage_broken_(other.recovered_lineage_broken_),
+      disk_end_(other.disk_end_) {
+  other.path_.clear();
+}
+
+ChunkLog& ChunkLog::operator=(ChunkLog&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    path_ = std::move(other.path_);
+    other.path_.clear();
+    fd_ = std::exchange(other.fd_, -1);
+    writable_ = std::exchange(other.writable_, false);
+    records_ = std::move(other.records_);
+    dropped_records_ = other.dropped_records_;
+    quarantined_records_ = other.quarantined_records_;
+    recovered_lineage_broken_ = other.recovered_lineage_broken_;
+    disk_end_ = other.disk_end_;
+  }
+  return *this;
+}
+
+Status ChunkLog::WriteAll(std::span<const uint8_t> bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd_, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return Status::DataLoss("write failed: " + path_);
+    bytes = bytes.subspan(static_cast<size_t>(n));
+  }
+  return Status::Ok();
+}
+
 StatusOr<ChunkLog> ChunkLog::Open(const std::string& path) {
   ChunkLog log;
   log.path_ = path;
 
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    // Fresh log: write the preamble.
-    std::ofstream out(path, std::ios::binary);
-    if (!out) return Status::NotFound("cannot create log: " + path);
+  log.fd_ = ::open(path.c_str(), O_RDWR | O_APPEND | O_CLOEXEC);
+  log.writable_ = log.fd_ >= 0;
+  if (log.fd_ < 0 && errno == ENOENT) {
+    // Fresh log: create it and write the preamble.
+    log.fd_ = ::open(path.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC,
+                     0644);
+    if (log.fd_ < 0) return Status::NotFound("cannot create log: " + path);
+    log.writable_ = true;
     BinaryWriter header;
     header.PutU32(kMagic);
     header.PutU32(kVersion);
-    out.write(reinterpret_cast<const char*>(header.buffer().data()),
-              static_cast<std::streamsize>(header.size()));
-    if (!out) return Status::DataLoss("cannot write log header: " + path);
+    if (!log.WriteAll(header.buffer()).ok()) {
+      return Status::DataLoss("cannot write log header: " + path);
+    }
     log.disk_end_ = header.size();
     return log;
   }
+  if (log.fd_ < 0) log.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (log.fd_ < 0) return Status::NotFound("cannot open log: " + path);
 
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
+  // One sized read of the whole file.
+  struct stat st {};
+  if (::fstat(log.fd_, &st) != 0) {
+    return Status::DataLoss("cannot stat log: " + path);
+  }
+  std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
+  for (size_t got = 0; got < bytes.size();) {
+    const ssize_t n = ::pread(log.fd_, bytes.data() + got,
+                              bytes.size() - got, static_cast<off_t>(got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return Status::DataLoss("cannot read log: " + path);
+    if (n == 0) {
+      bytes.resize(got);  // the file shrank under us; parse what was read
+      break;
+    }
+    got += static_cast<size_t>(n);
+  }
   BinaryReader reader(bytes);
   uint32_t magic = 0, version = 0;
   SBR_RETURN_IF_ERROR(reader.GetU32(&magic));
@@ -130,10 +196,9 @@ StatusOr<ChunkLog> ChunkLog::Open(const std::string& path) {
   }
   log.recovered_lineage_broken_ = lineage_broken;
   log.disk_end_ = valid_end;
-  if (log.dropped_records_ > 0 && valid_end < bytes.size()) {
-    std::error_code ec;
-    std::filesystem::resize_file(path, valid_end, ec);
-    if (ec) return Status::DataLoss("cannot truncate torn tail: " + path);
+  if (log.dropped_records_ > 0 && valid_end < bytes.size() &&
+      ::ftruncate(log.fd_, static_cast<off_t>(valid_end)) != 0) {
+    return Status::DataLoss("cannot truncate torn tail: " + path);
   }
   return log;
 }
@@ -148,12 +213,8 @@ Status ChunkLog::AppendRecord(RecordType type, std::vector<uint8_t> payload) {
   framed.PutU32(Crc32Finalize(state));
   framed.PutRaw(payload);
   if (!path_.empty()) {
-    std::ofstream out(path_, std::ios::binary | std::ios::app);
-    if (!out) return Status::NotFound("cannot append to log: " + path_);
-    out.write(reinterpret_cast<const char*>(framed.buffer().data()),
-              static_cast<std::streamsize>(framed.size()));
-    out.flush();
-    if (!out) return Status::DataLoss("write failed: " + path_);
+    if (!writable_) return Status::NotFound("cannot append to log: " + path_);
+    SBR_RETURN_IF_ERROR(WriteAll(framed.buffer()));
   }
   records_.push_back(Record{type, std::move(payload), disk_end_,
                             framed.size()});

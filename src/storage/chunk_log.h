@@ -11,6 +11,7 @@
 #define SBR_STORAGE_CHUNK_LOG_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,12 +47,28 @@ enum class RecordType : uint8_t {
 ///    and pass through unconverted. `quarantined_records()` counts the
 ///    conversions; the complete-but-corrupt on-disk bytes are left
 ///    untouched, so reopening replays the identical recovery.
+///
+/// A durable log holds one O_APPEND file descriptor for its lifetime and
+/// writes each record with one write(2); the destructor closes it. The
+/// cost is one open descriptor per durable log — a base station keeps one
+/// per sensor, so a station serving more sensors than the process's
+/// RLIMIT_NOFILE (commonly 1024) must raise that limit. With O_APPEND a
+/// record always lands at the file's current end, even after another
+/// handle truncated the file (as a recovering Open does). The log is
+/// move-only, because the descriptor has exactly one owner.
 class ChunkLog {
  public:
   /// In-memory log.
   ChunkLog() = default;
+  ~ChunkLog();
+  ChunkLog(ChunkLog&& other) noexcept;
+  ChunkLog& operator=(ChunkLog&& other) noexcept;
+  ChunkLog(const ChunkLog&) = delete;
+  ChunkLog& operator=(const ChunkLog&) = delete;
 
   /// Opens (or creates) a durable log at `path` and loads existing records.
+  /// A file that exists but cannot be opened for writing is still loaded;
+  /// appends to it then fail with NotFound.
   static StatusOr<ChunkLog> Open(const std::string& path);
 
   /// Appends one transmission.
@@ -132,14 +149,53 @@ class ChunkLog {
   };
 
   Status AppendRecord(RecordType type, std::vector<uint8_t> payload);
+  /// Writes all of `bytes` at the file's end (retrying short writes).
+  Status WriteAll(std::span<const uint8_t> bytes);
 
   std::string path_;
+  /// The durable log's descriptor; -1 for an in-memory log.
+  int fd_ = -1;
+  /// False when the file could only be opened for reading.
+  bool writable_ = false;
   std::vector<Record> records_;
   size_t dropped_records_ = 0;
   size_t quarantined_records_ = 0;
   bool recovered_lineage_broken_ = false;
   size_t disk_end_ = 0;
 };
+
+/// Replays every timeline record of `log`, in order, into `history` (any
+/// type with Ingest / MarkGap / ApplySnapshot): transmissions, gap markers
+/// and snapshots; checkpoints carry recovery state for the log's owner,
+/// not history, and are skipped. The first error stops the replay.
+template <typename History>
+Status ReplayInto(const ChunkLog& log, History* history) {
+  for (size_t i = 0; i < log.size(); ++i) {
+    switch (log.record_type(i)) {
+      case RecordType::kTransmission: {
+        auto t = log.Read(i);
+        if (!t.ok()) return t.status();
+        SBR_RETURN_IF_ERROR(history->Ingest(*t));
+        break;
+      }
+      case RecordType::kGap: {
+        auto chunks = log.ReadGap(i);
+        if (!chunks.ok()) return chunks.status();
+        history->MarkGap(*chunks);
+        break;
+      }
+      case RecordType::kSnapshot: {
+        auto snap = log.ReadSnapshot(i);
+        if (!snap.ok()) return snap.status();
+        SBR_RETURN_IF_ERROR(history->ApplySnapshot(*snap));
+        break;
+      }
+      case RecordType::kCheckpoint:
+        break;
+    }
+  }
+  return Status::Ok();
+}
 
 }  // namespace sbr::storage
 

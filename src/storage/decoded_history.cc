@@ -1,4 +1,4 @@
-#include "storage/history_store.h"
+#include "storage/decoded_history.h"
 
 #include <algorithm>
 #include <cmath>
@@ -19,38 +19,14 @@ void FoldValues(const double* v, size_t n, MomentSummary* out) {
 
 }  // namespace
 
-StatusOr<HistoryStore> HistoryStore::FromLog(const ChunkLog& log,
-                                             size_t m_base) {
-  HistoryStore store(m_base);
-  for (size_t i = 0; i < log.size(); ++i) {
-    switch (log.record_type(i)) {
-      case RecordType::kTransmission: {
-        auto t = log.Read(i);
-        if (!t.ok()) return t.status();
-        SBR_RETURN_IF_ERROR(store.Ingest(*t));
-        break;
-      }
-      case RecordType::kGap: {
-        auto chunks = log.ReadGap(i);
-        if (!chunks.ok()) return chunks.status();
-        store.MarkGap(*chunks);
-        break;
-      }
-      case RecordType::kSnapshot: {
-        auto snap = log.ReadSnapshot(i);
-        if (!snap.ok()) return snap.status();
-        SBR_RETURN_IF_ERROR(store.ApplySnapshot(*snap));
-        break;
-      }
-      case RecordType::kCheckpoint:
-        // Recovery state for the log's owner; carries no history data.
-        break;
-    }
-  }
+StatusOr<DecodedHistory> DecodedHistory::FromLog(const ChunkLog& log,
+                                                 size_t m_base) {
+  DecodedHistory store(m_base);
+  SBR_RETURN_IF_ERROR(ReplayInto(log, &store));
   return store;
 }
 
-Status HistoryStore::Ingest(const core::Transmission& t) {
+Status DecodedHistory::Ingest(const core::Transmission& t) {
   if (!t.signal_lengths.empty()) {
     return Status::Unimplemented(
         "multi-rate chunks are not indexable by the history store");
@@ -69,7 +45,7 @@ Status HistoryStore::Ingest(const core::Transmission& t) {
   return Status::Ok();
 }
 
-void HistoryStore::AppendIndexLeaves(const std::vector<double>* values) {
+void DecodedHistory::AppendIndexLeaves(const std::vector<double>* values) {
   if (num_signals_ == 0) return;
   if (index_.empty()) {
     index_.assign(num_signals_, MomentIndex{});
@@ -91,7 +67,7 @@ void HistoryStore::AppendIndexLeaves(const std::vector<double>* values) {
   }
 }
 
-void HistoryStore::MarkGap(size_t chunks) {
+void DecodedHistory::MarkGap(size_t chunks) {
   for (size_t i = 0; i < chunks; ++i) {
     chunks_.push_back(nullptr);
     if (!index_.empty()) AppendIndexLeaves(nullptr);
@@ -99,13 +75,13 @@ void HistoryStore::MarkGap(size_t chunks) {
   num_gaps_ += chunks;
 }
 
-Status HistoryStore::ApplySnapshot(const core::BaseSnapshot& snapshot) {
+Status DecodedHistory::ApplySnapshot(const core::BaseSnapshot& snapshot) {
   return decoder_.ApplySnapshot(snapshot);
 }
 
-StatusOr<std::vector<double>> HistoryStore::QueryRange(size_t signal,
-                                                       size_t t0,
-                                                       size_t t1) const {
+StatusOr<std::vector<double>> DecodedHistory::QueryRange(size_t signal,
+                                                         size_t t0,
+                                                         size_t t1) const {
   if (signal >= num_signals_) {
     return Status::OutOfRange("signal " + std::to_string(signal));
   }
@@ -136,9 +112,9 @@ StatusOr<std::vector<double>> HistoryStore::QueryRange(size_t signal,
   return out;
 }
 
-StatusOr<AggregateResult> HistoryStore::AggregateExact(size_t signal,
-                                                       size_t t0,
-                                                       size_t t1) const {
+StatusOr<AggregateResult> DecodedHistory::AggregateExact(size_t signal,
+                                                         size_t t0,
+                                                         size_t t1) const {
   if (signal >= num_signals_) {
     return Status::OutOfRange("signal " + std::to_string(signal));
   }
@@ -195,13 +171,13 @@ StatusOr<AggregateResult> HistoryStore::AggregateExact(size_t signal,
   return out;
 }
 
-StatusOr<double> HistoryStore::QueryPoint(size_t signal, size_t t) const {
+StatusOr<double> DecodedHistory::QueryPoint(size_t signal, size_t t) const {
   auto range = QueryRange(signal, t, t + 1);
   if (!range.ok()) return range.status();
   return (*range)[0];
 }
 
-StatusOr<linalg::Matrix> HistoryStore::Chunk(size_t c) const {
+StatusOr<linalg::Matrix> DecodedHistory::Chunk(size_t c) const {
   if (c >= chunks_.size()) {
     return Status::OutOfRange("chunk " + std::to_string(c));
   }

@@ -1,13 +1,17 @@
-// HistoryStore: the base station's queryable view of one sensor's
-// approximate history. Ingested transmissions are decoded in arrival
-// order (the decoder's base-signal mirror makes order significant) and the
-// reconstructed chunks are retained, so any time range of any quantity
-// can be served — the paper's "reconstruct the series Y_i at any given
-// point in the past". Chunks the transmission protocol declared lost are
-// kept as explicit gaps: queries touching them return DataLoss instead of
-// silently fabricated values.
-#ifndef SBR_STORAGE_HISTORY_STORE_H_
-#define SBR_STORAGE_HISTORY_STORE_H_
+// DecodedHistory: a per-sensor history that decodes every transmission
+// at ingest and retains the reconstructed chunks — the straightforward
+// reading of the paper's "reconstruct the series Y_i at any given point in
+// the past". Ingested transmissions are decoded in arrival order (the
+// decoder's base-signal mirror makes order significant). Chunks the
+// transmission protocol declared lost are kept as explicit gaps: queries
+// touching them return DataLoss instead of silently fabricated values.
+//
+// No production path keeps one: the station and the query service hold a
+// CompressedHistory, whose materialized reads decode on demand. This one
+// stays as the independent reference those reads are checked against bit
+// for bit (the query oracles, the fuzz battery and ChaosSim's shadow).
+#ifndef SBR_STORAGE_DECODED_HISTORY_H_
+#define SBR_STORAGE_DECODED_HISTORY_H_
 
 #include <memory>
 #include <vector>
@@ -23,15 +27,15 @@
 namespace sbr::storage {
 
 /// Per-sensor decoded history with range queries and explicit loss gaps.
-class HistoryStore {
+class DecodedHistory {
  public:
   /// `m_base` must match the sensor's encoder configuration.
-  explicit HistoryStore(size_t m_base)
+  explicit DecodedHistory(size_t m_base)
       : decoder_(core::DecoderOptions{m_base}) {}
 
   /// Rebuilds a store by replaying a chunk log from the beginning
   /// (transmissions, gap markers and snapshots alike).
-  static StatusOr<HistoryStore> FromLog(const ChunkLog& log, size_t m_base);
+  static StatusOr<DecodedHistory> FromLog(const ChunkLog& log, size_t m_base);
 
   /// Decodes and retains the next transmission.
   Status Ingest(const core::Transmission& t);
@@ -100,4 +104,4 @@ class HistoryStore {
 
 }  // namespace sbr::storage
 
-#endif  // SBR_STORAGE_HISTORY_STORE_H_
+#endif  // SBR_STORAGE_DECODED_HISTORY_H_

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "core/fixed_base.h"
+#include "core/get_intervals.h"
 
 namespace sbr::storage {
 namespace {
@@ -21,22 +21,62 @@ double SumT2(size_t lo, size_t hi) {
   return cube(static_cast<double>(hi)) - cube(static_cast<double>(lo));
 }
 
+/// Exact moment fold of `n` raw samples.
+void FoldValues(const double* v, size_t n, MomentSummary* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out->sum += v[i];
+    out->sumsq += v[i] * v[i];
+    out->min = std::min(out->min, v[i]);
+    out->max = std::max(out->max, v[i]);
+  }
+  out->count += n;
+}
+
+AggregateResult Finish(const MomentSummary& acc) {
+  AggregateResult out;
+  out.sum = acc.sum;
+  out.min = acc.min;
+  out.max = acc.max;
+  out.count = acc.count;
+  const double n = static_cast<double>(acc.count);
+  out.avg = acc.sum / n;
+  out.variance = std::max(0.0, acc.sumsq / n - out.avg * out.avg);
+  return out;
+}
+
 }  // namespace
 
-std::shared_ptr<const CompressedHistory::BaseVersion>
-CompressedHistory::BuildVersion(std::vector<double> values) const {
+StatusOr<CompressedHistory> CompressedHistory::FromLog(const ChunkLog& log,
+                                                       size_t m_base,
+                                                       IndexOptions index) {
+  CompressedHistory history(m_base, index);
+  SBR_RETURN_IF_ERROR(ReplayInto(log, &history));
+  return history;
+}
+
+CompressedHistory CompressedHistory::Frozen() const {
+  // The copy never ingests, so its (empty) mirror needs no m_base.
+  CompressedHistory out(0, index_options_);
+  out.frozen_ = true;
+  out.num_signals_ = num_signals_;
+  out.chunk_len_ = chunk_len_;
+  out.num_gaps_ = num_gaps_;
+  out.current_base_ = current_base_;
+  out.num_base_versions_ = num_base_versions_;
+  out.chunks_ = chunks_;
+  out.index_ = index_;
+  return out;
+}
+
+void CompressedHistory::PublishBaseVersion(std::span<const double> values) {
   auto version = std::make_shared<BaseVersion>();
-  version->values = std::move(values);
+  version->values.assign(values.begin(), values.end());
   version->sums.Reset(version->values);
   // The min/max sparse table only pays for itself on the indexed path;
   // the legacy reference scans the base segment like it always did.
   if (index_options_.enabled) version->minmax.Reset(version->values);
-  return version;
-}
-
-void CompressedHistory::PublishBaseVersion() {
-  current_base_ = BuildVersion(
-      {mirror_.values().begin(), mirror_.values().end()});
+  current_base_ = std::move(version);
+  published_generation_ = mirror_.generation();
   ++num_base_versions_;
 }
 
@@ -63,86 +103,45 @@ void CompressedHistory::AppendIndexLeaves(const ChunkRep* chunk) {
 }
 
 Status CompressedHistory::Ingest(const core::Transmission& t) {
+  if (frozen_) {
+    return Status::FailedPrecondition("ingest into a frozen snapshot");
+  }
   if (!t.signal_lengths.empty()) {
     return Status::Unimplemented(
-        "multi-rate chunks are not indexable by the query engine");
+        "multi-rate chunks are not indexable by the history store");
   }
-  if (t.num_signals == 0 || t.chunk_len == 0 || t.w == 0) {
-    return Status::DataLoss("zero geometry");
+  // The geometry is fixed by the first accepted chunk; a rejected one
+  // fixes nothing.
+  if (num_signals_ != 0) {
+    if (t.num_signals != num_signals_ || t.chunk_len != chunk_len_) {
+      return Status::FailedPrecondition("transmission geometry changed");
+    }
+  } else if (t.num_signals == 0 || t.chunk_len == 0) {
+    return Status::DataLoss("transmission header has zero geometry");
   }
+  SBR_RETURN_IF_ERROR(mirror_.Advance(t));
+  // A self-contained (degraded-mode) chunk gets no base: like the
+  // decoder's empty base span, any interval still claiming a base
+  // reference is corrupt (ResolveIntervals rejects it).
+  const bool self_contained = t.base_kind == core::BaseKind::kNone;
+  if (!self_contained &&
+      (current_base_ == nullptr ||
+       published_generation_ != mirror_.generation())) {
+    PublishBaseVersion(mirror_.BaseFor(t));
+  }
+  const std::shared_ptr<const BaseVersion> base =
+      self_contained ? nullptr : current_base_;
+  auto intervals = core::ResolveIntervals(
+      t.intervals, t.TotalSamples(), base ? base->values.size() : 0,
+      core::DecoderOptions{}.max_chunk_samples);
+  if (!intervals.ok()) return intervals.status();
   if (num_signals_ == 0) {
     num_signals_ = t.num_signals;
     chunk_len_ = t.chunk_len;
-  } else if (t.num_signals != num_signals_ || t.chunk_len != chunk_len_) {
-    return Status::FailedPrecondition("transmission geometry changed");
-  }
-
-  // A self-contained (degraded-mode) chunk references no base signal:
-  // like the decoder, it neither initializes nor constrains the stream's
-  // base state and may appear at any point of any stream.
-  const bool self_contained = t.base_kind == core::BaseKind::kNone;
-  if (!self_contained) {
-    if (w_ == 0) {
-      w_ = t.w;
-      base_kind_ = t.base_kind;
-      if (base_kind_ == core::BaseKind::kStored) {
-        if (m_base_ < w_) {
-          return Status::InvalidArgument("m_base smaller than W");
-        }
-        mirror_ = core::BaseSignal(w_, m_base_);
-      } else if (base_kind_ == core::BaseKind::kDctFixed) {
-        mirror_ = core::BaseSignal();
-        current_base_ = BuildVersion(core::MakeDctFixedBase(w_));
-        ++num_base_versions_;
-      }
-    } else if (t.w != w_ || t.base_kind != base_kind_) {
-      return Status::DataLoss("transmission base geometry changed mid-stream");
-    }
-    if (base_kind_ == core::BaseKind::kStored &&
-        (!t.base_updates.empty() || current_base_ == nullptr)) {
-      for (const core::BaseUpdate& bu : t.base_updates) {
-        SBR_RETURN_IF_ERROR(mirror_.Overwrite(bu.slot, bu.values));
-      }
-      PublishBaseVersion();
-    }
-  } else if (!t.base_updates.empty()) {
-    return Status::DataLoss("base updates present without a stored base");
-  }
-
-  // Resolve interval records into concrete intervals.
-  std::vector<core::IntervalRecord> recs = t.intervals;
-  std::sort(recs.begin(), recs.end(),
-            [](const auto& a, const auto& b) { return a.start < b.start; });
-  const size_t total_len = static_cast<size_t>(num_signals_) * chunk_len_;
-  if (recs.empty() || recs[0].start != 0) {
-    return Status::DataLoss("interval records do not start at 0");
   }
   ChunkRep rep;
-  // A self-contained chunk gets no base: any interval still claiming a
-  // base reference is corrupt, not silently resolved against unrelated
-  // state (base_len 0 rejects every non-fallback shift below).
-  rep.base = self_contained ? nullptr : current_base_;
-  rep.intervals.reserve(recs.size());
-  const size_t base_len = rep.base ? rep.base->values.size() : 0;
-  for (size_t i = 0; i < recs.size(); ++i) {
-    const size_t end = i + 1 < recs.size() ? recs[i + 1].start : total_len;
-    if (end <= recs[i].start) {
-      return Status::DataLoss("interval records overlap or are empty");
-    }
-    core::Interval iv;
-    iv.start = recs[i].start;
-    iv.length = end - recs[i].start;
-    iv.shift = recs[i].shift;
-    iv.a = recs[i].a;
-    iv.b = recs[i].b;
-    iv.c = recs[i].c;
-    if (iv.shift != core::kShiftLinearFallback &&
-        (iv.shift < 0 ||
-         static_cast<size_t>(iv.shift) + iv.length > base_len)) {
-      return Status::DataLoss("interval shift outside the base signal");
-    }
-    rep.intervals.push_back(iv);
-  }
+  rep.intervals = std::move(intervals).value();
+  rep.base = base;
   chunks_.push_back(std::make_shared<const ChunkRep>(std::move(rep)));
   AppendIndexLeaves(chunks_.back().get());
   return Status::Ok();
@@ -161,38 +160,12 @@ void CompressedHistory::MarkGap(size_t chunks) {
 }
 
 Status CompressedHistory::ApplySnapshot(const core::BaseSnapshot& snapshot) {
-  if (snapshot.w == 0) {
-    // The sensor had not warmed up yet (no base signal); nothing to mirror.
-    return Status::Ok();
+  if (frozen_) {
+    return Status::FailedPrecondition("snapshot into a frozen snapshot");
   }
-  if (w_ == 0) {
-    w_ = snapshot.w;
-    base_kind_ = snapshot.base_kind;
-    if (base_kind_ == core::BaseKind::kDctFixed) {
-      current_base_ = BuildVersion(core::MakeDctFixedBase(w_));
-      ++num_base_versions_;
-    }
-  } else if (snapshot.w != w_) {
-    return Status::DataLoss("snapshot W does not match the stream");
-  } else if (snapshot.base_kind != base_kind_) {
-    return Status::DataLoss("snapshot base kind does not match the stream");
-  }
-  if (base_kind_ != core::BaseKind::kStored) {
-    if (!snapshot.slots.empty()) {
-      return Status::DataLoss("snapshot slots present without a stored base");
-    }
-    return Status::Ok();
-  }
-  if (m_base_ < w_) {
-    return Status::InvalidArgument("m_base smaller than W");
-  }
-  core::BaseSignal rebuilt(w_, m_base_);
-  for (const core::BaseUpdate& s : snapshot.slots) {
-    SBR_RETURN_IF_ERROR(rebuilt.Overwrite(s.slot, s.values));
-  }
-  mirror_ = std::move(rebuilt);
-  PublishBaseVersion();
-  return Status::Ok();
+  // The new base version is built lazily, by the next ingest that
+  // references it.
+  return mirror_.ApplySnapshot(snapshot);
 }
 
 void CompressedHistory::AccumulateInterval(const ChunkRep& chunk,
@@ -296,13 +269,7 @@ void CompressedHistory::FoldRowRange(const ChunkRep& chunk, size_t row_lo,
 StatusOr<AggregateResult> CompressedHistory::Aggregate(size_t signal,
                                                        size_t t0,
                                                        size_t t1) const {
-  if (signal >= num_signals_) {
-    return Status::OutOfRange("signal " + std::to_string(signal));
-  }
-  if (t0 >= t1 || t1 > history_len()) {
-    return Status::OutOfRange("range [" + std::to_string(t0) + ", " +
-                              std::to_string(t1) + ")");
-  }
+  SBR_RETURN_IF_ERROR(CheckAggregateRange(signal, t0, t1));
   MomentSummary acc;
 
   const size_t c_first = t0 / chunk_len_;
@@ -361,21 +328,100 @@ StatusOr<AggregateResult> CompressedHistory::Aggregate(size_t signal,
     }
   }
 
-  AggregateResult out;
-  out.sum = acc.sum;
-  out.min = acc.min;
-  out.max = acc.max;
-  out.count = acc.count;
-  const double n = static_cast<double>(acc.count);
-  out.avg = acc.sum / n;
-  out.variance = std::max(0.0, acc.sumsq / n - out.avg * out.avg);
-  return out;
+  return Finish(acc);
+}
+
+Status CompressedHistory::CheckAggregateRange(size_t signal, size_t t0,
+                                              size_t t1) const {
+  if (signal >= num_signals_) {
+    return Status::OutOfRange("signal " + std::to_string(signal));
+  }
+  if (t0 >= t1 || t1 > history_len()) {
+    return Status::OutOfRange("range [" + std::to_string(t0) + ", " +
+                              std::to_string(t1) + ")");
+  }
+  return Status::Ok();
+}
+
+Status CompressedHistory::CheckNoGap(size_t c_lo, size_t c_hi) const {
+  for (size_t c = c_lo; c <= c_hi; ++c) {
+    if (IsGap(c)) {
+      return Status::DataLoss("range touches lost chunk " +
+                              std::to_string(c));
+    }
+  }
+  return Status::Ok();
+}
+
+void CompressedHistory::DecodeRows(const ChunkRep& chunk, size_t row_lo,
+                                   size_t row_hi, double* out) {
+  std::span<const double> x;
+  if (chunk.base != nullptr) x = chunk.base->values;
+  core::ReconstructRange(x, chunk.intervals, row_lo, row_hi, out);
 }
 
 StatusOr<double> CompressedHistory::Value(size_t signal, size_t t) const {
-  auto agg = Aggregate(signal, t, t + 1);
-  if (!agg.ok()) return agg.status();
-  return agg->sum;
+  // t + 1 wraps for the largest t, which the range check then rejects.
+  SBR_RETURN_IF_ERROR(CheckAggregateRange(signal, t, t + 1));
+  const size_t c = t / chunk_len_;
+  SBR_RETURN_IF_ERROR(CheckNoGap(c, c));
+  const size_t row = signal * chunk_len_ + t % chunk_len_;
+  double v = 0.0;
+  DecodeRows(*chunks_[c], row, row + 1, &v);
+  return v;
+}
+
+StatusOr<std::vector<double>> CompressedHistory::QueryRange(size_t signal,
+                                                            size_t t0,
+                                                            size_t t1) const {
+  if (signal >= num_signals_) {
+    return Status::OutOfRange("signal " + std::to_string(signal));
+  }
+  if (t0 > t1 || t1 > history_len()) {
+    return Status::OutOfRange("range [" + std::to_string(t0) + ", " +
+                              std::to_string(t1) + ") of " +
+                              std::to_string(history_len()));
+  }
+  if (t0 == t1) return std::vector<double>();
+  // Only chunks with at least one sample inside [t0, t1) are touched: a
+  // range that merely abuts a gap succeeds, while any range with a sample
+  // inside a gap reports DataLoss.
+  SBR_RETURN_IF_ERROR(CheckNoGap(t0 / chunk_len_, (t1 - 1) / chunk_len_));
+  std::vector<double> out(t1 - t0);
+  double* dst = out.data();
+  for (size_t t = t0; t < t1;) {
+    const size_t c = t / chunk_len_;
+    const size_t offset = t % chunk_len_;
+    const size_t take = std::min(chunk_len_ - offset, t1 - t);
+    const size_t row = signal * chunk_len_ + offset;
+    DecodeRows(*chunks_[c], row, row + take, dst);
+    dst += take;
+    t += take;
+  }
+  return out;
+}
+
+StatusOr<linalg::Matrix> CompressedHistory::Chunk(size_t c) const {
+  if (c >= chunks_.size()) {
+    return Status::OutOfRange("chunk " + std::to_string(c));
+  }
+  if (IsGap(c)) {
+    return Status::DataLoss("chunk " + std::to_string(c) + " was lost");
+  }
+  std::vector<double> flat(num_signals_ * chunk_len_);
+  DecodeRows(*chunks_[c], 0, flat.size(), flat.data());
+  return linalg::Matrix(num_signals_, chunk_len_, std::move(flat));
+}
+
+StatusOr<AggregateResult> CompressedHistory::AggregateExact(size_t signal,
+                                                            size_t t0,
+                                                            size_t t1) const {
+  SBR_RETURN_IF_ERROR(CheckAggregateRange(signal, t0, t1));
+  auto samples = QueryRange(signal, t0, t1);
+  if (!samples.ok()) return samples.status();
+  MomentSummary acc;
+  FoldValues(samples->data(), samples->size(), &acc);
+  return Finish(acc);
 }
 
 }  // namespace sbr::storage

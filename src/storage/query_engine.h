@@ -1,10 +1,14 @@
-// Compressed-domain query engine: answers aggregate range queries over a
-// sensor's history directly from the SBR representation, without ever
-// materializing the reconstructed series.
+// Compressed-domain history of one sensor: the single per-sensor timeline
+// the base station and the query service keep. Ingest validates a
+// transmission, resolves its interval records (core::ResolveIntervals,
+// the decoder's own guards) and folds the moment index; it never
+// reconstructs samples.
 //
-// Because every interval is an affine image of a base segment
-// (y' = a x + b, or a line/parabola over time), range aggregates reduce to
-// prefix sums over the base-signal snapshot in force at that chunk:
+// Aggregate range queries are answered directly from the SBR
+// representation. Because every interval is an affine image of a base
+// segment (y' = a x + b, or a line/parabola over time), range aggregates
+// reduce to prefix sums over the base-signal snapshot in force at that
+// chunk:
 //    SUM  = a * sum(X[range]) + b * len                     O(1)/interval
 //    SUM2 = a^2 sum(X^2) + 2ab sum(X) + b^2 len             O(1)/interval
 // and MIN / MAX to an O(1) sparse-table lookup over the same snapshot.
@@ -19,19 +23,28 @@
 // index). IndexOptions{enabled = false} keeps the legacy full interval
 // scan alive as the differential reference path.
 //
+// Materialized reads (QueryRange, QueryPoint/Value, Chunk, AggregateExact)
+// decode on demand: the covered intervals are evaluated against the
+// chunk's base version with the decoder's own kernel
+// (core::ReconstructRange), so their output is bitwise equal to what an
+// SbrDecoder fed the same stream produces (storage::DecodedHistory is the
+// reference the tests hold them to).
+//
 // Memory: one interval list per chunk, one base-signal *snapshot version*
 // per change (prefix sums + min/max sparse table), and < 2 summary nodes
-// per (chunk, signal) — far below retaining the decoded series.
+// per (chunk, signal) — no decoded samples are retained.
 #ifndef SBR_STORAGE_QUERY_ENGINE_H_
 #define SBR_STORAGE_QUERY_ENGINE_H_
 
 #include <memory>
 #include <vector>
 
-#include "core/base_signal.h"
+#include "core/decoder.h"
 #include "core/interval.h"
 #include "core/transmission.h"
+#include "linalg/matrix.h"
 #include "storage/append_log.h"
+#include "storage/chunk_log.h"
 #include "storage/moment_index.h"
 #include "util/prefix_sums.h"
 #include "util/range_min_max.h"
@@ -59,23 +72,37 @@ struct IndexOptions {
   bool enabled = true;
 };
 
-/// Per-sensor compressed history with aggregate queries. Mirrors the
-/// HistoryStore timeline chunk for chunk: transmissions become interval
-/// lists, protocol losses become explicit gaps (MarkGap) and resync
-/// snapshots re-anchor the base-signal mirror (ApplySnapshot), so the two
-/// stores agree on chunk indices even across faults.
+/// Per-sensor compressed history: aggregate queries in the compressed
+/// domain, materialized reads decoded on demand. Transmissions become
+/// interval lists, protocol losses become explicit gaps (MarkGap) and
+/// resync snapshots re-anchor the base-signal mirror (ApplySnapshot).
 class CompressedHistory {
  public:
   /// `m_base` must match the encoder's configuration.
   explicit CompressedHistory(size_t m_base,
                              IndexOptions index = IndexOptions{})
-      : m_base_(m_base), index_options_(index) {}
+      : index_options_(index), mirror_(m_base) {}
+
+  /// Rebuilds a history by replaying a chunk log from the beginning
+  /// (transmissions, gap markers and snapshots alike).
+  static StatusOr<CompressedHistory> FromLog(const ChunkLog& log,
+                                             size_t m_base,
+                                             IndexOptions index = {});
+
+  /// A read-only copy for an epoch snapshot: shares every append-only log
+  /// and base version with this history (O(signals)) but not the
+  /// writer's base-signal mirror, so writer calls on it fail with
+  /// FailedPrecondition.
+  CompressedHistory Frozen() const;
 
   /// Ingests the next transmission (in order). Uniform-rate chunks only.
+  /// Accepts exactly what core::SbrDecoder decodes, with the same status
+  /// codes. A rejected transmission adds no chunk; as in the decoder,
+  /// base updates applied before the failure stay applied.
   Status Ingest(const core::Transmission& t);
 
   /// Records `chunks` lost chunks: the timeline advances but the interval
-  /// lists are gone; aggregates touching them report DataLoss.
+  /// lists are gone; queries touching them report DataLoss.
   void MarkGap(size_t chunks = 1);
 
   /// Re-establishes the base-signal mirror from a resync snapshot (the
@@ -98,8 +125,31 @@ class CompressedHistory {
   StatusOr<AggregateResult> Aggregate(size_t signal, size_t t0,
                                       size_t t1) const;
 
-  /// Point lookup (reconstructs a single sample in O(log intervals)).
+  /// Point lookup: evaluates the one sample with the decoder's kernel in
+  /// O(log intervals); bitwise equal to QueryRange(signal, t, t + 1).
   StatusOr<double> Value(size_t signal, size_t t) const;
+
+  /// Reconstructed values of `signal` over the global time range
+  /// [t0, t1) (t measured in samples since the first transmission),
+  /// decoded on demand. Returns DataLoss if the range touches a lost
+  /// chunk; an empty range is OK.
+  StatusOr<std::vector<double>> QueryRange(size_t signal, size_t t0,
+                                           size_t t1) const;
+
+  /// Single reconstructed value (same answer as Value).
+  StatusOr<double> QueryPoint(size_t signal, size_t t) const {
+    return Value(signal, t);
+  }
+
+  /// Whole reconstructed chunk c as a num_signals x chunk_len matrix;
+  /// DataLoss if the chunk is a gap.
+  StatusOr<linalg::Matrix> Chunk(size_t c) const;
+
+  /// Aggregates over [t0, t1) computed by decoding and folding every
+  /// covered sample — independent of the prefix-sum algebra and the
+  /// moment index, so it can check Aggregate. Same gap semantics.
+  StatusOr<AggregateResult> AggregateExact(size_t signal, size_t t0,
+                                           size_t t1) const;
 
   /// Number of distinct base-signal versions retained.
   size_t num_base_versions() const { return num_base_versions_; }
@@ -140,22 +190,30 @@ class CompressedHistory {
   /// (creating + gap-backfilling the per-signal structures on first use).
   void AppendIndexLeaves(const ChunkRep* chunk);
 
-  /// Publishes the mirror's current contents as a new immutable
-  /// BaseVersion (called whenever the mirror changed).
-  void PublishBaseVersion();
-  /// Builds a BaseVersion (prefix sums + optional min/max table) from
-  /// `values`.
-  std::shared_ptr<const BaseVersion> BuildVersion(
-      std::vector<double> values) const;
+  /// Decodes rows [row_lo, row_hi) of chunk `chunk` (chunk-local
+  /// concatenated coordinates) into out[0, row_hi - row_lo).
+  static void DecodeRows(const ChunkRep& chunk, size_t row_lo, size_t row_hi,
+                         double* out);
 
-  size_t m_base_ = 0;
+  /// OutOfRange unless `signal` exists and [t0, t1) is a non-empty range
+  /// inside the history.
+  Status CheckAggregateRange(size_t signal, size_t t0, size_t t1) const;
+  /// DataLoss naming the lowest lost chunk among [c_lo, c_hi], if any.
+  Status CheckNoGap(size_t c_lo, size_t c_hi) const;
+
+  /// Publishes the mirror's current contents as a new immutable
+  /// BaseVersion (called before a chunk references a changed mirror).
+  void PublishBaseVersion(std::span<const double> values);
+
   IndexOptions index_options_;
-  size_t w_ = 0;
-  core::BaseKind base_kind_ = core::BaseKind::kStored;
+  /// Writer-only: the base-signal mirror (empty in a Frozen() copy).
+  core::BaseMirror mirror_;
+  /// mirror_.generation() that current_base_ was built from.
+  uint64_t published_generation_ = 0;
+  bool frozen_ = false;
   size_t num_signals_ = 0;
   size_t chunk_len_ = 0;
   size_t num_gaps_ = 0;
-  core::BaseSignal mirror_;  // evolving decoder-side buffer
   std::shared_ptr<const BaseVersion> current_base_;
   size_t num_base_versions_ = 0;
   /// Shared with every copy of the history (the QueryService epoch
@@ -167,6 +225,11 @@ class CompressedHistory {
   /// share each signal's node log.
   std::vector<MomentIndex> index_;
 };
+
+/// Former name of the materialized per-sensor history, now the same single
+/// timeline. Kept only because the pipeline benchmark (perfbench/) still
+/// names it; new code says CompressedHistory.
+using HistoryStore = CompressedHistory;
 
 }  // namespace sbr::storage
 

@@ -73,8 +73,8 @@ const QueryService::PerSensor* QueryService::Find(
 
 void QueryService::Publish(PerSensor* s) {
   ++s->epoch;
-  auto snap = std::make_shared<const SensorSnapshot>(
-      s->epoch, s->builder_compressed, s->builder_history);
+  auto snap = std::make_shared<const SensorSnapshot>(s->epoch,
+                                                     s->builder.Frozen());
   s->published.store(std::move(snap));
   publishes_.fetch_add(1, std::memory_order_relaxed);
   SBR_OBS_COUNT("query.publishes", 1);
@@ -87,18 +87,7 @@ Status QueryService::Ingest(uint32_t sensor_id,
   SBR_OBS_TIMER(ingest_timer, "query.publish_us");
   std::lock_guard<std::mutex> wl(writer_mu_);
   PerSensor* s = GetOrCreateLocked(sensor_id);
-  // The materialized ingest is the gate: if the chunk cannot be decoded,
-  // neither timeline advances and the caller sees the error.
-  SBR_RETURN_IF_ERROR(s->builder_history.Ingest(t));
-  // The compressed index may still reject what the decoder accepted
-  // (it is stricter about base geometry). Record a gap in its place so
-  // the two views keep identical chunk numbering; aggregates over the
-  // chunk then answer DataLoss while reconstruction still works.
-  if (Status compressed = s->builder_compressed.Ingest(t);
-      !compressed.ok()) {
-    s->builder_compressed.MarkGap(1);
-    SBR_OBS_COUNT("query.compressed_index_gaps", 1);
-  }
+  SBR_RETURN_IF_ERROR(s->builder.Ingest(t));
   Publish(s);
   return Status::Ok();
 }
@@ -106,8 +95,7 @@ Status QueryService::Ingest(uint32_t sensor_id,
 Status QueryService::MarkGap(uint32_t sensor_id, size_t chunks) {
   std::lock_guard<std::mutex> wl(writer_mu_);
   PerSensor* s = GetOrCreateLocked(sensor_id);
-  s->builder_history.MarkGap(chunks);
-  s->builder_compressed.MarkGap(chunks);
+  s->builder.MarkGap(chunks);
   Publish(s);
   return Status::Ok();
 }
@@ -116,14 +104,7 @@ Status QueryService::ApplySnapshot(uint32_t sensor_id,
                                    const core::BaseSnapshot& snapshot) {
   std::lock_guard<std::mutex> wl(writer_mu_);
   PerSensor* s = GetOrCreateLocked(sensor_id);
-  SBR_RETURN_IF_ERROR(s->builder_history.ApplySnapshot(snapshot));
-  // A compressed-side rejection leaves its mirror stale; subsequent
-  // compressed ingests will fail their geometry checks and turn into
-  // index gaps, so readers stay safe (DataLoss, never garbage).
-  if (Status compressed = s->builder_compressed.ApplySnapshot(snapshot);
-      !compressed.ok()) {
-    SBR_OBS_COUNT("query.compressed_snapshot_rejects", 1);
-  }
+  SBR_RETURN_IF_ERROR(s->builder.ApplySnapshot(snapshot));
   Publish(s);
   return Status::Ok();
 }
@@ -166,7 +147,7 @@ StatusOr<AggregateResult> QueryService::AggregateOn(
       return it->second.value;
     }
   }
-  auto result = snap.compressed.Aggregate(signal, t0, t1);
+  auto result = snap.history.Aggregate(signal, t0, t1);
   if (shard != nullptr) {
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
     SBR_OBS_COUNT("query.cache.misses", 1);
@@ -247,7 +228,7 @@ StatusOr<double> QueryService::Point(uint32_t sensor_id, size_t signal,
   if (snap == nullptr) {
     return Status::NotFound("sensor " + std::to_string(sensor_id));
   }
-  auto value = snap->compressed.Value(signal, t);
+  auto value = snap->history.Value(signal, t);
   if (!value.ok()) CountStatus(value.status());
   return value;
 }

@@ -1,13 +1,16 @@
 // QueryService: the base station's concurrent, multi-client read
-// front-end over per-sensor histories. Readers are served from immutable
-// epoch snapshots published RCU-style — a std::shared_ptr to a frozen
-// CompressedHistory + HistoryStore pair, swapped atomically at
+// front-end over per-sensor histories. Each sensor has one writer-side
+// CompressedHistory (the single per-sensor timeline, storage/query_engine.h);
+// readers are served from immutable epoch snapshots of it published
+// RCU-style — a std::shared_ptr to a frozen copy, swapped atomically at
 // chunk-ingest boundaries — so queries never block ingest and never
-// observe a half-ingested chunk. Both stores keep their chunk lists and
+// observe a half-ingested chunk. The timeline keeps its chunk list and
 // moment-index nodes in append-only logs that copies share
-// (storage/append_log.h), so freezing or dropping an epoch costs
-// O(signals) handle copies whatever the history length; only the
-// writer-side decoder and base mirror are copied by value.
+// (storage/append_log.h), and a frozen copy leaves the writer's
+// base-signal mirror behind, so freezing or dropping an epoch costs
+// O(signals) handle copies whatever the history length. Ingest never
+// decodes samples: materialized reads (Reconstruct, Point) decode the
+// covered intervals on demand.
 //
 // Concurrency contract:
 //  - Writer side (Ingest / MarkGap / ApplySnapshot): one logical writer
@@ -43,25 +46,28 @@
 
 #include "core/transmission.h"
 #include "storage/chunk_log.h"
-#include "storage/history_store.h"
 #include "storage/query_engine.h"
 #include "util/status.h"
 
 namespace sbr::storage {
 
-/// One frozen epoch of one sensor's history: the compressed interval view
-/// (aggregates in O(intervals)) and the materialized view (exact
-/// range reconstruction), advanced in lockstep chunk for chunk.
+/// One frozen epoch of one sensor's history: the single compressed
+/// timeline, answering aggregates in the compressed domain and
+/// materialized reads by on-demand decode.
 struct SensorSnapshot {
   /// Monotone per-sensor publish counter; epoch e was published after
   /// exactly e writer mutations (ingests, gaps, snapshots) of the sensor.
   uint64_t epoch = 0;
-  CompressedHistory compressed;
-  HistoryStore history;
+  /// The epoch's timeline (a CompressedHistory::Frozen() copy).
+  CompressedHistory history;
+  /// Second name of `history`, for callers that address the compressed
+  /// view explicitly.
+  const CompressedHistory& compressed = history;
 
-  SensorSnapshot(uint64_t e, const CompressedHistory& c,
-                 const HistoryStore& h)
-      : epoch(e), compressed(c), history(h) {}
+  SensorSnapshot(uint64_t e, CompressedHistory h)
+      : epoch(e), history(std::move(h)) {}
+  SensorSnapshot(const SensorSnapshot&) = delete;
+  SensorSnapshot& operator=(const SensorSnapshot&) = delete;
 };
 
 struct QueryServiceOptions {
@@ -72,7 +78,7 @@ struct QueryServiceOptions {
   size_t cache_shards = 8;
   /// Cached aggregates per shard; LRU eviction beyond this.
   size_t cache_capacity_per_shard = 512;
-  /// Compressed-domain acceleration for every sensor's builder (the
+  /// Compressed-domain acceleration for every sensor's timeline (the
   /// hierarchical moment index + base RMQ; disable for the legacy
   /// interval-scan reference path).
   IndexOptions index;
@@ -96,16 +102,16 @@ class QueryService {
   explicit QueryService(QueryServiceOptions options);
 
   // ------------------------------------------------------- writer side
-  /// Decodes + indexes the next transmission of `sensor_id` and publishes
-  /// a new epoch. If the materialized ingest succeeds but the compressed
-  /// index rejects the chunk, the compressed view records a gap in its
-  /// place so the two timelines stay aligned (counted in obs).
+  /// Validates, resolves and indexes the next transmission of
+  /// `sensor_id` (no samples are decoded) and publishes a new epoch. A
+  /// rejected transmission publishes nothing and returns the timeline's
+  /// error (the decoder's status code).
   Status Ingest(uint32_t sensor_id, const core::Transmission& t);
 
-  /// Records `chunks` lost chunks on both views and publishes.
+  /// Records `chunks` lost chunks and publishes.
   Status MarkGap(uint32_t sensor_id, size_t chunks = 1);
 
-  /// Re-anchors both views' base-signal mirrors from a resync snapshot
+  /// Re-anchors the timeline's base-signal mirror from a resync snapshot
   /// and publishes.
   Status ApplySnapshot(uint32_t sensor_id,
                        const core::BaseSnapshot& snapshot);
@@ -122,12 +128,14 @@ class QueryService {
   StatusOr<AggregateResult> Aggregate(uint32_t sensor_id, size_t signal,
                                       size_t t0, size_t t1) const;
 
-  /// Materialized range reconstruction from the same snapshot mechanism.
+  /// Materialized range reconstruction from the same snapshot, decoded on
+  /// demand (bitwise what core::SbrDecoder produces for the stream).
   StatusOr<std::vector<double>> Reconstruct(uint32_t sensor_id,
                                             size_t signal, size_t t0,
                                             size_t t1) const;
 
-  /// Single-sample point query (compressed domain).
+  /// Single-sample point query: the one sample decoded with the same
+  /// kernel, bitwise equal to Reconstruct(t, t + 1).
   StatusOr<double> Point(uint32_t sensor_id, size_t signal, size_t t) const;
 
   /// One aggregate range request of a batch.
@@ -153,21 +161,19 @@ class QueryService {
   /// Point-in-time merged counters.
   QueryServiceCounters counters() const;
 
-  /// The base-signal size every sensor's stores decode with.
+  /// The base-signal size every sensor's timeline decodes with.
   size_t m_base() const { return options_.m_base; }
 
  private:
   struct PerSensor {
-    /// Writer-owned mutable builders; copied into each published epoch
-    /// (the copies share the builders' logs, see Publish).
-    CompressedHistory builder_compressed;
-    HistoryStore builder_history;
+    /// Writer-owned mutable timeline; frozen into each published epoch
+    /// (the copies share its logs, see Publish).
+    CompressedHistory builder;
     uint64_t epoch = 0;
     /// The RCU slot readers load.
     std::atomic<std::shared_ptr<const SensorSnapshot>> published;
 
-    PerSensor(size_t m_base, IndexOptions index)
-        : builder_compressed(m_base, index), builder_history(m_base) {}
+    PerSensor(size_t m_base, IndexOptions index) : builder(m_base, index) {}
   };
 
   struct CacheKey {
@@ -202,8 +208,8 @@ class QueryService {
 
   /// Writer path: looks up or creates the sensor's builder state.
   PerSensor* GetOrCreateLocked(uint32_t sensor_id);
-  /// Freezes the builders into a new epoch and swaps the RCU slot. The
-  /// snapshot's logs are handles on the builders' logs: entries below a
+  /// Freezes the builder into a new epoch and swaps the RCU slot. The
+  /// snapshot's logs are handles on the builder's logs: entries below a
   /// snapshot's size are never written again, and the builder only
   /// appends above them, so readers and the writer share no written
   /// memory.
@@ -222,7 +228,7 @@ class QueryService {
   QueryServiceOptions options_;
 
   /// Guards only the sensor map's *structure* (find/insert); held for
-  /// nanoseconds on either side, so readers never wait out a decode.
+  /// nanoseconds on either side, so readers never wait out an ingest.
   mutable std::mutex map_mu_;
   std::map<uint32_t, std::unique_ptr<PerSensor>> sensors_;
 
@@ -245,7 +251,8 @@ class QueryService {
 /// Replays a chunk log into `service` as sensor `sensor_id`, record by
 /// record (transmissions, gap markers, snapshots; checkpoints skipped).
 /// Log read errors propagate; a transmission the service rejects degrades
-/// to a service-side gap so the timeline stays aligned with the log.
+/// to a service-side gap so the timeline stays aligned with the log (the
+/// station's own FromLog replay would have failed on it instead).
 Status ReplayLog(const ChunkLog& log, uint32_t sensor_id,
                  QueryService* service);
 

@@ -5,25 +5,55 @@
 namespace sbr {
 namespace {
 
-constexpr std::array<uint32_t, 256> MakeTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: kTables[0] is the classic bytewise table;
+// kTables[k][i] is the CRC of byte i followed by k zero bytes, so eight
+// input bytes fold into the state with eight independent lookups.
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Tables MakeTables() {
+  Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xffu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<uint32_t, 256> kTable = MakeTable();
+constexpr Tables kTables = MakeTables();
+
+/// Little-endian 32-bit load (the byte order the reflected CRC consumes).
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 |
+         static_cast<uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 uint32_t Crc32Update(uint32_t state, std::span<const uint8_t> data) {
-  for (uint8_t byte : data) {
-    state = kTable[(state ^ byte) & 0xffu] ^ (state >> 8);
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  while (n >= 8) {
+    const uint32_t lo = LoadLe32(p) ^ state;
+    const uint32_t hi = LoadLe32(p + 4);
+    state = kTables[7][lo & 0xffu] ^ kTables[6][(lo >> 8) & 0xffu] ^
+            kTables[5][(lo >> 16) & 0xffu] ^ kTables[4][lo >> 24] ^
+            kTables[3][hi & 0xffu] ^ kTables[2][(hi >> 8) & 0xffu] ^
+            kTables[1][(hi >> 16) & 0xffu] ^ kTables[0][hi >> 24];
+    p += 8;
+    n -= 8;
+  }
+  for (; n > 0; --n, ++p) {
+    state = kTables[0][(state ^ *p) & 0xffu] ^ (state >> 8);
   }
   return state;
 }

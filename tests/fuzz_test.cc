@@ -9,6 +9,7 @@
 // reproducible by seed.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/encoder.h"
 #include "core/transmission.h"
 #include "net/base_station.h"
+#include "storage/decoded_history.h"
 #include "storage/query_service.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -263,7 +265,7 @@ struct QueryFuzzFixture {
     return o;
   }()};
   storage::CompressedHistory compressed{64};
-  storage::HistoryStore history{64};
+  storage::DecodedHistory history{64};
   std::vector<Transmission> txs;
 
   void Build() {
@@ -403,6 +405,67 @@ TEST(QueryFuzz, MutatedIngestKeepsServiceTimelinesAligned) {
   ASSERT_TRUE(t.ok());
   ASSERT_TRUE(service.Ingest(2, *t).ok());
   EXPECT_TRUE(service.Aggregate(2, 0, 0, t->chunk_len).ok());
+}
+
+TEST(QueryFuzz, TimelineAndDecoderAcceptTheSameMutants) {
+  // The single timeline resolves intervals with the decoder's own guards
+  // (core::ResolveIntervals, core::BaseMirror), so on every mutant it must
+  // return the decode-at-ingest reference's status code, and where both
+  // accept, decode the chunk bit for bit alike. Each mutant is tried on a
+  // fresh pair that already holds its family's first chunk (geometry and
+  // base fixed), so the mutant meets a mid-stream state.
+  const auto corpus = BuildTransmissionCorpus();
+  ASSERT_EQ(corpus.size(), 8u);  // four families of two chunks
+  const size_t m_base[] = {64, 48, 64, 32};
+  std::vector<storage::CompressedHistory> timelines;
+  std::vector<storage::DecodedHistory> references;
+  for (size_t f = 0; f < 4; ++f) {
+    BinaryReader reader(corpus[2 * f]);
+    auto first = Transmission::Deserialize(&reader);
+    ASSERT_TRUE(first.ok());
+    timelines.emplace_back(m_base[f]);
+    references.emplace_back(m_base[f]);
+    ASSERT_TRUE(timelines.back().Ingest(*first).ok());
+    ASSERT_TRUE(references.back().Ingest(*first).ok());
+  }
+  Rng rng(777);
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (size_t iter = 0; iter < 3000; ++iter) {
+    const size_t pick = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(corpus.size()) - 1));
+    const std::vector<uint8_t> mutant = Mutate(corpus[pick], &rng);
+    BinaryReader reader(mutant);
+    auto t = Transmission::Deserialize(&reader);
+    if (!t.ok()) continue;
+    storage::CompressedHistory timeline = timelines[pick / 2];
+    storage::DecodedHistory reference = references[pick / 2];
+    const Status got = timeline.Ingest(*t);
+    const Status want = reference.Ingest(*t);
+    ASSERT_EQ(got.code(), want.code())
+        << "iter " << iter << ": " << got.ToString() << " vs "
+        << want.ToString();
+    ASSERT_EQ(timeline.num_chunks(), reference.num_chunks());
+    if (!got.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    if (t->TotalSamples() > (size_t{1} << 16)) continue;
+    auto a = timeline.Chunk(1);
+    auto b = reference.Chunk(1);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    ASSERT_EQ(a->data().size(), b->data().size());
+    for (size_t i = 0; i < a->data().size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(a->data()[i]),
+                std::bit_cast<uint64_t>(b->data()[i]))
+          << "iter " << iter << " sample " << i;
+    }
+  }
+  // The battery exercises both verdicts.
+  EXPECT_GT(accepted, 50u);
+  EXPECT_GT(rejected, 50u);
 }
 
 TEST(QueryFuzz, MutatedIngestKeepsIndexAndScanPathsAligned) {

@@ -161,7 +161,7 @@ TEST(Integration, SensorToStationPipelineWithWire) {
   // The log replays to the same answer.
   auto log = station.Log(42);
   ASSERT_TRUE(log.ok());
-  auto replayed = storage::HistoryStore::FromLog(**log, opts.m_base);
+  auto replayed = storage::CompressedHistory::FromLog(**log, opts.m_base);
   ASSERT_TRUE(replayed.ok());
   auto again = replayed->QueryRange(0, 0, 768);
   ASSERT_TRUE(again.ok());

@@ -223,7 +223,7 @@ TEST(Protocol, ResyncRecoversBitForBitAfterKilledTransmissions) {
 
   auto hist = st_lossy.History(1);
   ASSERT_TRUE(hist.ok());
-  const storage::HistoryStore& lossy = **hist;
+  const storage::CompressedHistory& lossy = **hist;
   ASSERT_EQ(lossy.num_chunks(), kChunks);
   EXPECT_TRUE(lossy.IsGap(2));
   EXPECT_TRUE(lossy.IsGap(3));

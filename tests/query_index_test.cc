@@ -27,7 +27,7 @@
 #include "datagen/stock.h"
 #include "datagen/weather.h"
 #include "storage/append_log.h"
-#include "storage/history_store.h"
+#include "storage/decoded_history.h"
 #include "storage/moment_index.h"
 #include "storage/query_engine.h"
 #include "storage/query_service.h"
@@ -356,7 +356,7 @@ struct EnginePair {
   storage::CompressedHistory indexed{kMBase};
   storage::CompressedHistory legacy{kMBase,
                                     storage::IndexOptions{.enabled = false}};
-  storage::HistoryStore history{kMBase};
+  storage::DecodedHistory history{kMBase};
   std::vector<size_t> version_change_chunks;
 };
 
@@ -550,10 +550,10 @@ TEST(QueryIndex, GapSemanticsMatchLegacyScanToTheByte) {
 }
 
 // ------------------------------------------------------------------
-// HistoryStore::AggregateExact vs a raw recompute over QueryRange.
+// DecodedHistory::AggregateExact vs a raw recompute over QueryRange.
 // ------------------------------------------------------------------
 
-TEST(QueryIndex, HistoryStoreExactAggregatesMatchRawRecompute) {
+TEST(QueryIndex, DecodedHistoryExactAggregatesMatchRawRecompute) {
   const datagen::Dataset dataset =
       MakeDataset("stock", 321, kChunks * kChunkLen);
   const size_t num_signals = dataset.num_signals();
@@ -563,7 +563,7 @@ TEST(QueryIndex, HistoryStoreExactAggregatesMatchRawRecompute) {
   opts.m_base = kMBase;
   core::SbrEncoder encoder(opts);
 
-  storage::HistoryStore store(kMBase);
+  storage::DecodedHistory store(kMBase);
   std::vector<double> chunk(n);
   for (size_t c = 0; c < kChunks; ++c) {
     if (c == 3) {

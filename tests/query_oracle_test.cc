@@ -1,7 +1,7 @@
 // Differential query oracle: the compressed-domain aggregate path
 // (CompressedHistory::Aggregate — prefix sums over base snapshots, closed
 // forms for linear fall-backs) must agree with an exact recompute from the
-// materialized reconstruction (HistoryStore::QueryRange) on every range,
+// materialized reconstruction (DecodedHistory::QueryRange) on every range,
 // for every dataset family, seed and error metric. The two paths share no
 // arithmetic beyond the decoder's affine map, so agreement pins the whole
 // aggregate algebra: interval tiling, shift resolution, base-version
@@ -19,7 +19,7 @@
 #include "datagen/phonecall.h"
 #include "datagen/stock.h"
 #include "datagen/weather.h"
-#include "storage/history_store.h"
+#include "storage/decoded_history.h"
 #include "storage/query_engine.h"
 
 namespace sbr {
@@ -84,7 +84,7 @@ Reference Recompute(const std::vector<double>& values) {
 /// transmission sequence.
 struct BuiltStores {
   storage::CompressedHistory compressed{kMBase};
-  storage::HistoryStore history{kMBase};
+  storage::DecodedHistory history{kMBase};
   /// Chunk indices whose ingest published a new base version *after* the
   /// stream was warm — ranges straddling them cross base versions.
   std::vector<size_t> version_change_chunks;
@@ -245,7 +245,7 @@ TEST(QueryOracle, GapBoundariesAgreeAcrossStores) {
   w.range_seed = 42;
 
   storage::CompressedHistory compressed{kMBase};
-  storage::HistoryStore history{kMBase};
+  storage::DecodedHistory history{kMBase};
   const size_t num_signals = w.dataset.num_signals();
   const size_t n = num_signals * kChunkLen;
   core::EncoderOptions opts;

@@ -2,19 +2,21 @@
 // (including durability and torn-record recovery) and the queryable
 // history store.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/encoder.h"
 #include "storage/chunk_log.h"
-#include "storage/history_store.h"
+#include "storage/decoded_history.h"
 #include "storage/query_engine.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -241,7 +243,7 @@ TEST(ChunkLog, CheckpointRecordsRoundTripAndIndex) {
   EXPECT_FALSE(log->ReadCheckpoint(1).ok());
   // Replaying the log skips checkpoint records: they carry recovery
   // state, not timeline content.
-  auto history = HistoryStore::FromLog(*log, 64);
+  auto history = CompressedHistory::FromLog(*log, 64);
   ASSERT_TRUE(history.ok()) << history.status().ToString();
   EXPECT_EQ(history->num_chunks(), 1u);
   std::filesystem::remove(path);
@@ -312,7 +314,134 @@ TEST(ChunkLog, TotalBytesAccumulates) {
   EXPECT_EQ(log.TotalBytes(), 2 * one);
 }
 
-// ------------------------------------------------------ HistoryStore
+/// Appends one record of every type (two transmissions) to `log`, in a
+/// fixed order; `step` selects which of the six records.
+Status AppendNth(ChunkLog* log, int step) {
+  switch (step) {
+    case 0:
+      return log->Append(MakeTransmission(1));
+    case 1:
+      return log->AppendGap(2);
+    case 2: {
+      core::BaseSnapshot snap;
+      snap.w = 4;
+      snap.timeline_chunks = 3;
+      snap.slots.push_back({0, {1.0, 2.0, 3.0, 4.0}});
+      return log->AppendSnapshot(snap);
+    }
+    case 3:
+      return log->Append(MakeTransmission(2));
+    case 4:
+      return log->AppendCheckpoint({7, 8, 9});
+    default:
+      return log->Append(MakeTransmission(3));
+  }
+}
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(ChunkLog, MovedHandleKeepsAppendingToTheSameFile) {
+  // Append through one handle, move-construct and move-assign it in
+  // between, reopen, and compare every record; the file must be byte for
+  // byte what a single unmoved handle writes.
+  const std::string path = TempPath("sbr_log_move.log");
+  const std::string plain_path = TempPath("sbr_log_move_plain.log");
+  std::filesystem::remove(path);
+  std::filesystem::remove(plain_path);
+  {
+    auto plain = ChunkLog::Open(plain_path);
+    ASSERT_TRUE(plain.ok());
+    for (int step = 0; step < 6; ++step) {
+      ASSERT_TRUE(AppendNth(&*plain, step).ok());
+    }
+  }
+  size_t disk_end = 0;
+  {
+    auto opened = ChunkLog::Open(path);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE(AppendNth(&*opened, 0).ok());
+    ASSERT_TRUE(AppendNth(&*opened, 1).ok());
+    ChunkLog moved(std::move(*opened));
+    ASSERT_TRUE(AppendNth(&moved, 2).ok());
+    ASSERT_TRUE(AppendNth(&moved, 3).ok());
+    // Move-assigning over a live durable log closes that log's descriptor.
+    auto other = ChunkLog::Open(plain_path);
+    ASSERT_TRUE(other.ok());
+    ChunkLog target = std::move(*other);
+    target = std::move(moved);
+    ASSERT_TRUE(AppendNth(&target, 4).ok());
+    ASSERT_TRUE(AppendNth(&target, 5).ok());
+    EXPECT_EQ(target.size(), 6u);
+    EXPECT_EQ(target.path(), path);
+    disk_end = target.DiskEnd();
+  }
+  EXPECT_EQ(FileBytes(path), FileBytes(plain_path));
+  EXPECT_EQ(disk_end, FileBytes(path).size());
+
+  auto reopened = ChunkLog::Open(path);
+  auto plain = ChunkLog::Open(plain_path);
+  ASSERT_TRUE(reopened.ok());
+  ASSERT_TRUE(plain.ok());
+  ASSERT_EQ(reopened->size(), 6u);
+  ASSERT_EQ(plain->size(), 6u);
+  EXPECT_EQ(reopened->dropped_records(), 0u);
+  EXPECT_EQ(reopened->quarantined_records(), 0u);
+  auto serialize = [](const auto& value) {
+    BinaryWriter w;
+    value.Serialize(&w);
+    return w.TakeBuffer();
+  };
+  for (size_t i = 0; i < 6; ++i) {
+    ASSERT_EQ(reopened->record_type(i), plain->record_type(i)) << i;
+    EXPECT_EQ(reopened->RecordDiskSpan(i).offset,
+              plain->RecordDiskSpan(i).offset);
+    switch (reopened->record_type(i)) {
+      case RecordType::kTransmission:
+        EXPECT_EQ(serialize(*reopened->Read(i)), serialize(*plain->Read(i)));
+        break;
+      case RecordType::kGap:
+        EXPECT_EQ(*reopened->ReadGap(i), 2u);
+        break;
+      case RecordType::kSnapshot:
+        EXPECT_EQ(serialize(*reopened->ReadSnapshot(i)),
+                  serialize(*plain->ReadSnapshot(i)));
+        break;
+      case RecordType::kCheckpoint:
+        EXPECT_EQ(*reopened->ReadCheckpoint(i),
+                  (std::vector<uint8_t>{7, 8, 9}));
+        break;
+    }
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(plain_path);
+}
+
+TEST(ChunkLog, ReadOnlyFileLoadsButRefusesAppends) {
+  const std::string path = TempPath("sbr_log_readonly.log");
+  std::filesystem::remove(path);
+  {
+    auto log = ChunkLog::Open(path);
+    ASSERT_TRUE(log.ok());
+    ASSERT_TRUE(log->Append(MakeTransmission(1)).ok());
+  }
+  std::filesystem::permissions(path, std::filesystem::perms::owner_read,
+                               std::filesystem::perm_options::replace);
+  auto log = ChunkLog::Open(path);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  EXPECT_EQ(log->size(), 1u);
+  // Root may write anyway; otherwise the append is a typed refusal.
+  if (::access(path.c_str(), W_OK) != 0) {
+    EXPECT_EQ(log->Append(MakeTransmission(2)).code(), StatusCode::kNotFound);
+  }
+  std::filesystem::permissions(path, std::filesystem::perms::owner_all,
+                               std::filesystem::perm_options::replace);
+  std::filesystem::remove(path);
+}
+
+// ------------------------------------------ materialized reads
 
 // Produces a real encoder stream for history tests.
 std::vector<core::Transmission> EncodeStream(
@@ -340,10 +469,10 @@ std::vector<core::Transmission> EncodeStream(
   return out;
 }
 
-TEST(HistoryStore, IngestAndQueryRange) {
+TEST(MaterializedReads, IngestAndQueryRange) {
   std::vector<std::vector<double>> truth;
   const auto stream = EncodeStream(&truth, 4, 64);
-  HistoryStore store(64);
+  CompressedHistory store(64);
   for (const auto& t : stream) {
     ASSERT_TRUE(store.Ingest(t).ok());
   }
@@ -364,10 +493,10 @@ TEST(HistoryStore, IngestAndQueryRange) {
   }
 }
 
-TEST(HistoryStore, ReconstructionTracksTruth) {
+TEST(MaterializedReads, ReconstructionTracksTruth) {
   std::vector<std::vector<double>> truth;
   const auto stream = EncodeStream(&truth, 3, 64);
-  HistoryStore store(64);
+  CompressedHistory store(64);
   for (const auto& t : stream) ASSERT_TRUE(store.Ingest(t).ok());
   // The approximation error should be a small fraction of the signal
   // energy.
@@ -387,10 +516,10 @@ TEST(HistoryStore, ReconstructionTracksTruth) {
   }
 }
 
-TEST(HistoryStore, QueryBoundsChecked) {
+TEST(MaterializedReads, QueryBoundsChecked) {
   std::vector<std::vector<double>> truth;
   const auto stream = EncodeStream(&truth, 2, 64);
-  HistoryStore store(64);
+  CompressedHistory store(64);
   for (const auto& t : stream) ASSERT_TRUE(store.Ingest(t).ok());
   EXPECT_FALSE(store.QueryRange(5, 0, 10).ok());    // bad signal
   EXPECT_FALSE(store.QueryRange(0, 0, 1000).ok());  // past the end
@@ -399,17 +528,17 @@ TEST(HistoryStore, QueryBoundsChecked) {
   EXPECT_TRUE(store.QueryRange(0, 0, store.history_len()).ok());
 }
 
-TEST(HistoryStore, GeometryChangeRejected) {
+TEST(MaterializedReads, GeometryChangeRejected) {
   std::vector<std::vector<double>> truth;
   const auto stream = EncodeStream(&truth, 1, 64);
-  HistoryStore store(64);
+  CompressedHistory store(64);
   ASSERT_TRUE(store.Ingest(stream[0]).ok());
   core::Transmission other = stream[0];
   other.num_signals = 3;
   EXPECT_FALSE(store.Ingest(other).ok());
 }
 
-TEST(HistoryStore, FromLogReplaysEverything) {
+TEST(MaterializedReads, FromLogReplaysEverything) {
   std::vector<std::vector<double>> truth;
   const auto stream = EncodeStream(&truth, 4, 64);
   const std::string path = TempPath("sbr_hist.log");
@@ -421,13 +550,13 @@ TEST(HistoryStore, FromLogReplaysEverything) {
   }
   auto log = ChunkLog::Open(path);
   ASSERT_TRUE(log.ok());
-  auto store = HistoryStore::FromLog(*log, 64);
+  auto store = CompressedHistory::FromLog(*log, 64);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(store->num_chunks(), 4u);
 
   // Compare against a direct ingest: identical output (decoder state is a
   // pure function of the transmission sequence).
-  HistoryStore direct(64);
+  CompressedHistory direct(64);
   for (const auto& t : stream) ASSERT_TRUE(direct.Ingest(t).ok());
   auto a = store->QueryRange(0, 0, store->history_len());
   auto b = direct.QueryRange(0, 0, direct.history_len());
@@ -437,10 +566,10 @@ TEST(HistoryStore, FromLogReplaysEverything) {
   std::filesystem::remove(path);
 }
 
-TEST(HistoryStore, GapsAdvanceTimelineAndAnswerDataLoss) {
+TEST(MaterializedReads, GapsAdvanceTimelineAndAnswerDataLoss) {
   std::vector<std::vector<double>> truth;
   const auto stream = EncodeStream(&truth, 2, 64);
-  HistoryStore store(64);
+  CompressedHistory store(64);
   ASSERT_TRUE(store.Ingest(stream[0]).ok());
   store.MarkGap(2);
   ASSERT_TRUE(store.Ingest(stream[1]).ok());
@@ -468,7 +597,7 @@ TEST(HistoryStore, GapsAdvanceTimelineAndAnswerDataLoss) {
   EXPECT_EQ(gap_point.status().code(), StatusCode::kDataLoss);
 }
 
-TEST(HistoryStore, FromLogReplaysGapsIdentically) {
+TEST(MaterializedReads, FromLogReplaysGapsIdentically) {
   std::vector<std::vector<double>> truth;
   const auto stream = EncodeStream(&truth, 3, 64);
   const std::string path = TempPath("sbr_hist_gaps.log");
@@ -483,13 +612,13 @@ TEST(HistoryStore, FromLogReplaysGapsIdentically) {
   }
   auto log = ChunkLog::Open(path);
   ASSERT_TRUE(log.ok());
-  auto store = HistoryStore::FromLog(*log, 64);
+  auto store = CompressedHistory::FromLog(*log, 64);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(store->num_chunks(), 4u);
   EXPECT_EQ(store->num_gaps(), 1u);
   EXPECT_TRUE(store->IsGap(1));
 
-  HistoryStore direct(64);
+  CompressedHistory direct(64);
   ASSERT_TRUE(direct.Ingest(stream[0]).ok());
   direct.MarkGap(1);
   ASSERT_TRUE(direct.Ingest(stream[1]).ok());
@@ -509,7 +638,7 @@ TEST(HistoryStore, FromLogReplaysGapsIdentically) {
 TEST(CompressedHistory, AggregatesMatchMaterializedReconstruction) {
   std::vector<std::vector<double>> truth;
   const auto stream = EncodeStream(&truth, 4, 64);
-  HistoryStore store(64);
+  DecodedHistory store(64);
   CompressedHistory queries(64);
   for (const auto& t : stream) {
     ASSERT_TRUE(store.Ingest(t).ok());
@@ -552,7 +681,7 @@ TEST(CompressedHistory, AggregatesMatchMaterializedReconstruction) {
 TEST(CompressedHistory, PointValuesMatchDecoder) {
   std::vector<std::vector<double>> truth;
   const auto stream = EncodeStream(&truth, 3, 64);
-  HistoryStore store(64);
+  DecodedHistory store(64);
   CompressedHistory queries(64);
   for (const auto& t : stream) {
     ASSERT_TRUE(store.Ingest(t).ok());
@@ -584,7 +713,7 @@ enum class PipeVariant { kDefault, kDctFixed, kNoBase, kQuadratic, kCompact };
 class CompressedHistoryVariants
     : public testing::TestWithParam<PipeVariant> {};
 
-TEST_P(CompressedHistoryVariants, MatchesHistoryStore) {
+TEST_P(CompressedHistoryVariants, MatchesDecodedHistory) {
   core::EncoderOptions opts;
   opts.total_band = 110;
   opts.m_base = 96;
@@ -606,7 +735,7 @@ TEST_P(CompressedHistoryVariants, MatchesHistoryStore) {
       break;
   }
   core::SbrEncoder enc(opts);
-  HistoryStore store(opts.m_base);
+  DecodedHistory store(opts.m_base);
   CompressedHistory queries(opts.m_base);
   Rng rng(17);
   for (size_t c = 0; c < 4; ++c) {
@@ -760,25 +889,9 @@ std::vector<std::pair<size_t, size_t>> ProbeRanges(size_t chunks) {
   return out;
 }
 
-void ExpectSameAnswers(const CompressedHistory& got,
-                       const CompressedHistory& want) {
-  ASSERT_EQ(got.num_chunks(), want.num_chunks());
-  ASSERT_EQ(got.num_gaps(), want.num_gaps());
-  for (size_t c = 0; c < want.num_chunks(); ++c) {
-    ASSERT_EQ(got.IsGap(c), want.IsGap(c)) << c;
-  }
-  for (size_t signal = 0; signal < 2; ++signal) {
-    for (auto [t0, t1] : ProbeRanges(want.num_chunks())) {
-      ASSERT_TRUE(SameAggregate(got.Aggregate(signal, t0, t1),
-                                want.Aggregate(signal, t0, t1)))
-          << signal << " [" << t0 << ", " << t1 << ")";
-      ASSERT_TRUE(SameValue(got.Value(signal, t0), want.Value(signal, t0)))
-          << signal << " @" << t0;
-    }
-  }
-}
-
-void ExpectSameAnswers(const HistoryStore& got, const HistoryStore& want) {
+/// Materialized answers, bit for bit, including each failure's status.
+template <typename History>
+void ExpectSameMaterialized(const History& got, const History& want) {
   ASSERT_EQ(got.num_chunks(), want.num_chunks());
   ASSERT_EQ(got.num_gaps(), want.num_gaps());
   for (size_t signal = 0; signal < 2; ++signal) {
@@ -802,6 +915,29 @@ void ExpectSameAnswers(const HistoryStore& got, const HistoryStore& want) {
   }
 }
 
+void ExpectSameAnswers(const CompressedHistory& got,
+                       const CompressedHistory& want) {
+  ASSERT_EQ(got.num_chunks(), want.num_chunks());
+  ASSERT_EQ(got.num_gaps(), want.num_gaps());
+  for (size_t c = 0; c < want.num_chunks(); ++c) {
+    ASSERT_EQ(got.IsGap(c), want.IsGap(c)) << c;
+  }
+  for (size_t signal = 0; signal < 2; ++signal) {
+    for (auto [t0, t1] : ProbeRanges(want.num_chunks())) {
+      ASSERT_TRUE(SameAggregate(got.Aggregate(signal, t0, t1),
+                                want.Aggregate(signal, t0, t1)))
+          << signal << " [" << t0 << ", " << t1 << ")";
+      ASSERT_TRUE(SameValue(got.Value(signal, t0), want.Value(signal, t0)))
+          << signal << " @" << t0;
+    }
+  }
+  ExpectSameMaterialized(got, want);
+}
+
+void ExpectSameAnswers(const DecodedHistory& got, const DecodedHistory& want) {
+  ExpectSameMaterialized(got, want);
+}
+
 TEST(StoreFork, DivergedCopiesAnswerLikeFreshStores) {
   // Copy both stores after k chunks — mid-block, at a block's end and at
   // the chunk log's directory growth (191) — then continue one copy with
@@ -814,15 +950,15 @@ TEST(StoreFork, DivergedCopiesAnswerLikeFreshStores) {
   for (size_t k : {40, 63, 64, 127, 150, 191}) {
     SCOPED_TRACE("k=" + std::to_string(k));
     CompressedHistory base_c(64);
-    HistoryStore base_h(64);
+    DecodedHistory base_h(64);
     for (size_t c = 0; c < k; ++c) {
       ASSERT_TRUE(base_c.Ingest(stream.txs[c]).ok());
       ASSERT_TRUE(base_h.Ingest(stream.txs[c]).ok());
     }
     CompressedHistory data_c = base_c;
-    HistoryStore data_h = base_h;
+    DecodedHistory data_h = base_h;
     CompressedHistory resync_c = base_c;
-    HistoryStore resync_h = base_h;
+    DecodedHistory resync_h = base_h;
     resync_c.MarkGap(kLost);
     resync_h.MarkGap(kLost);
     ASSERT_TRUE(resync_c.ApplySnapshot(stream.snaps[k + kLost]).ok());
@@ -835,13 +971,13 @@ TEST(StoreFork, DivergedCopiesAnswerLikeFreshStores) {
     }
 
     CompressedHistory fresh_data_c(64);
-    HistoryStore fresh_data_h(64);
+    DecodedHistory fresh_data_h(64);
     for (size_t c = 0; c < k + kMore; ++c) {
       ASSERT_TRUE(fresh_data_c.Ingest(stream.txs[c]).ok());
       ASSERT_TRUE(fresh_data_h.Ingest(stream.txs[c]).ok());
     }
     CompressedHistory fresh_resync_c(64);
-    HistoryStore fresh_resync_h(64);
+    DecodedHistory fresh_resync_h(64);
     for (size_t c = 0; c < k; ++c) {
       ASSERT_TRUE(fresh_resync_c.Ingest(stream.txs[c]).ok());
       ASSERT_TRUE(fresh_resync_h.Ingest(stream.txs[c]).ok());
@@ -863,7 +999,7 @@ TEST(StoreFork, DivergedCopiesAnswerLikeFreshStores) {
     ASSERT_EQ(base_c.num_chunks(), k);
     ASSERT_EQ(base_h.num_chunks(), k);
     CompressedHistory prefix_c(64);
-    HistoryStore prefix_h(64);
+    DecodedHistory prefix_h(64);
     for (size_t c = 0; c < k; ++c) {
       ASSERT_TRUE(prefix_c.Ingest(stream.txs[c]).ok());
       ASSERT_TRUE(prefix_h.Ingest(stream.txs[c]).ok());
@@ -871,6 +1007,206 @@ TEST(StoreFork, DivergedCopiesAnswerLikeFreshStores) {
     ExpectSameAnswers(base_c, prefix_c);
     ExpectSameAnswers(base_h, prefix_h);
   }
+}
+
+// ---------------------------------- on-demand decode vs DecodedHistory
+
+/// One pipeline stream per encoder variant, with a protocol loss (a gap
+/// followed by a resync snapshot) and a degraded self-contained chunk, fed
+/// to both the single timeline and the decode-at-ingest reference.
+struct OraclePair {
+  CompressedHistory timeline{96};
+  DecodedHistory reference{96};
+};
+
+void BuildOraclePair(PipeVariant variant, OraclePair* out) {
+  core::EncoderOptions opts;
+  opts.total_band = 110;
+  opts.m_base = 96;
+  core::BaseKind kind = core::BaseKind::kStored;
+  switch (variant) {
+    case PipeVariant::kDefault:
+      break;
+    case PipeVariant::kDctFixed:
+      opts.base_strategy = core::BaseStrategy::kDctFixed;
+      opts.w = 12;
+      kind = core::BaseKind::kDctFixed;
+      break;
+    case PipeVariant::kNoBase:
+      opts.base_strategy = core::BaseStrategy::kNone;
+      kind = core::BaseKind::kNone;
+      break;
+    case PipeVariant::kQuadratic:
+      opts.quadratic = true;
+      break;
+    case PipeVariant::kCompact:
+      opts.compact_wire = true;
+      break;
+  }
+  core::SbrEncoder enc(opts);
+  core::EncoderOptions degraded_opts = opts;
+  degraded_opts.base_strategy = core::BaseStrategy::kNone;
+  core::SbrEncoder degraded(degraded_opts);
+  Rng rng(23);
+  for (size_t c = 0; c < 8; ++c) {
+    // A new frequency per chunk keeps the encoder inserting (and
+    // evicting) base intervals, so chunks map onto different versions.
+    std::vector<double> y(2 * 128);
+    for (size_t i = 0; i < y.size(); ++i) {
+      y[i] = std::sin(i * (0.05 + 0.09 * c) + c) * (2 + c % 3) +
+             rng.Gaussian(0, 0.1);
+    }
+    // Chunk 5 travels as a degraded re-encode: no base reference at all.
+    auto t = c == 5 ? degraded.EncodeChunk(y, 2) : enc.EncodeChunk(y, 2);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    if (c == 2) {
+      // Lost for good; the resync snapshot carries the encoder's base
+      // state after it.
+      out->timeline.MarkGap(1);
+      out->reference.MarkGap(1);
+      core::BaseSnapshot snap;
+      if (kind != core::BaseKind::kNone) {
+        snap = SnapshotOf(enc);
+        snap.base_kind = kind;
+        if (kind != core::BaseKind::kStored) snap.slots.clear();
+      }
+      ASSERT_TRUE(out->timeline.ApplySnapshot(snap).ok());
+      ASSERT_TRUE(out->reference.ApplySnapshot(snap).ok());
+      continue;
+    }
+    // Through the wire, so compact-mode rounding is exercised.
+    BinaryWriter w;
+    t->Serialize(&w);
+    BinaryReader r(w.buffer());
+    auto parsed = core::Transmission::Deserialize(&r);
+    ASSERT_TRUE(parsed.ok());
+    ASSERT_TRUE(out->timeline.Ingest(*parsed).ok());
+    ASSERT_TRUE(out->reference.Ingest(*parsed).ok());
+  }
+}
+
+class OnDemandDecode : public testing::TestWithParam<PipeVariant> {};
+
+TEST_P(OnDemandDecode, MaterializedReadsEqualDecodedHistoryBitwise) {
+  OraclePair p;
+  BuildOraclePair(GetParam(), &p);
+  if (HasFatalFailure()) return;
+  const CompressedHistory& got = p.timeline;
+  const DecodedHistory& want = p.reference;
+  ASSERT_EQ(got.num_chunks(), 8u);
+  ASSERT_EQ(got.num_gaps(), 1u);
+  if (GetParam() != PipeVariant::kNoBase &&
+      GetParam() != PipeVariant::kDctFixed) {
+    // The stream must exercise base changes, or a stale base version
+    // would go unnoticed.
+    EXPECT_GE(got.num_base_versions(), 3u);
+  }
+  const size_t len = got.history_len();
+  ASSERT_EQ(len, want.history_len());
+
+  for (size_t c = 0; c <= got.num_chunks(); ++c) {
+    auto a = got.Chunk(c);
+    auto b = want.Chunk(c);
+    ASSERT_EQ(a.status().code(), b.status().code()) << c;
+    if (!a.ok()) continue;
+    ASSERT_EQ(a->rows(), b->rows());
+    ASSERT_EQ(a->cols(), b->cols());
+    for (size_t i = 0; i < a->rows(); ++i) {
+      for (size_t j = 0; j < a->cols(); ++j) {
+        ASSERT_EQ(Bits((*a)(i, j)), Bits((*b)(i, j))) << c << " " << i;
+      }
+    }
+  }
+  Rng rng(5);
+  std::vector<std::pair<size_t, size_t>> ranges = {
+      {0, len}, {0, 256}, {200, 300}, {3 * 128, len}, {len - 1, len},
+      {100, 100}, {256, 384}};
+  for (int i = 0; i < 200; ++i) {
+    const size_t t0 =
+        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(len)));
+    const size_t t1 = std::min(
+        len, t0 + static_cast<size_t>(rng.UniformInt(0, 400)));
+    ranges.push_back({t0, t1});
+  }
+  for (size_t signal = 0; signal < 2; ++signal) {
+    for (auto [t0, t1] : ranges) {
+      auto a = got.QueryRange(signal, t0, t1);
+      auto b = want.QueryRange(signal, t0, t1);
+      ASSERT_EQ(a.status(), b.status()) << signal << " [" << t0 << ", "
+                                        << t1 << ")";
+      if (a.ok()) {
+        ASSERT_EQ(a->size(), b->size());
+        for (size_t i = 0; i < a->size(); ++i) {
+          ASSERT_EQ(Bits((*a)[i]), Bits((*b)[i])) << t0 + i;
+        }
+      }
+      auto ea = got.AggregateExact(signal, t0, t1);
+      auto eb = want.AggregateExact(signal, t0, t1);
+      ASSERT_EQ(ea.status().code(), eb.status().code());
+      if (ea.ok()) {
+        EXPECT_EQ(ea->count, eb->count);
+        EXPECT_EQ(Bits(ea->min), Bits(eb->min));
+        EXPECT_EQ(Bits(ea->max), Bits(eb->max));
+        EXPECT_NEAR(ea->sum, eb->sum, 1e-9 * (std::abs(eb->sum) + 1.0));
+      }
+    }
+  }
+  // Out-of-range arguments get the reference's status codes.
+  EXPECT_EQ(got.QueryRange(2, 0, 1).status().code(),
+            want.QueryRange(2, 0, 1).status().code());
+  EXPECT_EQ(got.QueryRange(0, 5, 4).status().code(),
+            want.QueryRange(0, 5, 4).status().code());
+  EXPECT_EQ(got.QueryPoint(0, len).status().code(),
+            want.QueryPoint(0, len).status().code());
+  EXPECT_EQ(got.AggregateExact(0, 0, len + 1).status().code(),
+            want.AggregateExact(0, 0, len + 1).status().code());
+}
+
+TEST_P(OnDemandDecode, PointEqualsOneSampleReconstructBitwise) {
+  OraclePair p;
+  BuildOraclePair(GetParam(), &p);
+  if (HasFatalFailure()) return;
+  const CompressedHistory& h = p.timeline;
+  for (size_t signal = 0; signal < 2; ++signal) {
+    for (size_t t = 0; t < h.history_len(); ++t) {
+      auto point = h.Value(signal, t);
+      auto range = h.QueryRange(signal, t, t + 1);
+      ASSERT_EQ(point.status().code(), range.status().code()) << t;
+      if (!point.ok()) {
+        EXPECT_EQ(point.status().code(), StatusCode::kDataLoss);
+        continue;
+      }
+      ASSERT_EQ(Bits(*point), Bits((*range)[0])) << signal << " @" << t;
+      ASSERT_TRUE(SameValue(h.QueryPoint(signal, t), point));
+      ASSERT_TRUE(SameValue(p.reference.QueryPoint(signal, t), point));
+    }
+  }
+  EXPECT_EQ(h.Value(0, h.history_len()).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(h.Value(0, static_cast<size_t>(-1)).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(h.Value(2, 0).status().code(), StatusCode::kOutOfRange);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, OnDemandDecode,
+                         testing::Values(PipeVariant::kDefault,
+                                         PipeVariant::kDctFixed,
+                                         PipeVariant::kNoBase,
+                                         PipeVariant::kQuadratic,
+                                         PipeVariant::kCompact));
+
+TEST(CompressedHistory, FrozenCopyAnswersButRefusesWrites) {
+  OraclePair p;
+  BuildOraclePair(PipeVariant::kDefault, &p);
+  if (HasFatalFailure()) return;
+  const CompressedHistory frozen = p.timeline.Frozen();
+  ExpectSameAnswers(frozen, p.timeline);
+  CompressedHistory copy = frozen;
+  core::Transmission t = MakeTransmission(1);
+  EXPECT_EQ(copy.Ingest(t).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(copy.ApplySnapshot(core::BaseSnapshot{}).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(copy.num_chunks(), p.timeline.num_chunks());
 }
 
 }  // namespace

@@ -8,7 +8,12 @@
 #include <filesystem>
 #include <limits>
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "util/crc32.h"
 #include "util/csv.h"
 #include "util/prefix_sums.h"
 #include "util/rng.h"
@@ -478,6 +483,62 @@ TEST(Csv, MissingFileIsNotFound) {
   auto read = ReadCsv("/nonexistent/dir/file.csv", false);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kNotFound);
+}
+
+// ----------------------------------------------------------------- CRC32
+
+/// Bitwise CRC-32 (IEEE, reflected polynomial 0xEDB88320), one bit per
+/// step: the reference the table-driven implementation is held to.
+uint32_t ReferenceCrc32Update(uint32_t state, std::span<const uint8_t> data) {
+  for (uint8_t byte : data) {
+    state ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      state = (state & 1u) ? 0xedb88320u ^ (state >> 1) : state >> 1;
+    }
+  }
+  return state;
+}
+
+TEST(Crc32, KnownCheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32({reinterpret_cast<const uint8_t*>(check.data()),
+                   check.size()}),
+            0xcbf43926u);
+  EXPECT_EQ(Crc32({}), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..1100 from each of the 8 start alignments, so every tail
+  // length of the 8-byte stride and every misaligned load is covered.
+  Rng rng(1234);
+  std::vector<uint8_t> buf(1100 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const std::span<const uint8_t> data(buf.data() + align, len);
+      ASSERT_EQ(Crc32Update(kCrc32Init, data),
+                ReferenceCrc32Update(kCrc32Init, data))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, SplitUpdateChainsEqualOneShot) {
+  Rng rng(99);
+  std::vector<uint8_t> buf(1100);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  const uint32_t whole = Crc32(buf);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Random split points, including empty pieces and single bytes.
+    size_t a = static_cast<size_t>(rng.UniformInt(0, 1100));
+    size_t b = static_cast<size_t>(rng.UniformInt(0, 1100));
+    if (a > b) std::swap(a, b);
+    const std::span<const uint8_t> all(buf);
+    uint32_t state = Crc32Update(kCrc32Init, all.subspan(0, a));
+    state = Crc32Update(state, all.subspan(a, b - a));
+    state = Crc32Update(state, all.subspan(b));
+    ASSERT_EQ(Crc32Finalize(state), whole) << a << " " << b;
+  }
 }
 
 }  // namespace

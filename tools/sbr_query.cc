@@ -16,7 +16,7 @@
 //
 // aggregate-only flags:
 //   --noindex       answer via the legacy interval scan (index disabled)
-//   --exact         also print the materialized store's exact aggregates
+//   --exact         also print exact aggregates recomputed from decoded samples
 //
 // serve-only flags:
 //   --threads N     concurrent reader threads (default 4)
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "storage/chunk_log.h"
-#include "storage/history_store.h"
 #include "storage/query_service.h"
 #include "tool_common.h"
 #include "util/csv.h"
@@ -74,7 +73,7 @@ int RunReconstruct(const tools::Args& args) {
     std::fprintf(stderr, "log is empty\n");
     return 1;
   }
-  auto store = storage::HistoryStore::FromLog(
+  auto store = storage::CompressedHistory::FromLog(
       *log, static_cast<size_t>(args.GetInt("mbase", 1024)));
   if (!store.ok()) return Fail(store.status());
 
@@ -138,8 +137,8 @@ int RunAggregate(const tools::Args& args) {
               static_cast<unsigned long long>(service.epoch(0)), agg->count,
               agg->sum, agg->avg, agg->variance, agg->min, agg->max);
   if (args.Has("exact") && snap != nullptr) {
-    // Second row: the materialized store's exact recompute of the same
-    // range — eyeballable compressed-vs-exact drift.
+    // Second row: the exact recompute of the same range from decoded
+    // samples — eyeballable compressed-vs-exact drift.
     auto exact = snap->history.AggregateExact(signal, from, to);
     if (!exact.ok()) return Fail(exact.status());
     std::printf("exact   %zu, samples [%zu, %zu): epoch=%llu n=%zu "
