@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -454,45 +455,51 @@ BENCHMARK(BM_QueryServicePublish)
     ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMicrosecond);
 
+/// One sensor's live feed at the station-ingest geometry (N=6, M=128,
+/// M_base=256, TotalBand 76): `chunks` weather chunks of seed `seed`,
+/// encoded in order with a live base signal.
+std::vector<Transmission> EncodeStationFeed(uint64_t seed, size_t chunks) {
+  datagen::WeatherOptions wopts;
+  wopts.length = chunks * kPublishChunkLen;
+  wopts.seed = seed;
+  const datagen::Dataset ds = datagen::GenerateWeather(wopts);
+  const size_t signals = ds.num_signals();
+  EncoderOptions opts;
+  opts.total_band = 76;
+  opts.m_base = kPublishMBase;
+  SbrEncoder enc(opts);
+  std::vector<Transmission> out;
+  std::vector<double> y(signals * kPublishChunkLen);
+  for (size_t c = 0; c < chunks; ++c) {
+    for (size_t s = 0; s < signals; ++s) {
+      for (size_t k = 0; k < kPublishChunkLen; ++k) {
+        y[s * kPublishChunkLen + k] = ds.values(s, c * kPublishChunkLen + k);
+      }
+    }
+    out.push_back(std::move(enc.EncodeChunk(y, signals)).value());
+  }
+  return out;
+}
+
 // Station-ingest fleet for BM_StationReceiveBytes: 16 sensors x 100
-// chunks of the same geometry as the publish rows (N=6, M=128,
-// M_base=256, TotalBand 76), each sensor its own weather feed with a live
-// base signal, serialized as in-order data frames and interleaved
-// round-robin as a station hears them.
+// chunks, each sensor its own feed, serialized as in-order data frames
+// and interleaved round-robin as a station hears them.
 constexpr size_t kStationSensors = 16;
 constexpr size_t kStationChunks = 100;
 
 const std::vector<std::vector<uint8_t>>& StationFrames() {
   static const std::vector<std::vector<uint8_t>> frames = [] {
-    std::vector<std::vector<std::vector<uint8_t>>> per_sensor(
-        kStationSensors);
+    std::vector<std::vector<Transmission>> per_sensor;
     for (uint32_t id = 0; id < kStationSensors; ++id) {
-      datagen::WeatherOptions wopts;
-      wopts.length = kStationChunks * kPublishChunkLen;
-      wopts.seed = 100 + id;
-      const datagen::Dataset ds = datagen::GenerateWeather(wopts);
-      const size_t signals = ds.num_signals();
-      EncoderOptions opts;
-      opts.total_band = 76;
-      opts.m_base = kPublishMBase;
-      SbrEncoder enc(opts);
-      std::vector<double> y(signals * kPublishChunkLen);
-      for (size_t c = 0; c < kStationChunks; ++c) {
-        for (size_t s = 0; s < signals; ++s) {
-          for (size_t k = 0; k < kPublishChunkLen; ++k) {
-            y[s * kPublishChunkLen + k] =
-                ds.values(s, c * kPublishChunkLen + k);
-          }
-        }
-        const Transmission t = std::move(enc.EncodeChunk(y, signals)).value();
-        BinaryWriter writer;
-        MakeDataFrame(id, c, 0, t).Serialize(&writer);
-        per_sensor[id].push_back(writer.TakeBuffer());
-      }
+      per_sensor.push_back(EncodeStationFeed(100 + id, kStationChunks));
     }
     std::vector<std::vector<uint8_t>> out;
     for (size_t c = 0; c < kStationChunks; ++c) {
-      for (auto& sensor : per_sensor) out.push_back(std::move(sensor[c]));
+      for (uint32_t id = 0; id < kStationSensors; ++id) {
+        BinaryWriter writer;
+        MakeDataFrame(id, c, 0, per_sensor[id][c]).Serialize(&writer);
+        out.push_back(writer.TakeBuffer());
+      }
     }
     return out;
   }();
@@ -537,6 +544,76 @@ BENCHMARK(BM_StationReceiveBytes)
     ->Iterations(kStationSensors * kStationChunks)
     ->Repetitions(10)
     ->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMicrosecond);
+
+// Dashboard fleet for BM_ServiceProbeAfterIngest: 64 sensors x 48 chunks,
+// each sensor its own feed, interleaved round-robin as a station hears
+// them.
+constexpr uint32_t kProbeSensors = 64;
+constexpr size_t kProbeChunks = 48;
+
+struct ProbeIngest {
+  uint32_t sensor = 0;
+  Transmission t;
+};
+
+const std::vector<ProbeIngest>& ProbeFleet() {
+  static const std::vector<ProbeIngest> fleet = [] {
+    std::vector<std::vector<Transmission>> per_sensor;
+    for (uint32_t id = 0; id < kProbeSensors; ++id) {
+      per_sensor.push_back(EncodeStationFeed(300 + id, kProbeChunks));
+    }
+    std::vector<ProbeIngest> out;
+    for (size_t c = 0; c < kProbeChunks; ++c) {
+      for (uint32_t id = 0; id < kProbeSensors; ++id) {
+        out.push_back({id, std::move(per_sensor[id][c])});
+      }
+    }
+    return out;
+  }();
+  return fleet;
+}
+
+void BM_ServiceProbeAfterIngest(benchmark::State& state) {
+  // The freshness read of a live station: after each QueryService::Ingest
+  // (untimed), the dashboard probes the sensor that just published — one
+  // aggregate per signal over its newest chunk plus the newest sample —
+  // so every probe reads an epoch no earlier query has seen. Only the
+  // probe is timed (manual time). Each repetition starts a fresh service
+  // and feeds the whole fleet once.
+  const std::vector<ProbeIngest>& fleet = ProbeFleet();
+  storage::QueryServiceOptions opts;
+  opts.m_base = kPublishMBase;
+  storage::QueryService service(opts);
+  size_t next = 0;
+  size_t failed = 0;
+  for (auto _ : state) {
+    const ProbeIngest& in = fleet[next++];
+    if (!service.Ingest(in.sensor, in.t).ok()) ++failed;
+    const size_t len = in.t.chunk_len;
+    const size_t t1 = service.Snapshot(in.sensor)->history.history_len();
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t s = 0; s < in.t.num_signals; ++s) {
+      auto agg = service.Aggregate(in.sensor, s, t1 - len, t1);
+      if (!agg.ok()) ++failed;
+      benchmark::DoNotOptimize(agg);
+    }
+    auto point = service.Point(in.sensor, 0, t1 - 1);
+    if (!point.ok()) ++failed;
+    benchmark::DoNotOptimize(point);
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+  }
+  if (failed > 0) state.SkipWithError("an ingest or a probe failed");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fleet[0].t.num_signals + 1));
+}
+BENCHMARK(BM_ServiceProbeAfterIngest)
+    ->Iterations(kProbeSensors * kProbeChunks)
+    ->Repetitions(10)
+    ->ReportAggregatesOnly(true)
+    ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
 
 void BM_Crc32(benchmark::State& state) {

@@ -2,16 +2,16 @@
 // epoch snapshots. A weather stream is encoded through SBR and ingested
 // into a storage::QueryService; reader fleets of increasing size then
 // drive four query mixes against it and the bench reports aggregate
-// throughput, per-query latency percentiles and cache effectiveness.
-// Every timed cell runs a warmup pass first so one-time costs (page
-// faults, snapshot pin, cache fill ramp) stay out of the numbers.
+// throughput and per-query latency percentiles. Every timed cell runs a
+// warmup pass first so one-time costs (page faults, snapshot pin) stay
+// out of the numbers.
 //
 // The "wide" mix spans >= 64 chunk-aligned chunks per query — the shape
-// the hierarchical moment index exists for. A separate cache-disabled
-// head-to-head (index on vs the legacy interval scan, identical stream,
-// identical queries) records the raw engine speedup as the
-// "wide_speedup" summary record in BENCH_query.json; tools/
-// bench_compare.py diffs the file against bench/baselines/.
+// the hierarchical moment index exists for. A separate head-to-head
+// (index on vs the legacy interval scan, identical stream, identical
+// queries) records the raw engine speedup as the "wide_speedup" summary
+// record in BENCH_query.json; tools/bench_compare.py diffs the file
+// against bench/baselines/.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -38,14 +38,12 @@ constexpr size_t kWideSpanChunks = 64;
 /// Reconstruction ranges are capped so the scan mix measures the snapshot
 /// path, not memcpy of the whole history.
 constexpr size_t kMaxScanLen = 2048;
-/// Queries per side of the cache-disabled index-vs-scan head-to-head.
+/// Queries per side of the index-vs-scan head-to-head.
 constexpr size_t kCompareQueries = 1500;
 
 struct MixResult {
   double seconds = 0.0;
   uint64_t queries = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
   double p50_us = 0.0;
   double p99_us = 0.0;
 };
@@ -62,8 +60,8 @@ void RunOne(const storage::QueryService& service, const std::string& mix,
   if (a > b) std::swap(a, b);
   const size_t sig = pick_s(*rng);
   if (mix == "aggregate") {
-    // Chunk-aligned windows — the dashboard pattern the aggregate cache
-    // exists for (bounded key space, heavy repetition).
+    // Chunk-aligned windows — the dashboard pattern (bounded key space,
+    // heavy repetition).
     size_t ca = pick_c(*rng), cb = pick_c(*rng);
     if (ca > cb) std::swap(ca, cb);
     (void)service.Aggregate(0, sig, ca * kChunkLen, (cb + 1) * kChunkLen);
@@ -95,15 +93,15 @@ void RunOne(const storage::QueryService& service, const std::string& mix,
 
 /// Runs `threads` readers of one mix against the service: a warmup pass
 /// per worker, then `kQueriesPerThread` timed queries each with per-query
-/// latency capture. `mix` is "aggregate" (cache-friendly chunk-aligned
+/// latency capture. `mix` is "aggregate" (chunk-aligned dashboard
 /// aggregates), "wide" (>= 64-chunk index-heavy aggregates), "mixed"
 /// (aggregate/point/reconstruct round-robin) or "scan" (pure range
 /// reconstruction).
 MixResult RunMix(const storage::QueryService& service, const std::string& mix,
                  size_t threads, size_t len, size_t num_signals) {
   std::vector<std::vector<double>> latencies(threads);
-  // Warmup: untimed, uncounted; drains cold-start effects and pre-fills
-  // the epoch's cache shards the way a long-lived service would be.
+  // Warmup: untimed, uncounted; drains cold-start effects the way a
+  // long-lived service would have.
   {
     std::vector<std::thread> workers;
     for (size_t w = 0; w < threads; ++w) {
@@ -142,8 +140,6 @@ MixResult RunMix(const storage::QueryService& service, const std::string& mix,
   MixResult r;
   r.seconds = std::chrono::duration<double>(end - start).count();
   r.queries = after.queries - before.queries;
-  r.hits = after.cache_hits - before.cache_hits;
-  r.misses = after.cache_misses - before.cache_misses;
 
   std::vector<double> all;
   all.reserve(threads * kQueriesPerThread);
@@ -163,16 +159,15 @@ MixResult RunMix(const storage::QueryService& service, const std::string& mix,
 }
 
 void WriteRecord(FILE* json, bool* first, const char* mix, size_t threads,
-                 const MixResult& r, double qps, double hit_rate) {
+                 const MixResult& r, double qps) {
   if (json == nullptr) return;
   std::fprintf(json,
                "%s  {\"mix\": \"%s\", \"threads\": %zu, "
                "\"queries\": %llu, \"seconds\": %.6f, \"qps\": %.1f, "
-               "\"p50_us\": %.3f, \"p99_us\": %.3f, "
-               "\"cache_hit_rate\": %.4f}",
+               "\"p50_us\": %.3f, \"p99_us\": %.3f}",
                *first ? "" : ",\n", mix, threads,
                static_cast<unsigned long long>(r.queries), r.seconds, qps,
-               r.p50_us, r.p99_us, hit_rate);
+               r.p50_us, r.p99_us);
   *first = false;
 }
 
@@ -194,20 +189,16 @@ int main() {
   eopts.m_base = 1024;
   core::SbrEncoder encoder(eopts);
 
-  // One encoded stream feeds three services: the cached default service
-  // (throughput table) and two cache-disabled ones for the raw
-  // index-vs-scan engine comparison.
+  // One encoded stream feeds two services: the default (moment-indexed)
+  // service, which runs the throughput table, and a legacy interval-scan
+  // one for the raw index-vs-scan engine comparison.
   storage::QueryServiceOptions sopts;
   sopts.m_base = eopts.m_base;
   storage::QueryService service(sopts);
 
-  storage::QueryServiceOptions nocache_indexed = sopts;
-  nocache_indexed.cache_shards = 0;
-  storage::QueryService service_indexed(nocache_indexed);
-
-  storage::QueryServiceOptions nocache_scan = nocache_indexed;
-  nocache_scan.index.enabled = false;
-  storage::QueryService service_scan(nocache_scan);
+  storage::QueryServiceOptions scan_opts = sopts;
+  scan_opts.index.enabled = false;
+  storage::QueryService service_scan(scan_opts);
 
   std::vector<double> chunk(n);
   for (size_t c = 0; c < kChunks; ++c) {
@@ -222,8 +213,7 @@ int main() {
                    t.status().ToString().c_str());
       return 1;
     }
-    for (storage::QueryService* svc :
-         {&service, &service_indexed, &service_scan}) {
+    for (storage::QueryService* svc : {&service, &service_scan}) {
       if (auto st = svc->Ingest(0, *t); !st.ok()) {
         std::fprintf(stderr, "ingest failed: %s\n", st.ToString().c_str());
         return 1;
@@ -239,30 +229,25 @@ int main() {
   if (json != nullptr) std::fprintf(json, "[\n");
   bool first_record = true;
 
-  std::printf("%-10s %-8s %-10s %-10s %-10s %-10s %-10s %-10s\n", "mix",
-              "threads", "queries", "seconds", "qps", "p50_us", "p99_us",
-              "hit_rate");
+  std::printf("%-10s %-8s %-10s %-10s %-10s %-10s %-10s\n", "mix",
+              "threads", "queries", "seconds", "qps", "p50_us", "p99_us");
   for (const char* mix : {"aggregate", "wide", "mixed", "scan"}) {
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       const MixResult r = RunMix(service, mix, threads, len, num_signals);
       const double qps =
           r.seconds > 0 ? static_cast<double>(r.queries) / r.seconds : 0.0;
-      const uint64_t lookups = r.hits + r.misses;
-      const double hit_rate =
-          lookups > 0 ? static_cast<double>(r.hits) / lookups : 0.0;
-      std::printf("%-10s %-8zu %-10llu %-10.4f %-10.0f %-10.3f %-10.3f "
-                  "%-10.3f\n",
+      std::printf("%-10s %-8zu %-10llu %-10.4f %-10.0f %-10.3f %-10.3f\n",
                   mix, threads, static_cast<unsigned long long>(r.queries),
-                  r.seconds, qps, r.p50_us, r.p99_us, hit_rate);
+                  r.seconds, qps, r.p50_us, r.p99_us);
       std::fflush(stdout);
-      WriteRecord(json, &first_record, mix, threads, r, qps, hit_rate);
+      WriteRecord(json, &first_record, mix, threads, r, qps);
     }
   }
 
-  // Raw engine head-to-head: identical wide queries, no cache, moment
-  // index on vs the legacy interval scan. This is the number the index
-  // exists for; the acceptance bar is >= 5x.
-  std::printf("\n== Wide-range engine comparison (no cache, 1 thread) ==\n");
+  // Raw engine head-to-head: identical wide queries, moment index on vs
+  // the legacy interval scan. This is the number the index exists for;
+  // the acceptance bar is >= 5x.
+  std::printf("\n== Wide-range engine comparison (1 thread) ==\n");
   const auto run_compare = [&](const storage::QueryService& svc) {
     std::mt19937_64 rng(4096);
     std::uniform_int_distribution<size_t> pick_s(0, num_signals - 1);
@@ -283,7 +268,7 @@ int main() {
     const auto end = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(end - start).count();
   };
-  const double sec_indexed = run_compare(service_indexed);
+  const double sec_indexed = run_compare(service);
   const double sec_scan = run_compare(service_scan);
   const double qps_indexed =
       sec_indexed > 0 ? kCompareQueries / sec_indexed : 0.0;
@@ -294,13 +279,13 @@ int main() {
   std::printf("speedup  : %.1fx\n", speedup);
   if (json != nullptr) {
     std::fprintf(json,
-                 "%s  {\"mix\": \"wide_nocache_indexed\", \"threads\": 1, "
+                 "%s  {\"mix\": \"wide_indexed\", \"threads\": 1, "
                  "\"queries\": %zu, \"seconds\": %.6f, \"qps\": %.1f}",
                  first_record ? "" : ",\n", kCompareQueries, sec_indexed,
                  qps_indexed);
     first_record = false;
     std::fprintf(json,
-                 ",\n  {\"mix\": \"wide_nocache_scan\", \"threads\": 1, "
+                 ",\n  {\"mix\": \"wide_scan\", \"threads\": 1, "
                  "\"queries\": %zu, \"seconds\": %.6f, \"qps\": %.1f}",
                  kCompareQueries, sec_scan, qps_scan);
     std::fprintf(json,

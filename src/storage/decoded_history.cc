@@ -31,14 +31,22 @@ Status DecodedHistory::Ingest(const core::Transmission& t) {
     return Status::Unimplemented(
         "multi-rate chunks are not indexable by the history store");
   }
-  if (num_signals_ == 0) {
-    num_signals_ = t.num_signals;
-    chunk_len_ = t.chunk_len;
-  } else if (t.num_signals != num_signals_ || t.chunk_len != chunk_len_) {
-    return Status::FailedPrecondition("transmission geometry changed");
+  // The geometry is fixed by the first accepted chunk; a rejected one
+  // fixes nothing (the same rule, and the same checks, as
+  // CompressedHistory::Ingest).
+  if (num_signals_ != 0) {
+    if (t.num_signals != num_signals_ || t.chunk_len != chunk_len_) {
+      return Status::FailedPrecondition("transmission geometry changed");
+    }
+  } else if (t.num_signals == 0 || t.chunk_len == 0) {
+    return Status::DataLoss("transmission header has zero geometry");
   }
   auto decoded = decoder_.DecodeChunk(t);
   if (!decoded.ok()) return decoded.status();
+  if (num_signals_ == 0) {
+    num_signals_ = t.num_signals;
+    chunk_len_ = t.chunk_len;
+  }
   chunks_.push_back(std::make_shared<const std::vector<double>>(
       std::move(decoded).value()));
   AppendIndexLeaves(chunks_.back().get());

@@ -1,56 +1,13 @@
 #include "storage/query_service.h"
 
-#include <bit>
 #include <utility>
 
 #include "obs/metrics.h"
 
 namespace sbr::storage {
-namespace {
-
-// splitmix64 finalizer: cheap, well-distributed mixing for cache keys.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-size_t QueryService::CacheKeyHash::operator()(const CacheKey& k) const {
-  uint64_t h = Mix(static_cast<uint64_t>(k.sensor) ^ (k.epoch << 32));
-  h = Mix(h ^ k.signal);
-  h = Mix(h ^ k.t0);
-  h = Mix(h ^ k.t1);
-  return static_cast<size_t>(h);
-}
-
-void QueryService::CacheShard::Unlink(Slot* slot) {
-  Entry& e = slot->second;
-  (e.older != nullptr ? e.older->second.newer : oldest) = e.newer;
-  (e.newer != nullptr ? e.newer->second.older : newest) = e.older;
-  e.older = nullptr;
-  e.newer = nullptr;
-}
-
-void QueryService::CacheShard::PushNewest(Slot* slot) {
-  slot->second.older = newest;
-  (newest != nullptr ? newest->second.newer : oldest) = slot;
-  newest = slot;
-}
 
 QueryService::QueryService(QueryServiceOptions options)
-    : options_(options) {
-  if (options_.cache_shards > 0 &&
-      options_.cache_capacity_per_shard > 0) {
-    const size_t shards = std::bit_ceil(options_.cache_shards);
-    cache_.reserve(shards);
-    for (size_t i = 0; i < shards; ++i) {
-      cache_.push_back(std::make_unique<CacheShard>());
-    }
-  }
-}
+    : options_(options) {}
 
 QueryService::PerSensor* QueryService::GetOrCreateLocked(
     uint32_t sensor_id) {
@@ -116,13 +73,6 @@ std::shared_ptr<const SensorSnapshot> QueryService::Snapshot(
   return s->published.load();
 }
 
-QueryService::CacheShard* QueryService::ShardFor(
-    const CacheKey& key) const {
-  if (cache_.empty()) return nullptr;
-  const size_t idx = CacheKeyHash()(key) & (cache_.size() - 1);
-  return cache_[idx].get();
-}
-
 void QueryService::CountStatus(const Status& status) const {
   if (status.code() == StatusCode::kDataLoss) {
     dataloss_.fetch_add(1, std::memory_order_relaxed);
@@ -131,67 +81,10 @@ void QueryService::CountStatus(const Status& status) const {
 }
 
 StatusOr<AggregateResult> QueryService::AggregateOn(
-    uint32_t sensor_id, const SensorSnapshot& snap, size_t signal,
-    size_t t0, size_t t1) const {
-  const CacheKey key{sensor_id, snap.epoch, signal, t0, t1};
-  CacheShard* shard = ShardFor(key);
-  if (shard != nullptr) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    auto it = shard->entries.find(key);
-    if (it != shard->entries.end()) {
-      // LRU touch: this entry becomes the most recently used.
-      shard->Unlink(&*it);
-      shard->PushNewest(&*it);
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      SBR_OBS_COUNT("query.cache.hits", 1);
-      return it->second.value;
-    }
-  }
+    const SensorSnapshot& snap, size_t signal, size_t t0,
+    size_t t1) const {
   auto result = snap.history.Aggregate(signal, t0, t1);
-  if (shard != nullptr) {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    SBR_OBS_COUNT("query.cache.misses", 1);
-  }
-  if (!result.ok()) {
-    CountStatus(result.status());
-    return result;
-  }
-  if (shard != nullptr) {
-    uint64_t evicted = 0;
-    bool inserted = false;
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      auto [it, fresh] = shard->entries.try_emplace(key);
-      inserted = fresh;
-      if (fresh) {
-        it->second.value = *result;
-        shard->PushNewest(&*it);
-        while (shard->entries.size() > options_.cache_capacity_per_shard) {
-          CacheShard::Slot* victim = shard->oldest;
-          shard->Unlink(victim);
-          shard->entries.erase(shard->entries.find(victim->first));
-          ++evicted;
-        }
-      }
-    }
-    // Counter updates outside the shard lock. The resident gauge applies
-    // this call's net delta atomically (modular fetch_add carries the
-    // negative case), so concurrent shards never lose an update.
-    if (inserted || evicted > 0) {
-      const int64_t delta =
-          (inserted ? 1 : 0) - static_cast<int64_t>(evicted);
-      const uint64_t resident =
-          cache_resident_.fetch_add(static_cast<uint64_t>(delta),
-                                    std::memory_order_relaxed) +
-          static_cast<uint64_t>(delta);
-      if (evicted > 0) {
-        cache_evictions_.fetch_add(evicted, std::memory_order_relaxed);
-        SBR_OBS_COUNT("query.cache.evictions", evicted);
-      }
-      SBR_OBS_GAUGE_SET("query.cache.resident",
-                        static_cast<int64_t>(resident));
-    }
-  }
+  if (!result.ok()) CountStatus(result.status());
   return result;
 }
 
@@ -204,7 +97,7 @@ StatusOr<AggregateResult> QueryService::Aggregate(uint32_t sensor_id,
   if (snap == nullptr) {
     return Status::NotFound("sensor " + std::to_string(sensor_id));
   }
-  return AggregateOn(sensor_id, *snap, signal, t0, t1);
+  return AggregateOn(*snap, signal, t0, t1);
 }
 
 StatusOr<std::vector<double>> QueryService::Reconstruct(
@@ -246,7 +139,7 @@ std::vector<StatusOr<AggregateResult>> QueryService::AggregateBatch(
           Status::NotFound("sensor " + std::to_string(sensor_id)));
       continue;
     }
-    out.emplace_back(AggregateOn(sensor_id, *snap, q.signal, q.t0, q.t1));
+    out.emplace_back(AggregateOn(*snap, q.signal, q.t0, q.t1));
   }
   return out;
 }
@@ -264,10 +157,6 @@ size_t QueryService::num_sensors() const {
 QueryServiceCounters QueryService::counters() const {
   QueryServiceCounters c;
   c.queries = queries_.load(std::memory_order_relaxed);
-  c.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  c.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  c.cache_evictions = cache_evictions_.load(std::memory_order_relaxed);
-  c.cache_resident = cache_resident_.load(std::memory_order_relaxed);
   c.dataloss = dataloss_.load(std::memory_order_relaxed);
   c.publishes = publishes_.load(std::memory_order_relaxed);
   return c;

@@ -28,10 +28,10 @@
 // prefix of the ingest stream — the property the differential oracle and
 // the TSan concurrency suite pin.
 //
-// The sharded aggregate cache keys entries by (sensor, epoch, signal,
-// range); publishing a new epoch invalidates by construction (stale
-// epochs can never be looked up again) and capacity-bounded LRU eviction
-// reclaims their slots (evictions and resident entries are counted).
+// Aggregates are answered from the loaded epoch snapshot by the moment
+// index, with no cache in front: a cache keyed by epoch misses every
+// probe of a sensor that just published, and a hit would cost about what
+// the index does (DESIGN.md §5j).
 #ifndef SBR_STORAGE_QUERY_SERVICE_H_
 #define SBR_STORAGE_QUERY_SERVICE_H_
 
@@ -40,7 +40,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -73,11 +72,6 @@ struct SensorSnapshot {
 struct QueryServiceOptions {
   /// Must match the sensors' encoder configuration.
   size_t m_base = 0;
-  /// Aggregate-cache shards (rounded up to a power of two; 0 disables the
-  /// cache entirely).
-  size_t cache_shards = 8;
-  /// Cached aggregates per shard; LRU eviction beyond this.
-  size_t cache_capacity_per_shard = 512;
   /// Compressed-domain acceleration for every sensor's timeline (the
   /// hierarchical moment index + base RMQ; disable for the legacy
   /// interval-scan reference path).
@@ -88,12 +82,13 @@ struct QueryServiceOptions {
 /// as plain atomics too so the noobs build can still assert on them.
 struct QueryServiceCounters {
   uint64_t queries = 0;      ///< reader-side calls answered (any status)
-  uint64_t cache_hits = 0;   ///< aggregate answers served from the cache
-  uint64_t cache_misses = 0; ///< aggregate answers computed from a snapshot
-  uint64_t cache_evictions = 0; ///< LRU victims dropped from the cache
-  uint64_t cache_resident = 0;  ///< aggregate entries currently cached
   uint64_t dataloss = 0;     ///< answers that reported DataLoss
   uint64_t publishes = 0;    ///< epoch snapshots published (all sensors)
+  /// Always 0: the service has no aggregate cache. Kept only because the
+  /// pipeline benchmark (perfbench/src/fleet.cc) still reads them.
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  uint64_t cache_evictions = 0;
 };
 
 /// Concurrent multi-sensor query front-end with snapshot isolation.
@@ -121,10 +116,10 @@ class QueryService {
   /// nullptr if the sensor has never been ingested.
   std::shared_ptr<const SensorSnapshot> Snapshot(uint32_t sensor_id) const;
 
-  /// Compressed-domain aggregates of `signal` over [t0, t1), served from
-  /// the aggregate cache when the (sensor, epoch, signal, range) entry is
-  /// warm. NotFound for unknown sensors; DataLoss for ranges touching
-  /// lost chunks; OutOfRange for malformed ranges.
+  /// Compressed-domain aggregates of `signal` over [t0, t1), answered
+  /// from the latest epoch snapshot. NotFound for unknown sensors;
+  /// DataLoss for ranges touching lost chunks; OutOfRange for malformed
+  /// ranges.
   StatusOr<AggregateResult> Aggregate(uint32_t sensor_id, size_t signal,
                                       size_t t0, size_t t1) const;
 
@@ -176,36 +171,6 @@ class QueryService {
     PerSensor(size_t m_base, IndexOptions index) : builder(m_base, index) {}
   };
 
-  struct CacheKey {
-    uint32_t sensor = 0;
-    uint64_t epoch = 0;
-    uint64_t signal = 0;
-    uint64_t t0 = 0;
-    uint64_t t1 = 0;
-    bool operator==(const CacheKey&) const = default;
-  };
-  struct CacheKeyHash {
-    size_t operator()(const CacheKey& k) const;
-  };
-  struct CacheShard {
-    struct Entry;
-    using Slot = std::pair<const CacheKey, Entry>;
-    struct Entry {
-      AggregateResult value;
-      /// Recency list threaded through the map's nodes (their addresses
-      /// survive rehashing), so an insert allocates one node, not two.
-      Slot* older = nullptr;
-      Slot* newer = nullptr;
-    };
-    mutable std::mutex mu;  ///< guards the members below
-    std::unordered_map<CacheKey, Entry, CacheKeyHash> entries;
-    Slot* oldest = nullptr;  ///< the LRU victim
-    Slot* newest = nullptr;  ///< the most recently used entry
-
-    void Unlink(Slot* slot);
-    void PushNewest(Slot* slot);
-  };
-
   /// Writer path: looks up or creates the sensor's builder state.
   PerSensor* GetOrCreateLocked(uint32_t sensor_id);
   /// Freezes the builder into a new epoch and swaps the RCU slot. The
@@ -214,12 +179,10 @@ class QueryService {
   /// appends above them, so readers and the writer share no written
   /// memory.
   void Publish(PerSensor* s);
-  /// Aggregate answered on an explicit snapshot, consulting the cache.
-  StatusOr<AggregateResult> AggregateOn(uint32_t sensor_id,
-                                        const SensorSnapshot& snap,
+  /// Aggregate answered on an explicit snapshot.
+  StatusOr<AggregateResult> AggregateOn(const SensorSnapshot& snap,
                                         size_t signal, size_t t0,
                                         size_t t1) const;
-  CacheShard* ShardFor(const CacheKey& key) const;
   void CountStatus(const Status& status) const;
 
   /// Reader path: resolves the sensor's slot (brief map_mu_ hold only).
@@ -236,14 +199,7 @@ class QueryService {
   /// never take it: they only load the published atomic shared_ptr.
   std::mutex writer_mu_;
 
-  /// Sharded aggregate cache; empty when cache_shards == 0.
-  mutable std::vector<std::unique_ptr<CacheShard>> cache_;
-
   mutable std::atomic<uint64_t> queries_{0};
-  mutable std::atomic<uint64_t> cache_hits_{0};
-  mutable std::atomic<uint64_t> cache_misses_{0};
-  mutable std::atomic<uint64_t> cache_evictions_{0};
-  mutable std::atomic<uint64_t> cache_resident_{0};
   mutable std::atomic<uint64_t> dataloss_{0};
   std::atomic<uint64_t> publishes_{0};
 };

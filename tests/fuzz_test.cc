@@ -468,6 +468,66 @@ TEST(QueryFuzz, TimelineAndDecoderAcceptTheSameMutants) {
   EXPECT_GT(rejected, 50u);
 }
 
+TEST(QueryFuzz, TimelineAndDecoderAcceptTheSameFirstChunkMutants) {
+  // The same agreement when the mutant is the very first chunk a fresh
+  // pair sees: geometry is not fixed yet, and a rejected mutant must fix
+  // none, so the family's pristine first chunk that follows meets the
+  // same verdict and the same geometry on both sides.
+  const auto corpus = BuildTransmissionCorpus();
+  ASSERT_EQ(corpus.size(), 8u);  // four families of two chunks
+  const size_t m_base[] = {64, 48, 64, 32};
+  std::vector<Transmission> pristine;
+  for (size_t f = 0; f < 4; ++f) {
+    BinaryReader reader(corpus[2 * f]);
+    auto first = Transmission::Deserialize(&reader);
+    ASSERT_TRUE(first.ok());
+    pristine.push_back(std::move(*first));
+  }
+  Rng rng(778);
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (size_t iter = 0; iter < 3000; ++iter) {
+    const size_t pick = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(corpus.size()) - 1));
+    const std::vector<uint8_t> mutant = Mutate(corpus[pick], &rng);
+    BinaryReader reader(mutant);
+    auto t = Transmission::Deserialize(&reader);
+    if (!t.ok()) continue;
+    // With no geometry fixed yet, a mutant header may claim up to the
+    // decoder's 2^26-sample limit, and the reference would materialize
+    // it; keep each case small.
+    if (t->TotalSamples() > (size_t{1} << 16)) continue;
+    storage::CompressedHistory timeline(m_base[pick / 2]);
+    storage::DecodedHistory reference(m_base[pick / 2]);
+    const Status got = timeline.Ingest(*t);
+    const Status want = reference.Ingest(*t);
+    ASSERT_EQ(got.code(), want.code())
+        << "iter " << iter << ": " << got.ToString() << " vs "
+        << want.ToString();
+    ASSERT_EQ(timeline.num_chunks(), reference.num_chunks());
+    ASSERT_EQ(timeline.num_signals(), reference.num_signals());
+    ASSERT_EQ(timeline.chunk_len(), reference.chunk_len());
+    ++(got.ok() ? accepted : rejected);
+
+    const Transmission& next = pristine[pick / 2];
+    const Status got_next = timeline.Ingest(next);
+    const Status want_next = reference.Ingest(next);
+    ASSERT_EQ(got_next.code(), want_next.code())
+        << "iter " << iter << ": " << got_next.ToString() << " vs "
+        << want_next.ToString();
+    ASSERT_EQ(timeline.num_chunks(), reference.num_chunks());
+    ASSERT_EQ(timeline.num_signals(), reference.num_signals());
+    ASSERT_EQ(timeline.chunk_len(), reference.chunk_len());
+    // Zero geometry fixes nothing: the pristine chunk is still welcome.
+    if (t->num_signals == 0 || t->chunk_len == 0) {
+      ASSERT_TRUE(want_next.ok()) << "iter " << iter;
+    }
+  }
+  // The battery exercises both verdicts.
+  EXPECT_GT(accepted, 50u);
+  EXPECT_GT(rejected, 50u);
+}
+
 TEST(QueryFuzz, MutatedIngestKeepsIndexAndScanPathsAligned) {
   // Whatever a mutated wire image smuggles past deserialization, the
   // moment-indexed engine and the legacy interval-scan engine must keep

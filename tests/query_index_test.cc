@@ -620,60 +620,6 @@ TEST(QueryIndex, DecodedHistoryExactAggregatesMatchRawRecompute) {
 }
 
 // ------------------------------------------------------------------
-// LRU aggregate cache: eviction order + the new counters.
-// ------------------------------------------------------------------
-
-TEST(QueryServiceCacheLru, EvictionPrefersColdEntriesAndCountsResidency) {
-  storage::QueryServiceOptions opts;
-  opts.m_base = 64;
-  opts.cache_shards = 1;
-  opts.cache_capacity_per_shard = 4;
-  storage::QueryService service(opts);
-
-  core::EncoderOptions eopts;
-  eopts.total_band = 32;
-  eopts.m_base = 64;
-  core::SbrEncoder encoder(eopts);
-  std::vector<double> y(128);
-  for (size_t i = 0; i < y.size(); ++i) y[i] = std::sin(i * 0.2) * 3.0;
-  auto t = encoder.EncodeChunk(y, 1);
-  ASSERT_TRUE(t.ok()) << t.status().ToString();
-  ASSERT_TRUE(service.Ingest(1, *t).ok());
-  const size_t L = t->chunk_len;
-
-  // Five distinct ranges against one epoch = five distinct cache keys in
-  // the single shard of capacity four.
-  auto query = [&](size_t k) {
-    auto r = service.Aggregate(1, 0, k, k + L / 8);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  };
-  for (size_t k = 0; k < 4; ++k) query(k);  // fill: misses r0..r3
-  auto c = service.counters();
-  EXPECT_EQ(c.cache_misses, 4u);
-  EXPECT_EQ(c.cache_hits, 0u);
-  EXPECT_EQ(c.cache_evictions, 0u);
-  EXPECT_EQ(c.cache_resident, 4u);
-
-  query(0);  // hit — r0 becomes most recently used
-  query(4);  // miss — evicts r1, the coldest entry, NOT the oldest-touched
-  c = service.counters();
-  EXPECT_EQ(c.cache_hits, 1u);
-  EXPECT_EQ(c.cache_misses, 5u);
-  EXPECT_EQ(c.cache_evictions, 1u);
-  EXPECT_EQ(c.cache_resident, 4u);
-
-  query(0);  // still resident: FIFO would have evicted it, LRU keeps it
-  c = service.counters();
-  EXPECT_EQ(c.cache_hits, 2u);
-  query(1);  // r1 was the victim — miss, re-inserted, evicting r2
-  c = service.counters();
-  EXPECT_EQ(c.cache_misses, 6u);
-  EXPECT_EQ(c.cache_evictions, 2u);
-  EXPECT_EQ(c.cache_resident, 4u);
-  EXPECT_EQ(c.queries, 8u);
-}
-
-// ------------------------------------------------------------------
 // Concurrency: readers over shared sealed blocks while ingest advances.
 // ------------------------------------------------------------------
 
@@ -706,8 +652,6 @@ TEST(QueryIndexParallel, ConcurrentWideReadsOverSharedSealedBlocks) {
 
   storage::QueryServiceOptions sopts;
   sopts.m_base = kMBase;
-  sopts.cache_shards = 2;
-  sopts.cache_capacity_per_shard = 64;
   storage::QueryService service(sopts);
   std::atomic<bool> done{false};
   std::atomic<uint64_t> mismatches{0};

@@ -1,6 +1,7 @@
 // storage::QueryService suite: snapshot isolation under concurrent
-// readers (the TSan target), epoch reproducibility, the sharded aggregate
-// cache, batch semantics and the per-query DataLoss accounting.
+// readers (the TSan target), epoch reproducibility, aggregates answered
+// straight from the epoch snapshot, batch semantics and the per-query
+// DataLoss accounting.
 //
 // The concurrency test's invariant is the service's core promise: every
 // answer a reader ever observes is exactly reproducible from some
@@ -385,40 +386,88 @@ TEST(QueryServiceConcurrency, PinnedMidBlockEpochSurvivesDirectoryGrowth) {
   EXPECT_EQ(service.Snapshot(0)->compressed.num_chunks(), kChunks + 1);
 }
 
-TEST(QueryService, AggregateCacheHitsWithinEpochInvalidatesAcross) {
+/// Bitwise equality of two aggregate answers, DataLoss text included.
+void ExpectSameAnswer(const StatusOr<storage::AggregateResult>& got,
+                      const StatusOr<storage::AggregateResult>& want) {
+  ASSERT_EQ(got.status().code(), want.status().code());
+  EXPECT_EQ(got.status().message(), want.status().message());
+  if (!want.ok()) return;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got->sum),
+            std::bit_cast<uint64_t>(want->sum));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got->avg),
+            std::bit_cast<uint64_t>(want->avg));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got->variance),
+            std::bit_cast<uint64_t>(want->variance));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got->min),
+            std::bit_cast<uint64_t>(want->min));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got->max),
+            std::bit_cast<uint64_t>(want->max));
+  EXPECT_EQ(got->count, want->count);
+}
+
+// The service answers aggregates straight from the loaded epoch
+// snapshot: across epochs (one a gap), Aggregate and AggregateBatch equal
+// the snapshot's own answer bit for bit, a repeated range in one epoch
+// answers identically, and the counters count exactly what was asked.
+TEST(QueryService, AggregatesEqualTheEpochSnapshotAcrossEpochs) {
   const auto txs = EncodeChunks(3, 11);
   ASSERT_EQ(txs.size(), 3u);
   storage::QueryService service(ServiceOptions());
+  uint64_t queries = 0;
+  uint64_t dataloss = 0;
+
+  auto check_epoch = [&](uint64_t want_epoch) {
+    auto snap = service.Snapshot(0);
+    ASSERT_NE(snap, nullptr);
+    ASSERT_EQ(snap->epoch, want_epoch);
+    const size_t len = snap->history.history_len();
+    std::vector<storage::QueryService::RangeQuery> ranges;
+    for (size_t c = 0; c < snap->history.num_chunks(); ++c) {
+      ranges.push_back({0, c * kChunkLen, (c + 1) * kChunkLen});
+      ranges.push_back({1, c * kChunkLen + 3, (c + 1) * kChunkLen - 5});
+    }
+    ranges.push_back({0, 0, len});
+    ranges.push_back({0, len - kChunkLen / 2, len});
+    for (const auto& q : ranges) {
+      const auto want = snap->history.Aggregate(q.signal, q.t0, q.t1);
+      const auto first = service.Aggregate(0, q.signal, q.t0, q.t1);
+      const auto again = service.Aggregate(0, q.signal, q.t0, q.t1);
+      ExpectSameAnswer(first, want);
+      ExpectSameAnswer(again, first);
+      queries += 2;
+      if (want.status().code() == StatusCode::kDataLoss) dataloss += 2;
+    }
+    const auto batch = service.AggregateBatch(0, ranges);
+    ASSERT_EQ(batch.size(), ranges.size());
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      const auto& q = ranges[i];
+      ExpectSameAnswer(batch[i],
+                       snap->history.Aggregate(q.signal, q.t0, q.t1));
+      ++queries;
+      if (!batch[i].ok()) ++dataloss;
+    }
+    const storage::QueryServiceCounters c = service.counters();
+    EXPECT_EQ(c.queries, queries);
+    EXPECT_EQ(c.dataloss, dataloss);
+    EXPECT_EQ(c.publishes, want_epoch);
+    EXPECT_EQ(c.cache_hits, 0u);
+    EXPECT_EQ(c.cache_misses, 0u);
+    EXPECT_EQ(c.cache_evictions, 0u);
+  };
+
   ASSERT_TRUE(service.Ingest(0, txs[0]).ok());
+  check_epoch(1);
+  ASSERT_TRUE(service.MarkGap(0).ok());
+  check_epoch(2);
   ASSERT_TRUE(service.Ingest(0, txs[1]).ok());
-
-  auto first = service.Aggregate(0, 0, 0, kChunkLen);
-  ASSERT_TRUE(first.ok());
-  auto second = service.Aggregate(0, 0, 0, kChunkLen);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->sum, second->sum);
-  storage::QueryServiceCounters c = service.counters();
-  EXPECT_EQ(c.cache_misses, 1u);
-  EXPECT_EQ(c.cache_hits, 1u);
-
-  // A new epoch changes the cache key: the same range misses once, then
-  // hits again.
+  check_epoch(3);
   ASSERT_TRUE(service.Ingest(0, txs[2]).ok());
-  ASSERT_TRUE(service.Aggregate(0, 0, 0, kChunkLen).ok());
-  ASSERT_TRUE(service.Aggregate(0, 0, 0, kChunkLen).ok());
-  c = service.counters();
-  EXPECT_EQ(c.cache_misses, 2u);
-  EXPECT_EQ(c.cache_hits, 2u);
-
-  // cache_shards = 0 disables caching entirely.
-  storage::QueryServiceOptions nocache = ServiceOptions();
-  nocache.cache_shards = 0;
-  storage::QueryService plain(nocache);
-  ASSERT_TRUE(plain.Ingest(0, txs[0]).ok());
-  ASSERT_TRUE(plain.Aggregate(0, 0, 0, kChunkLen).ok());
-  ASSERT_TRUE(plain.Aggregate(0, 0, 0, kChunkLen).ok());
-  EXPECT_EQ(plain.counters().cache_hits, 0u);
-  EXPECT_EQ(plain.counters().cache_misses, 0u);
+  check_epoch(4);
+  // The gap really was asked about, with the timeline's own text.
+  EXPECT_GT(dataloss, 0u);
+  const auto lost = service.Aggregate(0, 0, 0, 4 * kChunkLen);
+  EXPECT_EQ(lost.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(lost.status().message(), "range touches lost chunk 1");
 }
 
 TEST(QueryService, BatchReportsPerQueryFailuresAndCountsDataLoss) {

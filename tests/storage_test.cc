@@ -538,6 +538,35 @@ TEST(MaterializedReads, GeometryChangeRejected) {
   EXPECT_FALSE(store.Ingest(other).ok());
 }
 
+// A rejected first chunk must fix no geometry: the next valid chunk is
+// accepted by both timelines, which then answer alike.
+TEST(MaterializedReads, RejectedFirstChunkFixesNoGeometry) {
+  std::vector<std::vector<double>> truth;
+  const auto stream = EncodeStream(&truth, 2, 64);
+  core::Transmission empty = stream[0];
+  empty.chunk_len = 0;
+  DecodedHistory decoded(64);
+  CompressedHistory compressed(64);
+  const Status d = decoded.Ingest(empty);
+  EXPECT_EQ(d.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(compressed.Ingest(empty).code(), d.code());
+  EXPECT_EQ(decoded.num_chunks(), 0u);
+  EXPECT_EQ(decoded.num_signals(), 0u);
+  EXPECT_EQ(decoded.chunk_len(), 0u);
+
+  for (const auto& t : stream) {
+    ASSERT_TRUE(decoded.Ingest(t).ok());
+    ASSERT_TRUE(compressed.Ingest(t).ok());
+  }
+  EXPECT_EQ(decoded.num_signals(), 2u);
+  EXPECT_EQ(decoded.chunk_len(), 128u);
+  auto a = decoded.QueryRange(1, 0, decoded.history_len());
+  auto b = compressed.QueryRange(1, 0, compressed.history_len());
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(*a, *b);
+}
+
 TEST(MaterializedReads, FromLogReplaysEverything) {
   std::vector<std::vector<double>> truth;
   const auto stream = EncodeStream(&truth, 4, 64);

@@ -207,12 +207,7 @@ int RunServe(const tools::Args& args) {
               "(epoch %llu, %zu threads)\n",
               static_cast<unsigned long long>(c.queries), len, num_signals,
               static_cast<unsigned long long>(service.epoch(0)), threads);
-  std::printf("cache: %llu hits, %llu misses, %llu evictions, "
-              "%llu resident; dataloss answers: %llu; publishes: %llu\n",
-              static_cast<unsigned long long>(c.cache_hits),
-              static_cast<unsigned long long>(c.cache_misses),
-              static_cast<unsigned long long>(c.cache_evictions),
-              static_cast<unsigned long long>(c.cache_resident),
+  std::printf("dataloss answers: %llu; publishes: %llu\n",
               static_cast<unsigned long long>(c.dataloss),
               static_cast<unsigned long long>(c.publishes));
   return 0;
