@@ -509,10 +509,11 @@ const std::vector<std::vector<uint8_t>>& StationFrames() {
 void BM_StationReceiveBytes(benchmark::State& state) {
   // One BaseStation::ReceiveBytes of an in-order data frame, with durable
   // per-sensor logs and a QueryService attached: envelope check, receive
-  // state machine, log append, the station's timeline ingest and the
-  // service's ingest + epoch publish. Each repetition starts a fresh
-  // station on empty logs and feeds the whole fleet once, so histories
-  // grow from 0 to 100 chunks per sensor within it.
+  // state machine, the one timeline ingest (the service's) with its epoch
+  // publish, and the log append of the payload bytes as received. Each
+  // repetition starts a fresh station on empty logs and feeds the whole
+  // fleet once, so histories grow from 0 to 100 chunks per sensor within
+  // it.
   const auto& frames = StationFrames();
   std::string dir = (std::filesystem::temp_directory_path() /
                      "sbr_bench_station").string();

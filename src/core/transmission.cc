@@ -1,5 +1,7 @@
 #include "core/transmission.h"
 
+#include <array>
+
 #include "util/crc32.h"
 
 namespace sbr::core {
@@ -151,30 +153,41 @@ namespace {
 
 constexpr uint32_t kFrameMagic = 0x53425246;  // "SBRF"
 
-// Serializes the CRC-covered header fields (everything between the magic
-// and the checksum) so writer and reader checksum identical bytes.
-void PutCoveredHeader(BinaryWriter* w, const Frame& f) {
-  w->PutU8(static_cast<uint8_t>(f.type));
-  w->PutU32(f.sensor_id);
-  w->PutU64(f.seq);
-  w->PutU32(f.epoch);
-  w->PutU32(static_cast<uint32_t>(f.payload.size()));
+// The CRC-covered header fields (everything between the magic and the
+// checksum) as little-endian bytes on the stack, so writer and reader
+// checksum identical bytes without building a heap buffer.
+constexpr size_t kCoveredHeaderBytes = 1 + 4 + 8 + 4 + 4;
+using CoveredHeader = std::array<uint8_t, kCoveredHeaderBytes>;
+
+CoveredHeader MakeCoveredHeader(const Frame& f) {
+  CoveredHeader h{};
+  size_t pos = 0;
+  auto put = [&](uint64_t v, size_t bytes) {
+    for (size_t i = 0; i < bytes; ++i) {
+      h[pos++] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  };
+  put(static_cast<uint8_t>(f.type), 1);
+  put(f.sensor_id, 4);
+  put(f.seq, 8);
+  put(f.epoch, 4);
+  put(static_cast<uint32_t>(f.payload.size()), 4);
+  return h;
 }
 
-uint32_t FrameCrc(const Frame& f) {
-  BinaryWriter covered;
-  PutCoveredHeader(&covered, f);
-  uint32_t state = Crc32Update(kCrc32Init, covered.buffer());
-  state = Crc32Update(state, f.payload);
-  return Crc32Finalize(state);
+uint32_t FrameCrc(const CoveredHeader& header,
+                  std::span<const uint8_t> payload) {
+  return Crc32Finalize(
+      Crc32Update(Crc32Update(kCrc32Init, header), payload));
 }
 
 }  // namespace
 
 void Frame::Serialize(BinaryWriter* writer) const {
+  const CoveredHeader header = MakeCoveredHeader(*this);
   writer->PutU32(kFrameMagic);
-  PutCoveredHeader(writer, *this);
-  writer->PutU32(FrameCrc(*this));
+  writer->PutRaw(header);
+  writer->PutU32(FrameCrc(header, payload));
   writer->PutRaw(payload);
 }
 
@@ -198,7 +211,7 @@ StatusOr<Frame> Frame::Deserialize(BinaryReader* reader) {
   SBR_RETURN_IF_ERROR(reader->GetU32(&len));
   SBR_RETURN_IF_ERROR(reader->GetU32(&crc));
   SBR_RETURN_IF_ERROR(reader->GetRaw(len, &f.payload));
-  if (crc != FrameCrc(f)) {
+  if (crc != FrameCrc(MakeCoveredHeader(f), f.payload)) {
     return Status::DataLoss("frame CRC mismatch");
   }
   return f;

@@ -2,15 +2,21 @@
 
 #include <algorithm>
 
-#include "net/frame_check.h"
 #include "obs/metrics.h"
-#include "storage/query_service.h"
 
 namespace sbr::net {
 namespace {
 
 // Station protocol-checkpoint blob format version.
 constexpr uint8_t kStationCheckpointVersion = 1;
+
+// The service a station keeps the timelines in while none is attached. It
+// serves only materialized reads (History()), so it skips the moment
+// index and the per-version min/max tables.
+std::unique_ptr<storage::QueryService> OwnedService(size_t m_base) {
+  return std::make_unique<storage::QueryService>(storage::QueryServiceOptions{
+      .m_base = m_base, .index = storage::IndexOptions{.enabled = false}});
+}
 
 void AddStats(const ProtocolStats& from, ProtocolStats* to) {
   to->frames_accepted += from.frames_accepted;
@@ -31,7 +37,9 @@ BaseStation::BaseStation(size_t m_base, std::string log_dir,
     : m_base_(m_base),
       log_dir_(std::move(log_dir)),
       reorder_window_(reorder_window == 0 ? 1 : reorder_window),
-      persist_protocol_state_(persist_protocol_state) {}
+      persist_protocol_state_(persist_protocol_state),
+      owned_(OwnedService(m_base)),
+      timelines_(owned_.get()) {}
 
 StatusOr<BaseStation::PerSensor*> BaseStation::GetOrCreate(
     uint32_t sensor_id) {
@@ -45,56 +53,46 @@ StatusOr<BaseStation::PerSensor*> BaseStation::GetOrCreate(
     if (!opened.ok()) return opened.status();
     log = std::move(opened).value();
   }
-  // Replay any recovered records so the history matches the log. The
-  // station's timeline serves materialized reads; aggregates are the
-  // query service's, so it skips the moment index and the per-version
-  // min/max tables.
-  const storage::IndexOptions no_index{.enabled = false};
-  auto history = log.empty()
-                     ? StatusOr<storage::CompressedHistory>(
-                           storage::CompressedHistory(m_base_, no_index))
-                     : storage::CompressedHistory::FromLog(log, m_base_,
-                                                           no_index);
-  if (!history.ok()) return history.status();
-  auto [pos, inserted] = sensors_.emplace(
-      sensor_id, PerSensor{std::move(log), std::move(history).value()});
+  // Replay any recovered records so the timeline matches the log.
+  if (!log.empty()) {
+    SBR_RETURN_IF_ERROR(storage::ReplayLog(log, sensor_id, timelines_));
+  }
+  auto [pos, inserted] = sensors_.emplace(sensor_id, PerSensor{std::move(log)});
   (void)inserted;
   PerSensor* s = &pos->second;
   s->id = sensor_id;
   if (persist_protocol_state_ && !s->log.empty()) {
     SBR_RETURN_IF_ERROR(RestoreProtocolState(s));
   }
-  if (query_service_ != nullptr && !s->log.empty()) {
-    SBR_RETURN_IF_ERROR(ReplayIntoQueryService(sensor_id, s->log));
-  }
   return s;
 }
 
 Status BaseStation::AttachQueryService(storage::QueryService* service) {
+  if (!sensors_.empty()) {
+    return Status::FailedPrecondition(
+        "query service attach/detach after the station heard from " +
+        std::to_string(sensors_.size()) +
+        " sensor(s): the service would hold timelines that start "
+        "mid-stream");
+  }
   if (service != nullptr && service->m_base() != m_base_) {
     return Status::InvalidArgument(
         "query service m_base " + std::to_string(service->m_base()) +
         " does not match the station's m_base " + std::to_string(m_base_));
   }
-  query_service_ = service;
+  owned_ = service == nullptr ? OwnedService(m_base_) : nullptr;
+  timelines_ = service == nullptr ? owned_.get() : service;
   return Status::Ok();
 }
 
-void BaseStation::ForwardToQueryService(uint32_t sensor_id,
-                                        const core::Transmission& t) {
-  if (query_service_ == nullptr) return;
-  if (!query_service_->Ingest(sensor_id, t).ok()) {
-    // The station's own history accepted this record, so a service-side
-    // rejection is an internal disagreement; keep the two chunk timelines
-    // aligned with an explicit service-side gap and count the event.
-    (void)query_service_->MarkGap(sensor_id, 1);
-    SBR_OBS_COUNT("net.station.query_forward_gaps", 1);
-  }
-}
-
-Status BaseStation::ReplayIntoQueryService(uint32_t sensor_id,
-                                           const storage::ChunkLog& log) {
-  return storage::ReplayLog(log, sensor_id, query_service_);
+const storage::CompressedHistory& BaseStation::Timeline(
+    uint32_t sensor_id) const {
+  // A sensor heard from only through frames that never reached the
+  // timeline (buffered, refused, duplicate) has none in the service yet.
+  static const storage::CompressedHistory kEmpty(
+      0, storage::IndexOptions{.enabled = false});
+  const storage::CompressedHistory* timeline = timelines_->Timeline(sensor_id);
+  return timeline != nullptr ? *timeline : kEmpty;
 }
 
 Status BaseStation::AppendProtocolCheckpoint(PerSensor* s) {
@@ -197,16 +195,16 @@ Status BaseStation::RestoreProtocolState(PerSensor* s) {
 Status BaseStation::Receive(uint32_t sensor_id, const core::Transmission& t) {
   auto sensor = GetOrCreate(sensor_id);
   if (!sensor.ok()) return sensor.status();
-  SBR_RETURN_IF_ERROR((*sensor)->log.Append(t));
-  SBR_RETURN_IF_ERROR((*sensor)->history.Ingest(t));
-  ForwardToQueryService(sensor_id, t);
-  return Status::Ok();
+  SBR_RETURN_IF_ERROR(timelines_->Ingest(sensor_id, t));
+  return (*sensor)->log.Append(t);
 }
 
-Status BaseStation::IngestData(PerSensor* s, const core::Transmission& t) {
-  SBR_RETURN_IF_ERROR(s->log.Append(t));
-  SBR_RETURN_IF_ERROR(s->history.Ingest(t));
-  ForwardToQueryService(s->id, t);
+Status BaseStation::IngestData(PerSensor* s, const core::Transmission& t,
+                               std::span<const uint8_t> payload) {
+  // The timeline decides first: a frame it rejects never reaches the log,
+  // so a restart replays exactly the chunks the live timeline holds.
+  SBR_RETURN_IF_ERROR(timelines_->Ingest(s->id, t));
+  SBR_RETURN_IF_ERROR(s->log.AppendSerialized(payload));
   ++s->stats.frames_accepted;
   ++total_.frames_accepted;
   if (t.base_kind == core::BaseKind::kNone) {
@@ -219,10 +217,7 @@ Status BaseStation::IngestData(PerSensor* s, const core::Transmission& t) {
 Status BaseStation::DeclareGap(PerSensor* s, size_t chunks) {
   if (chunks == 0) return Status::Ok();
   SBR_RETURN_IF_ERROR(s->log.AppendGap(static_cast<uint32_t>(chunks)));
-  s->history.MarkGap(chunks);
-  if (query_service_ != nullptr) {
-    (void)query_service_->MarkGap(s->id, chunks);
-  }
+  SBR_RETURN_IF_ERROR(timelines_->MarkGap(s->id, chunks));
   s->stats.gap_chunks += chunks;
   total_.gap_chunks += chunks;
   return Status::Ok();
@@ -232,10 +227,10 @@ StatusOr<FrameAck> BaseStation::ReceiveBytes(
     std::span<const uint8_t> bytes) {
   SBR_OBS_COUNT("net.rx.frames", 1);
   SBR_OBS_COUNT("net.rx.bytes", bytes.size());
-  // The shared envelope check (frame_check.h) — the same classification a
-  // relay applies on the forwarding path, so a malformed frame gets the
-  // identical verdict at every hop.
-  auto frame = CheckFrameEnvelope(bytes);
+  // The envelope check (magic, header bounds, CRC32) — the same
+  // core::Frame::Parse a relay applies on the forwarding path, so a
+  // malformed frame gets the identical verdict at every hop.
+  auto frame = core::Frame::Parse(bytes);
   if (!frame.ok()) {
     // Corruption is detected, counted and NACKed — never decoded. The
     // sensor id cannot be trusted on a frame that failed its CRC, so the
@@ -315,19 +310,15 @@ StatusOr<FrameAck> BaseStation::HandleFrame(core::Frame frame) {
     // summed, because the incremental count may include chunks a stale
     // (crash-recovered) sensor checkpoint already reported once.
     // Anything buffered under the old epoch is undecodable and discarded.
-    const uint64_t len = s->history.num_chunks();
+    const uint64_t len = Timeline(s->id).num_chunks();
     const uint64_t target =
         snap->timeline_chunks > 0
             ? std::max<uint64_t>(snap->timeline_chunks, len)
             : len + snap->missing_chunks;
     SBR_RETURN_IF_ERROR(
         DeclareGap(s, target > len ? static_cast<size_t>(target - len) : 0));
-    SBR_RETURN_IF_ERROR(s->history.ApplySnapshot(*snap));
+    SBR_RETURN_IF_ERROR(timelines_->ApplySnapshot(s->id, *snap));
     SBR_RETURN_IF_ERROR(s->log.AppendSnapshot(*snap));
-    if (query_service_ != nullptr &&
-        !query_service_->ApplySnapshot(s->id, *snap).ok()) {
-      SBR_OBS_COUNT("net.station.query_forward_snapshot_rejects", 1);
-    }
     s->stats.stale_frames_rejected += s->pending.size();
     total_.stale_frames_rejected += s->pending.size();
     s->pending.clear();
@@ -365,7 +356,7 @@ StatusOr<FrameAck> BaseStation::HandleFrame(core::Frame frame) {
       ack.type = AckType::kCorrupt;
       return ack;
     }
-    if (Status ingest = IngestData(s, *t); !ingest.ok()) {
+    if (Status ingest = IngestData(s, *t, frame.payload); !ingest.ok()) {
       // CRC-clean but undecodable (e.g. geometry drift): the stream state
       // is no longer trustworthy — request a resync rather than guessing.
       s->awaiting_resync = true;
@@ -388,7 +379,7 @@ StatusOr<FrameAck> BaseStation::HandleFrame(core::Frame frame) {
         ++total_.corrupt_frames;
         break;
       }
-      if (!IngestData(s, *held_t).ok()) {
+      if (!IngestData(s, *held_t, held.payload).ok()) {
         s->awaiting_resync = true;
         break;
       }
@@ -433,11 +424,10 @@ ProtocolStats BaseStation::stats(uint32_t sensor_id) const {
 
 StatusOr<const storage::CompressedHistory*> BaseStation::History(
     uint32_t sensor_id) const {
-  auto it = sensors_.find(sensor_id);
-  if (it == sensors_.end()) {
+  if (!HasSensor(sensor_id)) {
     return Status::NotFound("sensor " + std::to_string(sensor_id));
   }
-  return &it->second.history;
+  return &Timeline(sensor_id);
 }
 
 StatusOr<const storage::ChunkLog*> BaseStation::Log(

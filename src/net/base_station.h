@@ -4,28 +4,30 @@
 // folded into the same stream). The timeline is a
 // storage::CompressedHistory: interval lists against shared base-signal
 // versions, never decoded samples — "Y_i at any point in the past" is
-// decoded on demand when it is read.
+// decoded on demand when it is read. It lives in a storage::QueryService
+// (the attached one, else the station's own with the index off), so each
+// accepted frame is resolved, indexed and published once.
 //
 // On-air frames pass through the fault-tolerant receive protocol first:
 // CRC validation, duplicate suppression, a bounded reorder window, and
 // epoch tracking. A detected gap or epoch mismatch is surfaced as an
 // explicit DataLoss gap plus a resync request — a frame whose base-signal
-// lineage is broken is never decoded into silent garbage.
+// lineage is broken is never decoded into silent garbage. A data frame's
+// payload is logged as received, and only once the timeline accepted it.
 #ifndef SBR_NET_BASE_STATION_H_
 #define SBR_NET_BASE_STATION_H_
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 
 #include "core/transmission.h"
 #include "storage/chunk_log.h"
 #include "storage/query_engine.h"
+#include "storage/query_service.h"
 #include "util/status.h"
-
-namespace sbr::storage {
-class QueryService;
-}  // namespace sbr::storage
 
 namespace sbr::net {
 
@@ -102,29 +104,33 @@ class BaseStation {
     return sensors_.count(sensor_id) > 0;
   }
 
-  /// The sensor's timeline (materialized reads decode on demand);
-  /// NotFound if never heard from.
+  /// The sensor's timeline, the service's writer-side one (materialized
+  /// reads decode on demand); NotFound if never heard from. Read it on the
+  /// ingest thread or after ingest; concurrent readers use Snapshot().
   StatusOr<const storage::CompressedHistory*> History(
       uint32_t sensor_id) const;
 
   /// The raw log of a sensor; NotFound if never heard from.
   StatusOr<const storage::ChunkLog*> Log(uint32_t sensor_id) const;
 
-  /// Attaches a concurrent query front-end: every accepted ingest, gap
-  /// declaration and resync snapshot — including the log replay of sensors
-  /// first heard from after the attach — is mirrored into `service`, which
-  /// publishes an immutable epoch snapshot per mutation for concurrent
-  /// readers. Not owned; must outlive the station. Pass nullptr to detach.
-  /// A service decoding with a different `m_base` than the station would
-  /// turn every chunk into a silent gap, so it is refused with
-  /// InvalidArgument and not attached (the previous attachment stays).
+  /// Makes `service` hold every sensor's timeline: each accepted ingest,
+  /// gap and resync snapshot, and the log replay of a recovered sensor,
+  /// goes into it, and it publishes an epoch snapshot per mutation for
+  /// concurrent readers. Not owned; must outlive the station. nullptr
+  /// detaches (the station keeps its own service). Refused, leaving the
+  /// attachment as it was, with FailedPrecondition once the station has
+  /// heard from a sensor (the timelines would start mid-stream), and with
+  /// InvalidArgument for a service of another `m_base` (every chunk would
+  /// become a silent gap).
   Status AttachQueryService(storage::QueryService* service);
-  storage::QueryService* query_service() const { return query_service_; }
+  /// The attached service; nullptr when the station keeps its own.
+  storage::QueryService* query_service() const {
+    return owned_ != nullptr ? nullptr : timelines_;
+  }
 
  private:
   struct PerSensor {
     storage::ChunkLog log;
-    storage::CompressedHistory history;
     // Receive-protocol state.
     uint64_t expected_seq = 0;
     uint32_t epoch = 0;
@@ -136,9 +142,13 @@ class BaseStation {
 
   StatusOr<PerSensor*> GetOrCreate(uint32_t sensor_id);
   StatusOr<FrameAck> HandleFrame(core::Frame frame);
-  /// Logs and ingests one in-order data frame's transmission.
-  Status IngestData(PerSensor* s, const core::Transmission& t);
-  /// Records `chunks` DataLoss gaps in history and log.
+  /// The sensor's timeline, or an empty one if none was written yet.
+  const storage::CompressedHistory& Timeline(uint32_t sensor_id) const;
+  /// Ingests `t` into the timeline, then logs `payload`, the frame
+  /// payload it was parsed from.
+  Status IngestData(PerSensor* s, const core::Transmission& t,
+                    std::span<const uint8_t> payload);
+  /// Records `chunks` DataLoss gaps in log and timeline.
   Status DeclareGap(PerSensor* s, size_t chunks);
   /// Appends a protocol-state checkpoint record (persist mode only).
   Status AppendProtocolCheckpoint(PerSensor* s);
@@ -146,14 +156,6 @@ class BaseStation {
   /// records appended after it (persist mode only; checkpoint-less legacy
   /// logs keep the fresh-sensor defaults).
   Status RestoreProtocolState(PerSensor* s);
-  /// Mirrors one accepted transmission into the attached query service
-  /// (no-op without one). A service-side rejection becomes a service-side
-  /// gap so the two timelines never drift apart.
-  void ForwardToQueryService(uint32_t sensor_id, const core::Transmission& t);
-  /// Replays a recovered log into the attached query service so a sensor
-  /// restored from disk is immediately queryable.
-  Status ReplayIntoQueryService(uint32_t sensor_id,
-                                const storage::ChunkLog& log);
 
   size_t m_base_;
   std::string log_dir_;
@@ -161,7 +163,10 @@ class BaseStation {
   bool persist_protocol_state_;
   std::map<uint32_t, PerSensor> sensors_;
   ProtocolStats total_;
-  storage::QueryService* query_service_ = nullptr;
+  /// The station's own service (index off) while none is attached.
+  std::unique_ptr<storage::QueryService> owned_;
+  /// Holds every sensor's timeline: the attached service, else owned_.
+  storage::QueryService* timelines_;
 };
 
 }  // namespace sbr::net

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "net/frame_check.h"
 #include "obs/metrics.h"
 #include "util/serialize.h"
 
@@ -144,7 +143,7 @@ StatusOr<SimEngine::DeliveryOutcome> SimEngine::DeliverFrame(
         // stays at the station, so relayed delivery and energy are
         // untouched by the classification.
         if (h > 0 && sink.malformed_relayed != nullptr &&
-            !FrameEnvelopeOk(copy)) {
+            !core::Frame::Parse(copy).ok()) {
           ++*sink.malformed_relayed;
           if (options_.emit_obs) SBR_OBS_COUNT("net.relay.malformed", 1);
         }

@@ -83,8 +83,8 @@ struct NodeReport {
   /// only; the matching radio energy is charged to this node's account).
   size_t forwarded_copies = 0;
   /// Copies of this node's frames that arrived at a forwarding hop already
-  /// failing the shared envelope check (CheckFrameEnvelope — the same
-  /// verdict BaseStation::ReceiveBytes reaches). Relays classify but do
+  /// failing the envelope check (core::Frame::Parse — the same verdict
+  /// BaseStation::ReceiveBytes reaches). Relays classify but do
   /// not drop: enforcement stays at the station, so delivery, energy and
   /// every other counter are untouched by the classification.
   size_t malformed_relayed = 0;

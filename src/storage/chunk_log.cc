@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <utility>
 
@@ -35,11 +36,32 @@ bool PayloadParses(RecordType type, std::span<const uint8_t> payload) {
   return false;
 }
 
-// Payload of the gap marker a quarantined transmission is replaced with.
-std::vector<uint8_t> OneChunkGapPayload() {
-  BinaryWriter writer;
-  writer.PutU32(1);
-  return writer.TakeBuffer();
+// Payload of the gap marker a quarantined transmission is replaced with:
+// a one-chunk count, u32 little-endian.
+constexpr uint8_t kOneChunkGap[] = {1, 0, 0, 0};
+
+// A record's CRC32 covers its type byte, then its payload.
+uint32_t RecordCrc(uint8_t type, std::span<const uint8_t> payload) {
+  return Crc32Finalize(
+      Crc32Update(Crc32Update(kCrc32Init, std::span(&type, 1)), payload));
+}
+
+// One record as it lies on disk — len u32 | type u8 | crc u32 | payload —
+// in one pre-sized buffer.
+std::vector<uint8_t> FramedRecord(RecordType type,
+                                  std::span<const uint8_t> payload) {
+  std::vector<uint8_t> out(ChunkLog::kFramingBytes + payload.size());
+  const auto len = static_cast<uint32_t>(payload.size());
+  const auto type_byte = static_cast<uint8_t>(type);
+  const uint32_t crc = RecordCrc(type_byte, payload);
+  for (int i = 0; i < 4; ++i) {
+    out[i] = static_cast<uint8_t>(len >> (8 * i));
+    out[5 + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  out[4] = type_byte;
+  std::copy(payload.begin(), payload.end(),
+            out.begin() + ChunkLog::kFramingBytes);
+  return out;
 }
 
 }  // namespace
@@ -156,7 +178,7 @@ StatusOr<ChunkLog> ChunkLog::Open(const std::string& path) {
     uint32_t len = 0;
     uint8_t type = 0;
     uint32_t crc = 0;
-    std::vector<uint8_t> payload;
+    std::span<const uint8_t> payload;
     if (!reader.GetU32(&len).ok() || !reader.GetU8(&type).ok() ||
         !reader.GetU32(&crc).ok() || !reader.GetRaw(len, &payload).ok()) {
       ++log.dropped_records_;
@@ -164,18 +186,17 @@ StatusOr<ChunkLog> ChunkLog::Open(const std::string& path) {
     }
     const size_t framed_len = reader.position() - record_offset;
     valid_end = reader.position();
-    uint32_t state = Crc32Update(kCrc32Init, std::span(&type, 1));
-    state = Crc32Update(state, payload);
     const bool type_ok = type <= static_cast<uint8_t>(RecordType::kCheckpoint);
     const bool intact =
-        crc == Crc32Finalize(state) && type_ok &&
+        crc == RecordCrc(type, payload) && type_ok &&
         PayloadParses(static_cast<RecordType>(type), payload);
     if (!intact) {
       ++log.quarantined_records_;
       lineage_broken = true;
       if (type == static_cast<uint8_t>(RecordType::kTransmission)) {
-        log.records_.push_back(Record{RecordType::kGap, OneChunkGapPayload(),
-                                      record_offset, framed_len});
+        log.records_.push_back(Record{
+            RecordType::kGap, FramedRecord(RecordType::kGap, kOneChunkGap),
+            record_offset, framed_len});
       }
       continue;
     }
@@ -186,13 +207,17 @@ StatusOr<ChunkLog> ChunkLog::Open(const std::string& path) {
       // garbage. One record == one chunk, so a one-chunk gap keeps the
       // timeline aligned.
       ++log.quarantined_records_;
-      log.records_.push_back(Record{RecordType::kGap, OneChunkGapPayload(),
-                                    record_offset, framed_len});
+      log.records_.push_back(Record{
+          RecordType::kGap, FramedRecord(RecordType::kGap, kOneChunkGap),
+          record_offset, framed_len});
       continue;
     }
     if (record_type == RecordType::kSnapshot) lineage_broken = false;
-    log.records_.push_back(Record{record_type, std::move(payload),
-                                  record_offset, framed_len});
+    log.records_.push_back(
+        Record{record_type,
+               std::vector<uint8_t>(bytes.begin() + record_offset,
+                                    bytes.begin() + valid_end),
+               record_offset, framed_len});
   }
   log.recovered_lineage_broken_ = lineage_broken;
   log.disk_end_ = valid_end;
@@ -203,98 +228,90 @@ StatusOr<ChunkLog> ChunkLog::Open(const std::string& path) {
   return log;
 }
 
-Status ChunkLog::AppendRecord(RecordType type, std::vector<uint8_t> payload) {
-  BinaryWriter framed;
-  framed.PutU32(static_cast<uint32_t>(payload.size()));
-  const uint8_t type_byte = static_cast<uint8_t>(type);
-  framed.PutU8(type_byte);
-  uint32_t state = Crc32Update(kCrc32Init, std::span(&type_byte, 1));
-  state = Crc32Update(state, payload);
-  framed.PutU32(Crc32Finalize(state));
-  framed.PutRaw(payload);
+Status ChunkLog::AppendRecord(RecordType type,
+                              std::span<const uint8_t> payload) {
+  std::vector<uint8_t> framed = FramedRecord(type, payload);
   if (!path_.empty()) {
     if (!writable_) return Status::NotFound("cannot append to log: " + path_);
-    SBR_RETURN_IF_ERROR(WriteAll(framed.buffer()));
+    SBR_RETURN_IF_ERROR(WriteAll(framed));
   }
-  records_.push_back(Record{type, std::move(payload), disk_end_,
-                            framed.size()});
-  disk_end_ += framed.size();
+  const size_t framed_len = framed.size();
+  records_.push_back(Record{type, std::move(framed), disk_end_, framed_len});
+  disk_end_ += framed_len;
   return Status::Ok();
 }
 
 Status ChunkLog::Append(const core::Transmission& t) {
   BinaryWriter writer;
   t.Serialize(&writer);
-  return AppendRecord(RecordType::kTransmission, writer.TakeBuffer());
+  return AppendRecord(RecordType::kTransmission, writer.buffer());
+}
+
+Status ChunkLog::AppendSerialized(std::span<const uint8_t> transmission) {
+  return AppendRecord(RecordType::kTransmission, transmission);
 }
 
 Status ChunkLog::AppendGap(uint32_t chunks) {
   BinaryWriter writer;
   writer.PutU32(chunks);
-  return AppendRecord(RecordType::kGap, writer.TakeBuffer());
+  return AppendRecord(RecordType::kGap, writer.buffer());
 }
 
 Status ChunkLog::AppendSnapshot(const core::BaseSnapshot& snapshot) {
   BinaryWriter writer;
   snapshot.Serialize(&writer);
-  return AppendRecord(RecordType::kSnapshot, writer.TakeBuffer());
+  return AppendRecord(RecordType::kSnapshot, writer.buffer());
 }
 
-Status ChunkLog::AppendCheckpoint(std::vector<uint8_t> blob) {
-  return AppendRecord(RecordType::kCheckpoint, std::move(blob));
+Status ChunkLog::AppendCheckpoint(const std::vector<uint8_t>& blob) {
+  return AppendRecord(RecordType::kCheckpoint, blob);
 }
 
-StatusOr<core::Transmission> ChunkLog::Read(size_t index) const {
+Status ChunkLog::Payload(size_t index, RecordType type, const char* noun,
+                         std::span<const uint8_t>* out) const {
   if (index >= records_.size()) {
     return Status::OutOfRange("record " + std::to_string(index) + " of " +
                               std::to_string(records_.size()));
   }
-  if (records_[index].type != RecordType::kTransmission) {
+  if (records_[index].type != type) {
     return Status::InvalidArgument("record " + std::to_string(index) +
-                                   " is not a transmission");
+                                   " is not " + noun);
   }
-  BinaryReader reader(records_[index].payload);
+  *out = records_[index].payload();
+  return Status::Ok();
+}
+
+StatusOr<core::Transmission> ChunkLog::Read(size_t index) const {
+  std::span<const uint8_t> payload;
+  SBR_RETURN_IF_ERROR(
+      Payload(index, RecordType::kTransmission, "a transmission", &payload));
+  BinaryReader reader(payload);
   return core::Transmission::Deserialize(&reader);
 }
 
 StatusOr<uint32_t> ChunkLog::ReadGap(size_t index) const {
-  if (index >= records_.size()) {
-    return Status::OutOfRange("record " + std::to_string(index) + " of " +
-                              std::to_string(records_.size()));
-  }
-  if (records_[index].type != RecordType::kGap) {
-    return Status::InvalidArgument("record " + std::to_string(index) +
-                                   " is not a gap marker");
-  }
-  BinaryReader reader(records_[index].payload);
+  std::span<const uint8_t> payload;
+  SBR_RETURN_IF_ERROR(
+      Payload(index, RecordType::kGap, "a gap marker", &payload));
+  BinaryReader reader(payload);
   uint32_t chunks;
   SBR_RETURN_IF_ERROR(reader.GetU32(&chunks));
   return chunks;
 }
 
 StatusOr<core::BaseSnapshot> ChunkLog::ReadSnapshot(size_t index) const {
-  if (index >= records_.size()) {
-    return Status::OutOfRange("record " + std::to_string(index) + " of " +
-                              std::to_string(records_.size()));
-  }
-  if (records_[index].type != RecordType::kSnapshot) {
-    return Status::InvalidArgument("record " + std::to_string(index) +
-                                   " is not a snapshot");
-  }
-  BinaryReader reader(records_[index].payload);
+  std::span<const uint8_t> payload;
+  SBR_RETURN_IF_ERROR(
+      Payload(index, RecordType::kSnapshot, "a snapshot", &payload));
+  BinaryReader reader(payload);
   return core::BaseSnapshot::Deserialize(&reader);
 }
 
 StatusOr<std::vector<uint8_t>> ChunkLog::ReadCheckpoint(size_t index) const {
-  if (index >= records_.size()) {
-    return Status::OutOfRange("record " + std::to_string(index) + " of " +
-                              std::to_string(records_.size()));
-  }
-  if (records_[index].type != RecordType::kCheckpoint) {
-    return Status::InvalidArgument("record " + std::to_string(index) +
-                                   " is not a checkpoint");
-  }
-  return records_[index].payload;
+  std::span<const uint8_t> payload;
+  SBR_RETURN_IF_ERROR(
+      Payload(index, RecordType::kCheckpoint, "a checkpoint", &payload));
+  return std::vector<uint8_t>(payload.begin(), payload.end());
 }
 
 size_t ChunkLog::LastCheckpointIndex() const {
@@ -306,7 +323,7 @@ size_t ChunkLog::LastCheckpointIndex() const {
 
 size_t ChunkLog::TotalBytes() const {
   size_t total = 0;
-  for (const auto& r : records_) total += r.payload.size();
+  for (const auto& r : records_) total += r.payload().size();
   return total;
 }
 

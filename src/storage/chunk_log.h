@@ -71,8 +71,17 @@ class ChunkLog {
   /// appends to it then fail with NotFound.
   static StatusOr<ChunkLog> Open(const std::string& path);
 
-  /// Appends one transmission.
+  /// Record framing ahead of each payload on disk: len u32 | type u8 |
+  /// crc u32 (the CRC covers the type byte and the payload).
+  static constexpr size_t kFramingBytes = 4 + 1 + 4;
+
+  /// Appends one transmission, serializing it.
   Status Append(const core::Transmission& t);
+
+  /// Appends one serialized transmission exactly as given (a data frame's
+  /// payload as received); the caller vouches that it parses, else the
+  /// record is quarantined on reload.
+  Status AppendSerialized(std::span<const uint8_t> transmission);
 
   /// Records that `chunks` data chunks were lost for good (DataLoss gap).
   Status AppendGap(uint32_t chunks);
@@ -82,7 +91,7 @@ class ChunkLog {
 
   /// Records an opaque recovery checkpoint (the log does not interpret the
   /// payload; CRC framing still detects corruption on reload).
-  Status AppendCheckpoint(std::vector<uint8_t> blob);
+  Status AppendCheckpoint(const std::vector<uint8_t>& blob);
 
   /// Number of records (all types).
   size_t size() const { return records_.size(); }
@@ -143,12 +152,24 @@ class ChunkLog {
  private:
   struct Record {
     RecordType type;
-    std::vector<uint8_t> payload;
+    /// The record as framed on disk (framing, then payload); a
+    /// quarantined record holds its replacement gap marker instead.
+    std::vector<uint8_t> framed;
     size_t disk_offset = 0;
     size_t disk_len = 0;
+
+    std::span<const uint8_t> payload() const {
+      return std::span(framed).subspan(kFramingBytes);
+    }
   };
 
-  Status AppendRecord(RecordType type, std::vector<uint8_t> payload);
+  /// Points `out` at record `index`'s payload; OutOfRange past the end,
+  /// InvalidArgument ("record i is not <noun>") if it is not a `type`.
+  Status Payload(size_t index, RecordType type, const char* noun,
+                 std::span<const uint8_t>* out) const;
+  /// Frames `payload` in one pre-sized buffer, writes it through (durable
+  /// log) and keeps it.
+  Status AppendRecord(RecordType type, std::span<const uint8_t> payload);
   /// Writes all of `bytes` at the file's end (retrying short writes).
   Status WriteAll(std::span<const uint8_t> bytes);
 

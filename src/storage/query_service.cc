@@ -144,6 +144,11 @@ std::vector<StatusOr<AggregateResult>> QueryService::AggregateBatch(
   return out;
 }
 
+const CompressedHistory* QueryService::Timeline(uint32_t sensor_id) const {
+  const PerSensor* s = Find(sensor_id);
+  return s == nullptr ? nullptr : &s->builder;
+}
+
 uint64_t QueryService::epoch(uint32_t sensor_id) const {
   auto snap = Snapshot(sensor_id);
   return snap == nullptr ? 0 : snap->epoch;
@@ -162,36 +167,32 @@ QueryServiceCounters QueryService::counters() const {
   return c;
 }
 
+namespace {
+
+// Adapts one sensor of a service to ReplayInto's history interface. A
+// transmission the service rejects becomes a one-chunk gap, so the
+// timeline stays aligned with the log.
+struct ReplaySink {
+  QueryService* service;
+  uint32_t sensor_id;
+
+  Status Ingest(const core::Transmission& t) {
+    if (service->Ingest(sensor_id, t).ok()) return Status::Ok();
+    SBR_OBS_COUNT("query.replay_gaps", 1);
+    return service->MarkGap(sensor_id, 1);
+  }
+  void MarkGap(size_t chunks) { (void)service->MarkGap(sensor_id, chunks); }
+  Status ApplySnapshot(const core::BaseSnapshot& snapshot) {
+    return service->ApplySnapshot(sensor_id, snapshot);
+  }
+};
+
+}  // namespace
+
 Status ReplayLog(const ChunkLog& log, uint32_t sensor_id,
                  QueryService* service) {
-  for (size_t i = 0; i < log.size(); ++i) {
-    switch (log.record_type(i)) {
-      case RecordType::kTransmission: {
-        auto t = log.Read(i);
-        if (!t.ok()) return t.status();
-        if (!service->Ingest(sensor_id, *t).ok()) {
-          SBR_RETURN_IF_ERROR(service->MarkGap(sensor_id, 1));
-          SBR_OBS_COUNT("query.replay_gaps", 1);
-        }
-        break;
-      }
-      case RecordType::kGap: {
-        auto chunks = log.ReadGap(i);
-        if (!chunks.ok()) return chunks.status();
-        SBR_RETURN_IF_ERROR(service->MarkGap(sensor_id, *chunks));
-        break;
-      }
-      case RecordType::kSnapshot: {
-        auto snap = log.ReadSnapshot(i);
-        if (!snap.ok()) return snap.status();
-        SBR_RETURN_IF_ERROR(service->ApplySnapshot(sensor_id, *snap));
-        break;
-      }
-      case RecordType::kCheckpoint:
-        break;  // recovery state for the log's owner; no history data
-    }
-  }
-  return Status::Ok();
+  ReplaySink sink{service, sensor_id};
+  return ReplayInto(log, &sink);
 }
 
 }  // namespace sbr::storage

@@ -159,6 +159,12 @@ class QueryService {
   /// The base-signal size every sensor's timeline decodes with.
   size_t m_base() const { return options_.m_base; }
 
+  /// The sensor's writer-side timeline itself (nullptr if never written),
+  /// for the writer — the base station reading back what it ingested —
+  /// or for any thread once ingest has stopped. Unlike Snapshot() it is
+  /// not safe to read while a writer call for the same sensor runs.
+  const CompressedHistory* Timeline(uint32_t sensor_id) const;
+
  private:
   struct PerSensor {
     /// Writer-owned mutable timeline; frozen into each published epoch
@@ -207,8 +213,7 @@ class QueryService {
 /// Replays a chunk log into `service` as sensor `sensor_id`, record by
 /// record (transmissions, gap markers, snapshots; checkpoints skipped).
 /// Log read errors propagate; a transmission the service rejects degrades
-/// to a service-side gap so the timeline stays aligned with the log (the
-/// station's own FromLog replay would have failed on it instead).
+/// to a service-side gap so the timeline stays aligned with the log.
 Status ReplayLog(const ChunkLog& log, uint32_t sensor_id,
                  QueryService* service);
 

@@ -117,4 +117,11 @@ Status BinaryReader::GetRaw(size_t n, std::vector<uint8_t>* out) {
   return Status::Ok();
 }
 
+Status BinaryReader::GetRaw(size_t n, std::span<const uint8_t>* out) {
+  SBR_RETURN_IF_ERROR(Need(n));
+  *out = data_.subspan(pos_, n);
+  pos_ += n;
+  return Status::Ok();
+}
+
 }  // namespace sbr

@@ -64,6 +64,9 @@ class BinaryReader {
   Status GetDoubles(std::vector<double>* out);
   /// Reads exactly `n` raw bytes (no length prefix).
   Status GetRaw(size_t n, std::vector<uint8_t>* out);
+  /// Views the next `n` raw bytes in place (no copy; valid while the
+  /// underlying data is).
+  Status GetRaw(size_t n, std::span<const uint8_t>* out);
 
   /// Bytes consumed so far.
   size_t position() const { return pos_; }

@@ -3,7 +3,14 @@
 // end-to-end simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <optional>
 
 #include "datagen/weather.h"
 #include "net/base_station.h"
@@ -374,11 +381,214 @@ TEST(BaseStation, RefusesQueryServiceWithMismatchedMBase) {
   ASSERT_TRUE(agg.ok()) << agg.status().ToString();
   EXPECT_EQ(agg->count, 64u);
 
-  ASSERT_TRUE(station.AttachQueryService(nullptr).ok());
-  EXPECT_EQ(station.query_service(), nullptr);
+  // Once the station has heard from a sensor the service holds its
+  // timeline, so a detach (or any attach) is refused and changes nothing.
+  const Status detach = station.AttachQueryService(nullptr);
+  EXPECT_EQ(detach.code(), StatusCode::kFailedPrecondition)
+      << detach.ToString();
+  EXPECT_EQ(station.query_service(), &service);
+  EXPECT_EQ(station.AttachQueryService(&service).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 // ------------------------------------------------------------ NetworkSim
+
+// One sensor's wire frames with a loss reported by a resync snapshot and
+// degraded chunks: chunk c is lost for good when c % 7 == 3 (the next
+// resync snapshot reports it) and goes out self-contained when
+// c % 5 == 2. Every frame is meant to be accepted in order.
+std::vector<std::vector<uint8_t>> EventfulStream(uint32_t id, size_t chunks,
+                                                 size_t chunk_len) {
+  datagen::WeatherOptions wopts;
+  wopts.length = chunks * chunk_len;
+  wopts.seed = 90 + id;
+  const datagen::Dataset feed = datagen::GenerateWeather(wopts);
+  SensorNode node(id, feed.num_signals(), chunk_len, NodeOptions());
+  std::vector<std::vector<uint8_t>> frames;
+  auto push = [&](const core::Frame& frame) {
+    BinaryWriter w;
+    frame.Serialize(&w);
+    frames.push_back(w.TakeBuffer());
+  };
+  std::vector<double> sample(feed.num_signals());
+  for (size_t t = 0; t < feed.length(); ++t) {
+    for (size_t s = 0; s < sample.size(); ++s) sample[s] = feed.values(s, t);
+    auto r = node.AddSamples(sample);
+    EXPECT_TRUE(r.ok());
+    if (!r.ok() || !r->has_value()) continue;
+    const size_t c = t / chunk_len;
+    if (c % 7 == 3) {
+      node.RecordLostChunk();
+      push(node.BuildSnapshotFrame());
+      node.MarkSnapshotDelivered();
+      continue;
+    }
+    if (c % 5 == 2) {
+      auto degraded = node.EncodeSelfContained();
+      EXPECT_TRUE(degraded.ok());
+      push(node.MakeDataFrame(*degraded));
+    } else {
+      push(node.MakeDataFrame(**r));
+    }
+    node.MarkChunkDelivered();
+  }
+  return frames;
+}
+
+TEST(BaseStation, LogsDataFramePayloadAsReceived) {
+  // The durable log record of an accepted data frame is the frame's
+  // payload byte for byte, behind the log's own framing.
+  const std::string dir = testing::TempDir() + "/sbr_net_payload_log";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::vector<std::vector<uint8_t>> frames = EventfulStream(3, 12, 32);
+  // Sensor 7 sends one compact-wire chunk whose last coefficient is a
+  // signaling NaN. It parses and is accepted, but parsing widens it to a
+  // double, so re-serializing the parsed chunk would write other bytes.
+  {
+    SensorNode node(7, 1, 32, NodeOptions());
+    Rng rng(7);
+    std::optional<core::Transmission> t;
+    while (!t.has_value()) {
+      std::vector<double> sample{rng.Uniform(0, 1)};
+      auto r = node.AddSamples(sample);
+      ASSERT_TRUE(r.ok());
+      if (r->has_value()) t = std::move(**r);
+    }
+    ASSERT_FALSE(t->quadratic);
+    t->precision = core::WirePrecision::kFloat32;
+    BinaryWriter payload;
+    t->Serialize(&payload);
+    core::Frame frame;
+    frame.sensor_id = 7;
+    frame.payload = payload.TakeBuffer();
+    const uint8_t snan[] = {0x01, 0x00, 0x80, 0x7f};  // f32 0x7f800001
+    std::copy(std::begin(snan), std::end(snan), frame.payload.end() - 4);
+    BinaryWriter w;
+    frame.Serialize(&w);
+    frames.push_back(w.TakeBuffer());
+  }
+  {
+    BaseStation station(64, dir);
+    std::map<uint32_t, std::vector<std::vector<uint8_t>>> data_payloads;
+    for (const auto& bytes : frames) {
+      auto ack = station.ReceiveBytes(bytes);
+      ASSERT_TRUE(ack.ok());
+      ASSERT_EQ(ack->type, AckType::kAccept);
+      auto frame = core::Frame::Parse(bytes);
+      ASSERT_TRUE(frame.ok());
+      if (frame->type == core::FrameType::kData) {
+        data_payloads[frame->sensor_id].push_back(frame->payload);
+      }
+    }
+    for (const auto& [id, payloads] : data_payloads) {
+      SCOPED_TRACE("sensor " + std::to_string(id));
+      auto log = station.Log(id);
+      ASSERT_TRUE(log.ok());
+      std::ifstream in((*log)->path(), std::ios::binary);
+      const std::vector<uint8_t> file((std::istreambuf_iterator<char>(in)),
+                                      std::istreambuf_iterator<char>());
+      ASSERT_EQ(file.size(), (*log)->DiskEnd());
+      size_t next = 0;
+      for (size_t i = 0; i < (*log)->size(); ++i) {
+        if ((*log)->record_type(i) != storage::RecordType::kTransmission) {
+          continue;
+        }
+        ASSERT_LT(next, payloads.size());
+        const std::vector<uint8_t>& payload = payloads[next++];
+        const auto span = (*log)->RecordDiskSpan(i);
+        ASSERT_EQ(span.length,
+                  storage::ChunkLog::kFramingBytes + payload.size());
+        const auto first =
+            file.begin() + static_cast<std::ptrdiff_t>(
+                               span.offset + storage::ChunkLog::kFramingBytes);
+        EXPECT_TRUE(std::equal(payload.begin(), payload.end(), first))
+            << "record " << i;
+      }
+      EXPECT_EQ(next, payloads.size());
+    }
+    EXPECT_GT(data_payloads[3].size(), 5u);
+    EXPECT_EQ(data_payloads[7].size(), 1u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BaseStation, HistoryIsTheServiceTimeline) {
+  // With a service attached the station keeps no timeline of its own:
+  // History() is the service's, and it reads exactly like the timeline a
+  // station without a service builds from the same frames — gap, resync
+  // snapshot and degraded chunks included.
+  const auto frames = EventfulStream(4, 16, 32);
+  storage::QueryServiceOptions opts;
+  opts.m_base = 64;
+  storage::QueryService service(opts);
+  BaseStation attached(64);
+  ASSERT_TRUE(attached.AttachQueryService(&service).ok());
+  BaseStation alone(64);
+  for (const auto& bytes : frames) {
+    for (BaseStation* station : {&attached, &alone}) {
+      auto ack = station->ReceiveBytes(bytes);
+      ASSERT_TRUE(ack.ok());
+      ASSERT_EQ(ack->type, AckType::kAccept);
+    }
+  }
+  EXPECT_GT(attached.stats(4).gap_chunks, 0u);
+  EXPECT_GT(attached.stats(4).snapshots_applied, 0u);
+  EXPECT_GT(attached.stats(4).degraded_batches, 0u);
+
+  auto a = attached.History(4);
+  auto b = alone.History(4);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(*a, service.Timeline(4));
+  EXPECT_EQ(alone.query_service(), nullptr);
+  const storage::CompressedHistory& ha = **a;
+  const storage::CompressedHistory& hb = **b;
+  ASSERT_EQ(ha.num_chunks(), hb.num_chunks());
+  EXPECT_EQ(ha.num_chunks(), 16u);
+  ASSERT_EQ(ha.num_gaps(), hb.num_gaps());
+  EXPECT_GT(ha.num_gaps(), 0u);
+  for (size_t c = 0; c < ha.num_chunks(); ++c) {
+    ASSERT_EQ(ha.IsGap(c), hb.IsGap(c)) << c;
+    auto ca = ha.Chunk(c);
+    auto cb = hb.Chunk(c);
+    ASSERT_EQ(ca.ok(), cb.ok()) << c;
+    if (!ca.ok()) {
+      EXPECT_EQ(ca.status().ToString(), cb.status().ToString());
+      continue;
+    }
+    ASSERT_EQ(ca->data().size(), cb->data().size());
+    for (size_t i = 0; i < ca->data().size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(ca->data()[i]),
+                std::bit_cast<uint64_t>(cb->data()[i]))
+          << c << " " << i;
+    }
+  }
+  const size_t len = ha.history_len();
+  for (size_t signal = 0; signal < ha.num_signals(); ++signal) {
+    for (size_t t0 = 0; t0 < len; t0 += 29) {
+      const size_t t1 = std::min(len, t0 + 45);
+      auto ra = ha.QueryRange(signal, t0, t1);
+      auto rb = hb.QueryRange(signal, t0, t1);
+      ASSERT_EQ(ra.ok(), rb.ok()) << t0;
+      if (!ra.ok()) {
+        EXPECT_EQ(ra.status().ToString(), rb.status().ToString());
+        continue;
+      }
+      for (size_t i = 0; i < ra->size(); ++i) {
+        ASSERT_EQ(std::bit_cast<uint64_t>((*ra)[i]),
+                  std::bit_cast<uint64_t>((*rb)[i]))
+            << t0 << " " << i;
+      }
+      auto pa = ha.Value(signal, t0);
+      auto pb = hb.Value(signal, t0);
+      ASSERT_EQ(pa.ok(), pb.ok());
+      if (pa.ok()) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(*pa), std::bit_cast<uint64_t>(*pb));
+      }
+    }
+  }
+}
 
 TEST(NetworkSim, EndToEndRunProducesConsistentReport) {
   datagen::WeatherOptions wopts;

@@ -7,7 +7,8 @@
 // epochs, and Aggregate, Point and Reconstruct answers equal bit for bit
 // (failures included, with their status text). The materialized answers
 // are also held to a decode-at-ingest reference rebuilt from the same
-// log.
+// log. A last case restarts a station whose timeline rejected a CRC-clean
+// frame: the sensor must reopen with the live timeline and resync.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "core/encoder.h"
 #include "core/transmission.h"
 #include "datagen/weather.h"
+#include "linalg/matrix.h"
 #include "net/base_station.h"
 #include "net/node.h"
 #include "storage/chunk_log.h"
@@ -226,6 +229,104 @@ TEST_F(ReplayTest, ReplayedReconstructionMatchesDecodeAtIngestReference) {
         ASSERT_EQ(Bits(a->data()[i]), Bits(b->data()[i])) << c << " " << i;
       }
     }
+  }
+}
+
+TEST_F(ReplayTest, RejectedFrameNeitherLogsNorBricksTheSensorAfterRestart) {
+  // A CRC-clean data frame the timeline rejects (here: the chunk length
+  // changed mid-stream) must not reach the log. If it did, the restarted
+  // station's replay would reject it again and the sensor could never
+  // reopen — not even for the resync snapshot that would repair it.
+  constexpr uint32_t kId = 5;
+  core::EncoderOptions opts;
+  opts.total_band = 60;
+  opts.m_base = kMBase;
+  datagen::WeatherOptions wopts;
+  wopts.length = 3 * kChunkLen;
+  wopts.seed = 45;
+  const datagen::Dataset feed = datagen::GenerateWeather(wopts);
+  std::vector<double> sample(kSignals);
+  auto encode = [&](net::SensorNode* node, size_t from, size_t len) {
+    std::optional<core::Transmission> t;
+    for (size_t k = from; k < from + len; ++k) {
+      for (size_t s = 0; s < kSignals; ++s) sample[s] = feed.values(s, k);
+      auto r = node->AddSamples(sample);
+      EXPECT_TRUE(r.ok());
+      if (r.ok() && r->has_value()) t = std::move(**r);
+    }
+    return t;
+  };
+
+  for (bool persist : {false, true}) {
+    SCOPED_TRACE(persist ? "persisted protocol state" : "fresh protocol state");
+    const std::string dir = dir_ + (persist ? "/persist" : "/fresh");
+    std::filesystem::create_directories(dir);
+    net::SensorNode node(kId, kSignals, kChunkLen, opts);
+    std::vector<linalg::Matrix> live_chunks;
+    {
+      net::BaseStation live(kMBase, dir, 8, persist);
+      for (size_t c = 0; c < 2; ++c) {
+        auto t = encode(&node, c * kChunkLen, kChunkLen);
+        ASSERT_TRUE(t.has_value());
+        auto ack = Deliver(&live, node.MakeDataFrame(*t));
+        ASSERT_TRUE(ack.ok());
+        ASSERT_EQ(ack->type, net::AckType::kAccept);
+        node.MarkChunkDelivered();
+      }
+      // The third frame carries a chunk half as long, in sequence.
+      net::SensorNode other(kId, kSignals, kChunkLen / 2, opts);
+      auto short_chunk = encode(&other, 2 * kChunkLen, kChunkLen / 2);
+      ASSERT_TRUE(short_chunk.has_value());
+      auto ack = Deliver(&live, core::MakeDataFrame(kId, node.next_seq(),
+                                                    node.epoch(),
+                                                    *short_chunk));
+      ASSERT_TRUE(ack.ok());
+      EXPECT_EQ(ack->type, net::AckType::kDesync);
+      EXPECT_TRUE(ack->resync_requested);
+
+      auto log = live.Log(kId);
+      ASSERT_TRUE(log.ok());
+      size_t transmissions = 0;
+      for (size_t i = 0; i < (*log)->size(); ++i) {
+        transmissions += (*log)->record_type(i) ==
+                         storage::RecordType::kTransmission;
+      }
+      EXPECT_EQ(transmissions, 2u);
+      auto history = live.History(kId);
+      ASSERT_TRUE(history.ok());
+      ASSERT_EQ((*history)->num_chunks(), 2u);
+      for (size_t c = 0; c < 2; ++c) {
+        auto chunk = (*history)->Chunk(c);
+        ASSERT_TRUE(chunk.ok());
+        live_chunks.push_back(std::move(*chunk));
+      }
+    }
+
+    net::BaseStation restarted(kMBase, dir, 8, persist);
+    auto snapshot = Deliver(&restarted, node.BuildSnapshotFrame());
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    EXPECT_EQ(snapshot->type, net::AckType::kAccept);
+    node.MarkSnapshotDelivered();
+    auto history = restarted.History(kId);
+    ASSERT_TRUE(history.ok()) << history.status().ToString();
+    ASSERT_EQ((*history)->num_chunks(), 2u);
+    EXPECT_EQ((*history)->num_gaps(), 0u);
+    for (size_t c = 0; c < 2; ++c) {
+      auto chunk = (*history)->Chunk(c);
+      ASSERT_TRUE(chunk.ok());
+      ASSERT_EQ(chunk->data().size(), live_chunks[c].data().size());
+      for (size_t i = 0; i < chunk->data().size(); ++i) {
+        ASSERT_EQ(Bits(chunk->data()[i]), Bits(live_chunks[c].data()[i]))
+            << c << " " << i;
+      }
+    }
+    // The resynced sensor streams on.
+    auto t = encode(&node, 2 * kChunkLen, kChunkLen);
+    ASSERT_TRUE(t.has_value());
+    auto ack = Deliver(&restarted, node.MakeDataFrame(*t));
+    ASSERT_TRUE(ack.ok());
+    EXPECT_EQ(ack->type, net::AckType::kAccept);
+    EXPECT_EQ((*history)->num_chunks(), 3u);
   }
 }
 

@@ -30,8 +30,11 @@ bytes_per_second. Lower-is-better: real_time_ns, seconds, p50_us,
 p99_us. Records present on only one side are reported but never fatal
 (new mixes appear, old ones retire); a Google Benchmark record that
 failed on the current side is fatal. Latency percentiles and seconds
-drift are advisory (single-run percentiles are noisy); the others are
-fatal beyond the threshold.
+drift are advisory (single-run percentiles are noisy), and so is every
+metric of a row run with "threads" > 1: thread-scaling rows spread up to
+about 3x between runs of one binary on a shared 4-vCPU host, so they are
+reported with "~" but never fail the diff. The others are fatal beyond
+the threshold.
 """
 
 import argparse
@@ -49,6 +52,14 @@ def record_key(record, index):
     key = tuple(
         (f, record[f]) for f in KEY_FIELDS if f in record)
     return key if key else (("index", index),)
+
+
+def multi_threaded(record):
+    """Thread-scaling rows are advisory: too noisy to gate."""
+    try:
+        return int(record.get("threads", 1)) > 1
+    except (TypeError, ValueError):
+        return False
 
 
 def gbench_records(doc):
@@ -117,8 +128,8 @@ def main():
             worse = -delta if metric in HIGHER_IS_BETTER else delta
             marker = " "
             if worse > args.threshold:
-                if metric in ADVISORY:
-                    marker = "~"  # advisory: latency/seconds drift
+                if metric in ADVISORY or multi_threaded(base):
+                    marker = "~"  # advisory: percentile, seconds or scaling
                 else:
                     marker = "!"
                     regressions.append(
