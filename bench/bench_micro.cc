@@ -343,11 +343,11 @@ BENCHMARK(BM_BestMapWorkspace)->Arg(0)->Arg(1);
 
 void BM_EncodeWeatherObs(benchmark::State& state) {
   // Observability overhead on the Table-2 weather encode path. Arg 0 runs
-  // with instrumentation compiled in but runtime-disabled (each site costs
-  // one relaxed load + branch), arg 1 with the full metric/span recording
-  // on. Compare the arg-0 row against the same row from a build-noobs
-  // binary (SBR_OBS=0, sites compiled out) for the compiled-in-disabled
-  // overhead figure; the acceptance bar is <= 2%.
+  // with the runtime gate off (each instrumentation site costs one relaxed
+  // load + branch), arg 1 with the full metric/span recording on; their
+  // ratio is the enabled-vs-disabled cost. The sites are always compiled
+  // in: paired runs against a build with them compiled out read a median
+  // ratio of 1.02, within noise (TESTING.md §5).
   const bool enabled = state.range(0) != 0;
   datagen::WeatherOptions wopts;
   wopts.length = 1024;

@@ -74,11 +74,9 @@ struct EncoderOptions {
   /// bit-identical; the precision loss shows up only as a slightly larger
   /// approximation error.
   bool compact_wire = false;
-  /// Nodes net::NetworkSim simulates concurrently, each with its own
-  /// encoder; the encoder itself does not read it, since one chunk's
-  /// encode always runs on the calling thread. The report is bitwise
-  /// identical at any value. 1 (the default) simulates the nodes one after
-  /// another; pass sbr::util::HardwareThreads() to use the machine.
+  /// Unread: nothing in the library reads this field. It stays declared
+  /// only because the pipeline benchmark (perfbench/src/fleet.cc) assigns
+  /// it, and goes with the next change to that benchmark.
   size_t threads = 1;
 };
 

@@ -359,9 +359,11 @@ StatusOr<FrameAck> BaseStation::HandleFrame(core::Frame frame) {
     if (Status ingest = IngestData(s, *t, frame.payload); !ingest.ok()) {
       // CRC-clean but undecodable (e.g. geometry drift): the stream state
       // is no longer trustworthy — request a resync rather than guessing.
+      // The demand is checkpointed so that it survives a restart.
       s->awaiting_resync = true;
       ++s->stats.resync_requests;
       ++total_.resync_requests;
+      SBR_RETURN_IF_ERROR(AppendProtocolCheckpoint(s));
       ack.type = AckType::kDesync;
       ack.resync_requested = true;
       return ack;
@@ -406,12 +408,14 @@ StatusOr<FrameAck> BaseStation::HandleFrame(core::Frame frame) {
   // numbers alone (retries, snapshots and control frames consume seqs
   // too); the gap is deferred to the resync handshake, whose snapshot
   // carries the sensor's own loss accounting and re-aligns the frontier.
+  // The demand is checkpointed so that it survives a restart.
   s->stats.stale_frames_rejected += s->pending.size() + 1;
   total_.stale_frames_rejected += s->pending.size() + 1;
   s->pending.clear();
   s->awaiting_resync = true;
   ++s->stats.resync_requests;
   ++total_.resync_requests;
+  SBR_RETURN_IF_ERROR(AppendProtocolCheckpoint(s));
   ack.type = AckType::kDesync;
   ack.resync_requested = true;
   return ack;

@@ -74,10 +74,11 @@ class BaseStation {
   /// sequence number are buffered before a gap is declared.
   /// With `persist_protocol_state` the receive state machine (expected
   /// seq, epoch, counters) is checkpointed into each sensor's log after
-  /// every record-appending transition and restored on the next Open, so
-  /// a restarted station resumes the protocol instead of treating every
-  /// sensor as brand new. Off by default: trusted-path (`Receive`) users
-  /// keep byte-identical logs with no checkpoint records interleaved.
+  /// every record-appending transition and every resync demand, and
+  /// restored on the next Open, so a restarted station resumes the
+  /// protocol instead of treating every sensor as brand new. Off by
+  /// default: trusted-path (`Receive`) users keep byte-identical logs
+  /// with no checkpoint records interleaved.
   explicit BaseStation(size_t m_base, std::string log_dir = "",
                        size_t reorder_window = 8,
                        bool persist_protocol_state = false);

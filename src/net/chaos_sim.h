@@ -167,9 +167,7 @@ struct ChaosReport {
   uint64_t Digest() const;
 };
 
-/// One chaos run. Single-threaded lockstep by design, encoders included
-/// (ChaosOptions::encoder.threads is not read: it only sets NetworkSim's
-/// node fan-out).
+/// One chaos run. Single-threaded lockstep by design, encoders included.
 class ChaosSim {
  public:
   explicit ChaosSim(ChaosOptions options);

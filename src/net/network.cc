@@ -1,13 +1,10 @@
 #include "net/network.h"
 
-#include <algorithm>
-#include <mutex>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace sbr::net {
 namespace {
@@ -87,8 +84,8 @@ Status NetworkSim::RunNode(size_t index, const datagen::Dataset& feed,
   // salted per (origin id, hop index), so a depth-1 star draws exactly the
   // legacy constructor's deterministic streams. Charge targets resolve
   // here, once: hops the origin transmits point into its own report, hops
-  // a relay transmits point into this origin's private relay-charge row
-  // (merged origin-major after the parallel section).
+  // a relay transmits point into this origin's relay-charge row (merged
+  // origin-major once every node has run).
   std::vector<size_t> tx;
   if (has_topology_) {
     tx = topology_.path(index);
@@ -146,10 +143,10 @@ Status NetworkSim::RunNode(size_t index, const datagen::Dataset& feed,
         feed.num_signals() * chunk_len_, num_hops);
     SBR_RETURN_IF_ERROR(engine_.ResolveChunk(**emitted, &route, sink));
 
-    // Mid-round read-only probe: a concurrent reader hitting this node's
-    // published snapshot while other nodes are still ingesting. Answers
-    // feed only obs metrics and the service's own counters — never the
-    // report — so the digest is identical with the service detached.
+    // Mid-round read-only probe of this node's published snapshot while
+    // its ingest is still running. Answers feed only obs metrics and the
+    // service's own counters — never the report — so the digest is
+    // identical with the service detached.
     if (query_service_ != nullptr &&
         ++chunks_resolved % probe_every_chunks_ == 0) {
       SBR_OBS_COUNT("net.sim.query_probes", 1);
@@ -177,23 +174,12 @@ Status NetworkSim::RunNode(size_t index, const datagen::Dataset& feed,
 
   // Score the reconstructed history against the truth, chunk by chunk;
   // chunks recorded as DataLoss gaps are excluded (their loss is already
-  // reported explicitly, not smeared into the error figure). Only the map
-  // lookups need the station lock: after this node's last frame, no other
-  // node touches this sensor's per-sensor state, so the history reads run
-  // unlocked.
-  const storage::CompressedHistory* history = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(engine_.station_mutex());
-    nr.duplicates_suppressed =
-        station_.stats(place.id).duplicates_suppressed;
-    if (station_.HasSensor(place.id)) {
-      auto h = station_.History(place.id);
-      if (!h.ok()) return h.status();
-      history = *h;
-    }
-  }
-  if (history != nullptr) {
-    const storage::CompressedHistory& h = *history;
+  // reported explicitly, not smeared into the error figure).
+  nr.duplicates_suppressed = station_.stats(place.id).duplicates_suppressed;
+  if (station_.HasSensor(place.id)) {
+    auto history = station_.History(place.id);
+    if (!history.ok()) return history.status();
+    const storage::CompressedHistory& h = **history;
     std::vector<double> truth(h.chunk_len());
     for (size_t c = 0; c < h.num_chunks(); ++c) {
       if (h.IsGap(c)) continue;
@@ -225,26 +211,17 @@ StatusOr<SimulationReport> NetworkSim::Run(
         " nodes for " + std::to_string(placements_.size()) + " placements");
   }
 
-  // Nodes are mutually independent (own encoder, fault channels, energy
-  // account; station serialized behind the engine's mutex), so the
-  // per-node simulations fan out over the pool. Each node writes its own
-  // report slot; relay charges accumulate per origin (row i is private to
-  // node i's simulation) and MergeRelayCharges folds them origin-major, so
-  // the report is bitwise identical at any thread count.
-  const size_t threads = std::max<size_t>(encoder_options_.threads, 1);
+  // Nodes run one after another in placement order, each writing its own
+  // report slot. Relay charges accumulate per origin and MergeRelayCharges
+  // folds them origin-major, which fixes the summation order of every
+  // relay's energy.
   const size_t n = placements_.size();
   std::vector<NodeReport> reports(n);
-  std::vector<Status> statuses(n, Status::Ok());
   RelayCharges charges;
   if (has_topology_) charges.Reset(n);
-  util::ParallelFor(threads, n, [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      statuses[i] = RunNode(i, feeds[i], &reports[i],
-                            has_topology_ ? &charges : nullptr);
-    }
-  });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
+  for (size_t i = 0; i < n; ++i) {
+    SBR_RETURN_IF_ERROR(RunNode(i, feeds[i], &reports[i],
+                                has_topology_ ? &charges : nullptr));
   }
 
   SimEngine::MergeRelayCharges(charges, &reports);

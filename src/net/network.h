@@ -105,22 +105,21 @@ class NetworkSim {
   /// Streams every feed through its node until the feeds are exhausted
   /// (only whole chunks are transmitted) and returns the report.
   ///
-  /// When encoder_options.threads > 1, nodes are simulated concurrently on
-  /// the shared pool: each node's sampling, encoding, fault channels and
-  /// energy account are private, and the shared base station is serialized
-  /// behind the engine's mutex. Per-node reports are computed independently
-  /// and aggregated in placement order, so the report is bitwise identical
-  /// at any thread count.
+  /// Nodes run one after another in placement order, on the calling
+  /// thread: each node's sampling, encoding, fault channels and energy
+  /// account are its own, and its report row is aggregated in placement
+  /// order. The first node that fails stops the run.
   StatusOr<SimulationReport> Run(const std::vector<datagen::Dataset>& feeds);
 
   const BaseStation& base_station() const { return station_; }
 
-  /// Attaches a concurrent storage::QueryService to the base station and
-  /// makes every node issue a read-only probe (aggregate + point) against
-  /// its own history after every `probe_every_chunks` resolved chunks —
-  /// concurrent readers exercising the snapshot path while ingest runs.
-  /// Probe answers feed only obs metrics and the service counters; the
-  /// SimulationReport stays bitwise identical to a run without the service.
+  /// Attaches a storage::QueryService to the base station and makes every
+  /// node issue a read-only probe (aggregate + point) against its own
+  /// history after every `probe_every_chunks` resolved chunks — the
+  /// snapshot read path exercised between ingests, on the simulation's
+  /// own thread. Probe answers feed only obs metrics and the service
+  /// counters; the SimulationReport stays bitwise identical to a run
+  /// without the service.
   /// Fails, changing nothing, if the station refuses the service.
   Status EnableQueryService(size_t probe_every_chunks = 4);
 
@@ -131,10 +130,9 @@ class NetworkSim {
 
  private:
   /// The entire lifetime of one node: sampling, encoding, delivery (via
-  /// the engine), trailing resync, hop flush and history scoring. Touches
-  /// only per-node state plus the engine-serialized station, so nodes may
-  /// run concurrently. `charges` is this origin's private relay-charge row
-  /// block (nullptr for legacy star runs).
+  /// the engine), trailing resync, hop flush and history scoring.
+  /// `charges` holds the origin-major relay-charge rows (nullptr for
+  /// legacy star runs).
   Status RunNode(size_t index, const datagen::Dataset& feed, NodeReport* nr,
                  RelayCharges* charges);
 
@@ -148,7 +146,7 @@ class NetworkSim {
   /// The shared delivery engine, running the null lifecycle policy.
   /// Declared after station_: the engine holds a pointer to it.
   SimEngine engine_;
-  /// Optional concurrent read front-end (EnableQueryService).
+  /// Optional read front-end (EnableQueryService).
   std::unique_ptr<storage::QueryService> query_service_;
   size_t probe_every_chunks_ = 0;
 };

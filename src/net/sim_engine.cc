@@ -330,7 +330,6 @@ Status SimEngine::FlushRoute(EngineRoute* route, const DeliverySink& sink) {
 
 StatusOr<FrameAck> SimEngine::StationReceive(std::span<const uint8_t> bytes,
                                              size_t* corrupt_out) {
-  std::lock_guard<std::mutex> lock(station_mu_);
   const size_t corrupt_before = station_->total_stats().corrupt_frames;
   auto ack = station_->ReceiveBytes(bytes);
   if (corrupt_out != nullptr) {

@@ -1,7 +1,7 @@
 // SimEngine: the one deterministic round-major simulation engine both
-// simulators are configurations of. NetworkSim (link faults, threaded
-// fan-out) and ChaosSim (node-lifecycle faults, lockstep) used to carry
-// their own copies of the delivery machinery, and a divergence bug —
+// simulators are configurations of. NetworkSim (link faults, nodes in
+// placement order) and ChaosSim (node-lifecycle faults, lockstep) used to
+// carry their own copies of the delivery machinery, and a divergence bug —
 // backoff slots counted but never charged — lived exactly in that
 // duplication. The engine now owns everything the protocol side of a run
 // does:
@@ -13,14 +13,15 @@
 //   * the stop-and-wait retry loop: exponential backoff with the node's
 //     seeded jitter, backoff idle-listening charges, and energy-aware
 //     retry shedding (LinkOptions::node_energy_budget_nj);
-//   * frame delivery into the BaseStation (serialized behind the engine's
-//     mutex) with exact per-origin corrupt-frame attribution;
+//   * frame delivery into the BaseStation with exact per-origin
+//     corrupt-frame attribution;
 //   * the chunk-resolution state machine: pending-resync drain, primary
 //     delivery, snapshot + self-contained re-encode recovery, and the
 //     terminal DataLoss write-off;
 //   * origin-major deterministic report merging (relay charges accumulate
 //     in per-origin rows and fold into the per-relay reports in a fixed
-//     order, so reports are bitwise identical at any thread count).
+//     order, which fixes the floating-point summation order of every
+//     relay's energy).
 //
 // The simulators differ only through policy seams:
 //
@@ -40,7 +41,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -58,7 +58,7 @@ class MetricsRegistry;
 namespace sbr::net {
 
 /// Per-node simulation outcome (NetworkSim's report row; merged by the
-/// engine in placement order so the report is bitwise thread-invariant).
+/// engine in placement order).
 struct NodeReport {
   uint32_t id = 0;
   size_t transmissions = 0;
@@ -128,7 +128,7 @@ struct SimulationReport {
   /// obs/export.h for the emitted schema). The report structs stay the
   /// canonical deterministic result; the registry view exists so bench and
   /// tooling exports see the simulation next to the encode-stage metrics.
-  /// No-op unless observability is compiled in and enabled.
+  /// No-op unless observability is enabled.
   void PublishMetrics(obs::MetricsRegistry* registry) const;
 };
 
@@ -219,11 +219,12 @@ struct EngineOptions {
   bool emit_obs = true;
 };
 
-/// Per-origin relay-charge accumulation for threaded runs: row `origin` is
-/// private to that origin's node simulation, so no row is ever written
-/// concurrently; SimEngine::MergeRelayCharges then folds the rows into the
-/// per-relay reports in origin-major order, keeping relayed energy totals
-/// bitwise identical at any thread count.
+/// Per-origin relay-charge accumulation: row `origin` collects what that
+/// origin's frames cost each relay, and SimEngine::MergeRelayCharges then
+/// folds the rows into the per-relay reports in origin-major order. The
+/// fold fixes the floating-point summation order of each relay's energy;
+/// charging relays directly, as each frame crosses them, would add the
+/// same charges in another order and change the energy bits.
 struct RelayCharges {
   std::vector<std::vector<EnergyAccount>> energy;
   std::vector<std::vector<size_t>> copies;
@@ -256,11 +257,6 @@ class SimEngine {
   const EnergyModel& energy() const { return energy_; }
   const EngineOptions& options() const { return options_; }
 
-  /// Serializes every station access during a threaded run. Exposed so a
-  /// simulator's post-run scoring can read station state under the same
-  /// lock the delivery path uses.
-  std::mutex& station_mutex() { return station_mu_; }
-
   /// Pushes one frame along the route with retries and exponential backoff
   /// (with the node's seeded jitter), charging energy per copy per hop to
   /// whichever node transmits that hop. A node past its energy-aware retry
@@ -290,17 +286,15 @@ class SimEngine {
   /// transmits each remaining hop.
   Status FlushRoute(EngineRoute* route, const DeliverySink& sink);
 
-  /// Serialized station ingest. Attributes the corrupt-frame delta of the
-  /// call to `*corrupt_out` (when non-null) under the same lock, which
-  /// keeps per-node attribution exact even when other nodes interleave (a
-  /// corrupt frame drained from the reorder window is counted on the
-  /// aggregate but not acked, so the delta — not the ack type — is the
-  /// reliable signal).
+  /// Station ingest. Attributes the corrupt-frame delta of the call to
+  /// `*corrupt_out` (when non-null): a corrupt frame drained from the
+  /// reorder window is counted on the aggregate but never acked, so the
+  /// delta — not the ack type — is the reliable signal.
   StatusOr<FrameAck> StationReceive(std::span<const uint8_t> bytes,
                                     size_t* corrupt_out);
 
   /// Folds per-origin relay-charge rows into the per-relay reports in
-  /// origin-major order (the deterministic merge of threaded runs).
+  /// origin-major order (see RelayCharges).
   static void MergeRelayCharges(const RelayCharges& charges,
                                 std::vector<NodeReport>* reports);
 
@@ -312,9 +306,6 @@ class SimEngine {
   EnergyModel energy_;
   EngineOptions options_;
   LifecycleHooks* hooks_;  ///< never null (null policy substituted)
-  /// Serializes every access to the station (ingest, stats, history
-  /// lookup) during a threaded run.
-  std::mutex station_mu_;
 };
 
 }  // namespace sbr::net

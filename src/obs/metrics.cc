@@ -10,11 +10,7 @@ std::atomic<bool> g_enabled{false};
 }  // namespace internal
 
 void SetEnabled(bool on) {
-#if SBR_OBS
   internal::g_enabled.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 uint64_t Histogram::Count() const {

@@ -29,7 +29,8 @@ namespace sbr::obs {
 
 /// Shard count: writers land on shard (thread-registration-order %
 /// kMaxShards). Collisions between threads are correct (atomics), merely
-/// contended; 16 covers the encoder's supported thread counts.
+/// contended; 16 covers the recording threads the system runs — the
+/// ingest thread plus the QueryService reader threads.
 inline constexpr size_t kMaxShards = 16;
 
 namespace internal {
@@ -210,11 +211,10 @@ class ScopedHistTimer {
 }  // namespace sbr::obs
 
 // ------------------------------------------------- instrumentation macros
-// Every hot-path site goes through these: compiled out entirely at
-// SBR_OBS=0, a relaxed load + branch when disabled at runtime, and a
-// cached-reference shard write when enabled. The `name` must be a literal
-// (each site caches its metric in a function-local static).
-#if SBR_OBS
+// Every hot-path site goes through these: a relaxed load + branch when
+// disabled at runtime, and a cached-reference shard write when enabled.
+// The `name` must be a literal (each site caches its metric in a
+// function-local static).
 
 #define SBR_OBS_COUNT(name, delta)                                       \
   do {                                                                   \
@@ -244,20 +244,5 @@ class ScopedHistTimer {
   } while (0)
 
 #define SBR_OBS_TIMER(var, name) ::sbr::obs::ScopedHistTimer var(name)
-
-#else  // !SBR_OBS
-
-#define SBR_OBS_COUNT(name, delta) \
-  do {                             \
-  } while (0)
-#define SBR_OBS_GAUGE_SET(name, value) \
-  do {                                 \
-  } while (0)
-#define SBR_OBS_HIST(name, value) \
-  do {                            \
-  } while (0)
-#define SBR_OBS_TIMER(var, name)
-
-#endif  // SBR_OBS
 
 #endif  // SBR_OBS_METRICS_H_

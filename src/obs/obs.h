@@ -1,33 +1,17 @@
-// Observability switchboard. The subsystem has two independent gates:
-//
-//  * SBR_OBS — a compile-time 0/1 macro set by the build system (CMake
-//    option of the same name, default ON). At 0 every instrumentation
-//    macro in the codebase expands to nothing and the hot paths carry
-//    not even a branch; the library API below still exists so benches
-//    and tests compile in both modes (they just observe nothing).
-//  * obs::SetEnabled(bool) — a runtime flag (default off). With SBR_OBS
-//    compiled in but the flag off, an instrumentation site costs one
-//    relaxed atomic load plus an untaken branch; bench_micro pins this
-//    at <= 2% of encode time on the Table-2 weather workload.
+// Observability switchboard. Every instrumentation site is compiled in
+// and checks one runtime gate, obs::SetEnabled(bool) (default off). With
+// the gate off a site costs one relaxed atomic load plus an untaken
+// branch, which paired runs could not tell apart from compiling the sites
+// out (TESTING.md §5).
 //
 // Instrumentation never changes behaviour: the golden byte-identity
-// suite passes with observability compiled out, compiled in but
-// disabled, and enabled, at any thread count.
+// suite passes with observability disabled and enabled.
 #ifndef SBR_OBS_OBS_H_
 #define SBR_OBS_OBS_H_
-
-// The build system defines SBR_OBS=0/1 globally; standalone consumers of
-// the headers (editors, tooling) default to "compiled in".
-#ifndef SBR_OBS
-#define SBR_OBS 1
-#endif
 
 #include <atomic>
 
 namespace sbr::obs {
-
-/// True when the instrumentation sites were compiled in (SBR_OBS=1).
-constexpr bool CompiledIn() { return SBR_OBS != 0; }
 
 namespace internal {
 /// The process-wide runtime gate. Relaxed is deliberate: enabling
@@ -37,14 +21,10 @@ extern std::atomic<bool> g_enabled;
 
 /// The runtime gate every instrumentation macro checks first.
 inline bool Enabled() {
-#if SBR_OBS
   return internal::g_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
-/// Flips the runtime gate. A no-op (stays false) when compiled out.
+/// Flips the runtime gate.
 void SetEnabled(bool on);
 
 /// RAII scope for tests and benches: enables on entry, restores on exit.

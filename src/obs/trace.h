@@ -1,11 +1,10 @@
 // RAII trace spans with per-thread buffers. A ScopedSpan marks one timed
-// stage (encode.chunk, encode.search, pool.chunk, ...); spans nest — each
+// stage (encode.chunk, encode.search, net.node, ...); spans nest — each
 // records its depth on the owning thread's span stack — and completed
 // spans land in a per-thread buffer that the TraceCollector merges on
 // export. Recording takes the owning thread's otherwise-uncontended
 // buffer mutex only when observability is enabled; disabled spans cost a
-// relaxed load and a branch (or nothing at all when SBR_OBS=0, via the
-// SBR_OBS_SPAN macro).
+// relaxed load and a branch.
 //
 // Exports: chrome://tracing "complete event" JSON (load in a Chromium
 // browser or https://ui.perfetto.dev) and a flat CSV.
@@ -97,11 +96,7 @@ class TraceCollector {
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name) {
-#if SBR_OBS
     if (Enabled()) Begin(name);
-#else
-    (void)name;
-#endif
   }
   ~ScopedSpan() {
     if (buffer_ != nullptr) End();
@@ -121,10 +116,6 @@ class ScopedSpan {
 
 }  // namespace sbr::obs
 
-#if SBR_OBS
 #define SBR_OBS_SPAN(var, name) ::sbr::obs::ScopedSpan var(name)
-#else
-#define SBR_OBS_SPAN(var, name)
-#endif
 
 #endif  // SBR_OBS_TRACE_H_

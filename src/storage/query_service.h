@@ -78,8 +78,10 @@ struct QueryServiceOptions {
   IndexOptions index;
 };
 
-/// Service-level counters, mirrored into obs metrics when enabled; kept
-/// as plain atomics too so the noobs build can still assert on them.
+/// Service-level counters. The service keeps them in plain atomics that
+/// count whether or not observability is enabled (the always-on view
+/// callers and tests read); they are also mirrored into obs metrics while
+/// the runtime gate is on.
 struct QueryServiceCounters {
   uint64_t queries = 0;      ///< reader-side calls answered (any status)
   uint64_t dataloss = 0;     ///< answers that reported DataLoss

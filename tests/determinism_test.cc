@@ -2,11 +2,14 @@
 // must yield bit-identical datasets, transmissions and reconstructions
 // across runs — the property every bench table and EXPERIMENTS.md number
 // relies on. Also pins a few structural "golden" facts about the fixed
-// paper setups so accidental algorithm or generator changes surface here
+// paper setups, and digests of whole NetworkSim reports over lossy links,
+// so accidental algorithm, generator or simulator changes surface here
 // instead of silently shifting the experiment outputs.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/decoder.h"
 #include "core/encoder.h"
@@ -80,131 +83,155 @@ TEST(Determinism, PaperSetupStructuralGoldens) {
   }
 }
 
-void ExpectNodeReportsEqual(const net::NodeReport& a, const net::NodeReport& b,
-                            size_t threads) {
-  EXPECT_EQ(a.id, b.id) << "threads=" << threads;
-  EXPECT_EQ(a.transmissions, b.transmissions) << "threads=" << threads;
-  EXPECT_EQ(a.values_sent, b.values_sent) << "threads=" << threads;
-  EXPECT_EQ(a.values_raw, b.values_raw) << "threads=" << threads;
-  EXPECT_EQ(a.retransmissions, b.retransmissions) << "threads=" << threads;
-  EXPECT_EQ(a.backoff_slots, b.backoff_slots) << "threads=" << threads;
-  EXPECT_EQ(a.corrupt_frames_detected, b.corrupt_frames_detected)
-      << "threads=" << threads;
-  EXPECT_EQ(a.duplicates_suppressed, b.duplicates_suppressed)
-      << "threads=" << threads;
-  EXPECT_EQ(a.resyncs_triggered, b.resyncs_triggered) << "threads=" << threads;
-  EXPECT_EQ(a.degraded_batches, b.degraded_batches) << "threads=" << threads;
-  EXPECT_EQ(a.chunks_lost, b.chunks_lost) << "threads=" << threads;
-  EXPECT_EQ(a.frames_abandoned, b.frames_abandoned) << "threads=" << threads;
-  EXPECT_EQ(a.retries_shed, b.retries_shed) << "threads=" << threads;
-  EXPECT_EQ(a.forwarded_copies, b.forwarded_copies) << "threads=" << threads;
-  EXPECT_EQ(a.charged_values, b.charged_values) << "threads=" << threads;
-  EXPECT_EQ(a.energy.total_nj(), b.energy.total_nj()) << "threads=" << threads;
-  EXPECT_EQ(a.raw_energy_nj, b.raw_energy_nj) << "threads=" << threads;
-  EXPECT_EQ(a.sse, b.sse) << "threads=" << threads;
+// Folds one 64-bit word into an FNV-1a digest, byte by byte.
+void Mix(uint64_t* h, uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    *h ^= (word >> (8 * i)) & 0xffu;
+    *h *= 0x100000001b3ull;
+  }
 }
 
-TEST(Determinism, NetworkReportIdenticalAcrossThreadCounts) {
-  // Concurrent node simulation over adversarial links (drops, duplicates,
-  // reordering, bit flips — exercising the serialized base station and the
-  // per-node corrupt-frame attribution) must still yield a bitwise
-  // identical report at any thread count.
+void MixDouble(uint64_t* h, double v) { Mix(h, std::bit_cast<uint64_t>(v)); }
+
+// Digest of the full report: every NodeReport field (doubles by bit
+// pattern, the energy account component by component) and every run
+// total, in placement order.
+uint64_t ReportDigest(const net::SimulationReport& r) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  Mix(&h, r.nodes.size());
+  for (const net::NodeReport& n : r.nodes) {
+    for (uint64_t v :
+         {uint64_t{n.id}, uint64_t{n.transmissions}, uint64_t{n.values_sent},
+          uint64_t{n.values_raw}, uint64_t{n.retransmissions},
+          uint64_t{n.backoff_slots}, uint64_t{n.corrupt_frames_detected},
+          uint64_t{n.duplicates_suppressed}, uint64_t{n.resyncs_triggered},
+          uint64_t{n.degraded_batches}, uint64_t{n.chunks_lost},
+          uint64_t{n.frames_abandoned}, uint64_t{n.retries_shed},
+          uint64_t{n.forwarded_copies}, uint64_t{n.malformed_relayed},
+          uint64_t{n.charged_values}}) {
+      Mix(&h, v);
+    }
+    for (double v : {n.energy.tx_nj, n.energy.rx_nj, n.energy.overhear_nj,
+                     n.energy.cpu_nj, n.energy.backoff_nj, n.raw_energy_nj,
+                     n.sse}) {
+      MixDouble(&h, v);
+    }
+  }
+  for (uint64_t v :
+       {uint64_t{r.total_values_sent}, uint64_t{r.total_values_raw},
+        uint64_t{r.total_chunks_lost}, uint64_t{r.total_corrupt_frames},
+        uint64_t{r.total_duplicates_suppressed}, uint64_t{r.total_resyncs},
+        uint64_t{r.total_degraded_batches}}) {
+    Mix(&h, v);
+  }
+  for (double v : {r.total_energy_nj, r.total_raw_energy_nj, r.total_sse}) {
+    MixDouble(&h, v);
+  }
+  return h;
+}
+
+constexpr size_t kPinNodes = 5;
+
+// A lossy link harsh enough, with a low attempt budget, to fire every
+// delivery path: retries, duplicates, reorder buffering, CRC rejects,
+// resync snapshots, degraded re-encodes and DataLoss write-offs.
+net::LinkOptions PinLink() {
+  net::LinkOptions link;
+  link.loss_probability = 0.5;
+  link.duplicate_probability = 0.15;
+  link.reorder_probability = 0.2;
+  link.bit_flip_probability = 0.1;
+  link.max_attempts = 3;
+  link.max_resync_rounds = 1;
+  return link;
+}
+
+std::vector<datagen::Dataset> PinFeeds() {
   datagen::WeatherOptions wopts;
-  wopts.length = 512;
+  wopts.length = 1536;
   std::vector<datagen::Dataset> feeds;
-  std::vector<net::NodePlacement> placements;
-  for (uint32_t id = 0; id < 4; ++id) {
-    wopts.seed = 300 + id;
+  for (uint32_t id = 0; id < kPinNodes; ++id) {
+    wopts.seed = 500 + id;
     feeds.push_back(datagen::GenerateWeather(wopts));
+  }
+  return feeds;
+}
+
+std::vector<net::NodePlacement> PinPlacements() {
+  std::vector<net::NodePlacement> placements;
+  for (uint32_t id = 0; id < kPinNodes; ++id) {
     placements.push_back({id, id % 2 + 1});
   }
-  net::LinkOptions link;
-  link.loss_probability = 0.1;
-  link.duplicate_probability = 0.05;
-  link.reorder_probability = 0.05;
-  link.bit_flip_probability = 0.02;
+  return placements;
+}
 
-  auto run = [&](size_t threads) {
-    core::EncoderOptions opts;
-    opts.total_band = 300;
-    opts.m_base = 256;
-    opts.threads = threads;
-    net::NetworkSim sim(placements, opts, /*chunk_len=*/256,
-                        net::EnergyParams(), link);
-    auto report = sim.Run(feeds);
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(report).value();
+core::EncoderOptions PinEncoder() {
+  core::EncoderOptions opts;
+  opts.total_band = 150;
+  opts.m_base = 128;
+  return opts;
+}
+
+net::SimulationReport RunPinned(net::TopologyShape shape) {
+  net::TopologyOptions topts;
+  topts.shape = shape;
+  topts.num_nodes = kPinNodes;
+  topts.seed = 7;
+  net::NetworkSim sim(net::Topology::Build(topts), PinPlacements(),
+                      PinEncoder(), /*chunk_len=*/128, net::EnergyParams(),
+                      PinLink());
+  auto report = sim.Run(PinFeeds());
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return std::move(report).value();
+}
+
+// The lossy runs must actually reach the paths the pins guard.
+void ExpectRecoveryPathsFired(const net::SimulationReport& r) {
+  EXPECT_GT(r.total_corrupt_frames, 0u);
+  EXPECT_GT(r.total_duplicates_suppressed, 0u);
+  EXPECT_GT(r.total_resyncs, 0u);
+  EXPECT_GT(r.total_degraded_batches, 0u);
+  EXPECT_GT(r.total_chunks_lost, 0u);
+}
+
+// Report digests of NetworkSim runs over a lossy link, one per routing
+// shape. Nodes run in placement order; the constants were recorded when
+// nodes could still be fanned out over a thread pool (at threads = 1), so
+// they pin that the serial loop and the origin-major relay-charge merge
+// reproduce every counter and every energy/SSE bit.
+TEST(Determinism, SimulationReportPinnedPerTopology) {
+  const struct {
+    net::TopologyShape shape;
+    uint64_t digest;
+  } kPins[] = {
+      {net::TopologyShape::kStar, 0xc4a03e4d8a647954ull},
+      {net::TopologyShape::kChain, 0xe47864df3263c12dull},
+      {net::TopologyShape::kBinary, 0xae20da6a1887d827ull},
+      {net::TopologyShape::kRandom, 0xc6781378bb4467f6ull},
   };
-
-  const auto serial = run(1);
-  ASSERT_EQ(serial.nodes.size(), 4u);
-  for (size_t threads : {2u, 4u, 8u}) {
-    const auto r = run(threads);
-    ASSERT_EQ(r.nodes.size(), serial.nodes.size());
-    for (size_t i = 0; i < r.nodes.size(); ++i) {
-      ExpectNodeReportsEqual(r.nodes[i], serial.nodes[i], threads);
-    }
-    EXPECT_EQ(r.total_values_sent, serial.total_values_sent);
-    EXPECT_EQ(r.total_values_raw, serial.total_values_raw);
-    EXPECT_EQ(r.total_energy_nj, serial.total_energy_nj);
-    EXPECT_EQ(r.total_raw_energy_nj, serial.total_raw_energy_nj);
-    EXPECT_EQ(r.total_sse, serial.total_sse);
-    EXPECT_EQ(r.total_chunks_lost, serial.total_chunks_lost);
-    EXPECT_EQ(r.total_corrupt_frames, serial.total_corrupt_frames);
-    EXPECT_EQ(r.total_duplicates_suppressed, serial.total_duplicates_suppressed);
-    EXPECT_EQ(r.total_resyncs, serial.total_resyncs);
-    EXPECT_EQ(r.total_degraded_batches, serial.total_degraded_batches);
+  for (const auto& pin : kPins) {
+    const net::SimulationReport r = RunPinned(pin.shape);
+    ASSERT_EQ(r.nodes.size(), kPinNodes);
+    ExpectRecoveryPathsFired(r);
+    size_t forwarded = 0;
+    for (const auto& n : r.nodes) forwarded += n.forwarded_copies;
+    EXPECT_EQ(forwarded > 0, pin.shape != net::TopologyShape::kStar)
+        << net::ToString(pin.shape);
+    EXPECT_EQ(ReportDigest(r), pin.digest)
+        << net::ToString(pin.shape) << " digest 0x" << std::hex
+        << ReportDigest(r);
   }
 }
 
-TEST(Determinism, TreeTopologyReportIdenticalAcrossThreadCounts) {
-  // Tree routing shares relays between concurrently simulated nodes, so
-  // relay energy lands in per-origin accumulators merged in a fixed order
-  // after the parallel phase. The merged report must still be bitwise
-  // identical at any thread count.
-  datagen::WeatherOptions wopts;
-  wopts.length = 512;
-  std::vector<datagen::Dataset> feeds;
-  std::vector<net::NodePlacement> placements;
-  for (uint32_t id = 0; id < 4; ++id) {
-    wopts.seed = 400 + id;
-    feeds.push_back(datagen::GenerateWeather(wopts));
-    placements.push_back({id, 1});
-  }
-  net::TopologyOptions topts;
-  topts.shape = net::TopologyShape::kChain;
-  topts.num_nodes = 4;
-  net::LinkOptions link;
-  link.loss_probability = 0.1;
-  link.duplicate_probability = 0.05;
-  link.bit_flip_probability = 0.02;
-
-  auto run = [&](size_t threads) {
-    core::EncoderOptions opts;
-    opts.total_band = 300;
-    opts.m_base = 256;
-    opts.threads = threads;
-    net::NetworkSim sim(net::Topology::Build(topts), placements,
-                        opts, /*chunk_len=*/256, net::EnergyParams(), link);
-    auto report = sim.Run(feeds);
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(report).value();
-  };
-
-  const auto serial = run(1);
-  ASSERT_EQ(serial.nodes.size(), 4u);
-  size_t forwarded = 0;
-  for (const auto& n : serial.nodes) forwarded += n.forwarded_copies;
-  EXPECT_GT(forwarded, 0u) << "chain must route through relays";
-  for (size_t threads : {2u, 4u, 8u}) {
-    const auto r = run(threads);
-    ASSERT_EQ(r.nodes.size(), serial.nodes.size());
-    for (size_t i = 0; i < r.nodes.size(); ++i) {
-      ExpectNodeReportsEqual(r.nodes[i], serial.nodes[i], threads);
-    }
-    EXPECT_EQ(r.total_energy_nj, serial.total_energy_nj);
-    EXPECT_EQ(r.total_sse, serial.total_sse);
-  }
+TEST(Determinism, SimulationReportPinnedLegacyPlacement) {
+  // The placement-only constructor: private chains of 1 or 2 hops.
+  net::NetworkSim sim(PinPlacements(), PinEncoder(), /*chunk_len=*/128,
+                      net::EnergyParams(), PinLink());
+  auto r = sim.Run(PinFeeds());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ExpectRecoveryPathsFired(*r);
+  EXPECT_EQ(ReportDigest(*r), 0x09b1839b71bee851ull)
+      << "digest 0x" << std::hex << ReportDigest(*r);
 }
 
 TEST(Determinism, DecoderIsPureFunctionOfTransmissionSequence) {

@@ -54,9 +54,8 @@ TEST(Golden, EncodedBytesMatchRecordedDigests) {
 TEST(Golden, ObservabilityEnabledDoesNotChangeBytes) {
   // The observability contract: metrics and spans recording at full tilt
   // never touches the emitted bytes. Same digests, every case, with the
-  // runtime gate on. (The compiled-out half of the
-  // contract is this same binary built with the `noobs` preset, where the
-  // gate below is a no-op and the sites do not exist.)
+  // runtime gate on; the test above is the gate-off half. Instrumentation
+  // is always compiled in, so these two states are the whole contract.
   obs::EnabledScope enabled;
   std::map<std::string, golden::GoldenDigest> by_name;
   for (const auto& d : Digests()) by_name[d.name] = d;

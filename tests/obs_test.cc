@@ -1,12 +1,11 @@
 // Observability subsystem tests: registry semantics (counter / gauge /
 // histogram, merge-on-read under concurrent writers — the `parallel`
 // label runs this binary under TSan), span nesting determinism of one
-// encode, the runtime/compile-time gates, and the stage report schema
-// the benches emit (obs/export.h). Every test leaves the global registry
-// and trace collector clean so ordering never matters.
+// encode, the runtime gate, and the stage report schema the benches emit
+// (obs/export.h). Every test leaves the global registry and trace
+// collector clean so ordering never matters.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <set>
@@ -21,7 +20,6 @@
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace sbr::obs {
 namespace {
@@ -132,7 +130,6 @@ TEST_F(ObsTest, MergeOnReadIsExactUnderConcurrentWriters) {
 }
 
 TEST_F(ObsTest, RuntimeGateStopsMacroSites) {
-  if (!CompiledIn()) GTEST_SKIP() << "instrumentation compiled out";
   MetricsRegistry& reg = MetricsRegistry::Global();
   SetEnabled(false);
   SBR_OBS_COUNT("test.gated", 1);
@@ -144,20 +141,6 @@ TEST_F(ObsTest, RuntimeGateStopsMacroSites) {
   SetEnabled(false);
   SBR_OBS_COUNT("test.gated", 5);
   EXPECT_EQ(reg.Snapshot().ValueOf("test.gated"), 3);
-}
-
-TEST_F(ObsTest, CompiledOutMacrosAreInert) {
-  if (CompiledIn()) GTEST_SKIP() << "only meaningful in a noobs build";
-  // In an SBR_OBS=0 build the gate cannot be turned on and macro sites
-  // vanish; the registry API itself still works (asserted by the tests
-  // above), so tooling compiles in both modes.
-  SetEnabled(true);
-  EXPECT_FALSE(Enabled());
-  SBR_OBS_COUNT("test.compiled.out", 1);
-  SBR_OBS_SPAN(span, "test.compiled.out.span");
-  EXPECT_EQ(MetricsRegistry::Global().Snapshot().ValueOf("test.compiled.out"),
-            0);
-  EXPECT_TRUE(TraceCollector::Global().Drain().empty());
 }
 
 // Encodes one deterministic weather-like chunk with observability
@@ -201,7 +184,6 @@ void CheckWellFormed(const std::vector<SpanEvent>& events) {
 }
 
 TEST_F(ObsTest, SpanNestingIsWellFormedAndDeterministic) {
-  if (!CompiledIn()) GTEST_SKIP() << "instrumentation compiled out";
   const auto events = TraceOneEncode();
   CheckWellFormed(events);
 
@@ -231,7 +213,6 @@ TEST_F(ObsTest, SpanNestingIsWellFormedAndDeterministic) {
 }
 
 TEST_F(ObsTest, EncodeCountersMirrorEncodeStats) {
-  if (!CompiledIn()) GTEST_SKIP() << "instrumentation compiled out";
   EnabledScope enabled;
   const size_t num_signals = 3, m = 192;
   std::vector<double> y(num_signals * m);
@@ -269,7 +250,6 @@ TEST_F(ObsTest, EncodeCountersMirrorEncodeStats) {
 }
 
 TEST_F(ObsTest, StageReportSchemaAndAttribution) {
-  if (!CompiledIn()) GTEST_SKIP() << "instrumentation compiled out";
   // The exact code path the benches call: an instrumented encode+decode,
   // then StageReportJson/Csv over the global registry and trace. Asserts
   // the documented schema of obs/export.h plus non-zero stage
@@ -330,7 +310,6 @@ TEST_F(ObsTest, StageReportSchemaAndAttribution) {
 }
 
 TEST_F(ObsTest, ChromeTraceAndCsvExports) {
-  if (!CompiledIn()) GTEST_SKIP() << "instrumentation compiled out";
   const auto events = TraceOneEncode();
   ASSERT_FALSE(events.empty());
   const std::string json = TraceCollector::ToChromeJson(events);
@@ -343,24 +322,6 @@ TEST_F(ObsTest, ChromeTraceAndCsvExports) {
   size_t lines = 0;
   for (char c : csv) lines += c == '\n';
   EXPECT_EQ(lines, events.size() + 1);
-}
-
-TEST_F(ObsTest, PoolMetricsAttributeChunks) {
-  if (!CompiledIn()) GTEST_SKIP() << "instrumentation compiled out";
-  EnabledScope enabled;
-  std::atomic<size_t> touched{0};
-  util::ParallelFor(4, 1000, [&](size_t, size_t begin, size_t end) {
-    touched.fetch_add(end - begin, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(touched.load(), 1000u);
-  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-  // Caller + workers together ran every chunk; on a single-core host the
-  // pool has no workers and the caller runs them all, so only the sum is
-  // asserted.
-  const int64_t chunks = snap.ValueOf("pool.caller_chunks") +
-                         snap.ValueOf("pool.worker_chunks");
-  EXPECT_EQ(chunks, 4);  // min(threads, n) static chunks
-  EXPECT_EQ(snap.ValueOf("pool.parallel_fors"), 1);
 }
 
 }  // namespace

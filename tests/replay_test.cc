@@ -7,8 +7,11 @@
 // epochs, and Aggregate, Point and Reconstruct answers equal bit for bit
 // (failures included, with their status text). The materialized answers
 // are also held to a decode-at-ingest reference rebuilt from the same
-// log. A last case restarts a station whose timeline rejected a CRC-clean
-// frame: the sensor must reopen with the live timeline and resync.
+// log. The last cases restart a station with persisted protocol state:
+// one whose timeline rejected a CRC-clean frame must reopen the sensor
+// with the live timeline and resync, and a resync the live station
+// demanded (rejected frame, hole wider than the reorder window) must
+// still be demanded after the restart.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -91,6 +94,37 @@ StatusOr<net::FrameAck> Deliver(net::BaseStation* station,
   BinaryWriter w;
   frame.Serialize(&w);
   return station->ReceiveBytes(w.buffer());
+}
+
+/// Feeds samples [from, from + len) of `feed` to `node` and returns the
+/// last transmission it emitted on the way, if any.
+std::optional<core::Transmission> FeedSamples(net::SensorNode* node,
+                                              const datagen::Dataset& feed,
+                                              size_t from, size_t len) {
+  std::vector<double> sample(kSignals);
+  std::optional<core::Transmission> t;
+  for (size_t k = from; k < from + len; ++k) {
+    for (size_t s = 0; s < kSignals; ++s) sample[s] = feed.values(s, k);
+    auto r = node->AddSamples(sample);
+    EXPECT_TRUE(r.ok());
+    if (r.ok() && r->has_value()) t = std::move(**r);
+  }
+  return t;
+}
+
+/// The encoder and feed of the restart cases: four chunks of one sensor.
+core::EncoderOptions RestartEncoder() {
+  core::EncoderOptions opts;
+  opts.total_band = 60;
+  opts.m_base = kMBase;
+  return opts;
+}
+
+datagen::Dataset RestartFeed() {
+  datagen::WeatherOptions wopts;
+  wopts.length = 4 * kChunkLen;
+  wopts.seed = 45;
+  return datagen::GenerateWeather(wopts);
 }
 
 class ReplayTest : public testing::Test {
@@ -238,24 +272,8 @@ TEST_F(ReplayTest, RejectedFrameNeitherLogsNorBricksTheSensorAfterRestart) {
   // station's replay would reject it again and the sensor could never
   // reopen — not even for the resync snapshot that would repair it.
   constexpr uint32_t kId = 5;
-  core::EncoderOptions opts;
-  opts.total_band = 60;
-  opts.m_base = kMBase;
-  datagen::WeatherOptions wopts;
-  wopts.length = 3 * kChunkLen;
-  wopts.seed = 45;
-  const datagen::Dataset feed = datagen::GenerateWeather(wopts);
-  std::vector<double> sample(kSignals);
-  auto encode = [&](net::SensorNode* node, size_t from, size_t len) {
-    std::optional<core::Transmission> t;
-    for (size_t k = from; k < from + len; ++k) {
-      for (size_t s = 0; s < kSignals; ++s) sample[s] = feed.values(s, k);
-      auto r = node->AddSamples(sample);
-      EXPECT_TRUE(r.ok());
-      if (r.ok() && r->has_value()) t = std::move(**r);
-    }
-    return t;
-  };
+  const core::EncoderOptions opts = RestartEncoder();
+  const datagen::Dataset feed = RestartFeed();
 
   for (bool persist : {false, true}) {
     SCOPED_TRACE(persist ? "persisted protocol state" : "fresh protocol state");
@@ -266,7 +284,7 @@ TEST_F(ReplayTest, RejectedFrameNeitherLogsNorBricksTheSensorAfterRestart) {
     {
       net::BaseStation live(kMBase, dir, 8, persist);
       for (size_t c = 0; c < 2; ++c) {
-        auto t = encode(&node, c * kChunkLen, kChunkLen);
+        auto t = FeedSamples(&node, feed, c * kChunkLen, kChunkLen);
         ASSERT_TRUE(t.has_value());
         auto ack = Deliver(&live, node.MakeDataFrame(*t));
         ASSERT_TRUE(ack.ok());
@@ -275,7 +293,8 @@ TEST_F(ReplayTest, RejectedFrameNeitherLogsNorBricksTheSensorAfterRestart) {
       }
       // The third frame carries a chunk half as long, in sequence.
       net::SensorNode other(kId, kSignals, kChunkLen / 2, opts);
-      auto short_chunk = encode(&other, 2 * kChunkLen, kChunkLen / 2);
+      auto short_chunk =
+          FeedSamples(&other, feed, 2 * kChunkLen, kChunkLen / 2);
       ASSERT_TRUE(short_chunk.has_value());
       auto ack = Deliver(&live, core::MakeDataFrame(kId, node.next_seq(),
                                                     node.epoch(),
@@ -321,13 +340,104 @@ TEST_F(ReplayTest, RejectedFrameNeitherLogsNorBricksTheSensorAfterRestart) {
       }
     }
     // The resynced sensor streams on.
-    auto t = encode(&node, 2 * kChunkLen, kChunkLen);
+    auto t = FeedSamples(&node, feed, 2 * kChunkLen, kChunkLen);
     ASSERT_TRUE(t.has_value());
     auto ack = Deliver(&restarted, node.MakeDataFrame(*t));
     ASSERT_TRUE(ack.ok());
     EXPECT_EQ(ack->type, net::AckType::kAccept);
     EXPECT_EQ((*history)->num_chunks(), 3u);
   }
+}
+
+// The two cases below pin that a pending resync survives a restart. A
+// station with persisted protocol state that answers kDesync must leave
+// that demand in the log: the reopened station answers the sensor's next
+// frame with the live station's verdict instead of accepting data on a
+// base lineage the live station had stopped trusting.
+
+TEST_F(ReplayTest, ResyncDemandedByARejectedFrameSurvivesRestart) {
+  constexpr uint32_t kId = 6;
+  const core::EncoderOptions opts = RestartEncoder();
+  const datagen::Dataset feed = RestartFeed();
+  net::SensorNode node(kId, kSignals, kChunkLen, opts);
+  core::Frame next;
+  {
+    net::BaseStation live(kMBase, dir_, 8, /*persist_protocol_state=*/true);
+    for (size_t c = 0; c < 2; ++c) {
+      auto t = FeedSamples(&node, feed, c * kChunkLen, kChunkLen);
+      ASSERT_TRUE(t.has_value());
+      auto ack = Deliver(&live, node.MakeDataFrame(*t));
+      ASSERT_TRUE(ack.ok());
+      ASSERT_EQ(ack->type, net::AckType::kAccept);
+      node.MarkChunkDelivered();
+    }
+    // A CRC-clean frame in sequence whose chunk the timeline rejects
+    // (half the chunk length).
+    net::SensorNode other(kId, kSignals, kChunkLen / 2, opts);
+    auto short_chunk = FeedSamples(&other, feed, 2 * kChunkLen, kChunkLen / 2);
+    ASSERT_TRUE(short_chunk.has_value());
+    auto rejected = Deliver(&live, core::MakeDataFrame(kId, node.next_seq(),
+                                                       node.epoch(),
+                                                       *short_chunk));
+    ASSERT_TRUE(rejected.ok());
+    ASSERT_EQ(rejected->type, net::AckType::kDesync);
+
+    auto t = FeedSamples(&node, feed, 2 * kChunkLen, kChunkLen);
+    ASSERT_TRUE(t.has_value());
+    next = node.MakeDataFrame(*t);
+    auto ack = Deliver(&live, next);
+    ASSERT_TRUE(ack.ok());
+    ASSERT_EQ(ack->type, net::AckType::kDesync);
+  }
+
+  net::BaseStation restarted(kMBase, dir_, 8, /*persist_protocol_state=*/true);
+  auto ack = Deliver(&restarted, next);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack->type, net::AckType::kDesync);
+  EXPECT_TRUE(ack->resync_requested);
+  auto history = restarted.History(kId);
+  ASSERT_TRUE(history.ok()) << history.status().ToString();
+  EXPECT_EQ((*history)->num_chunks(), 2u);
+}
+
+TEST_F(ReplayTest, ResyncDemandedByAnUnfillableHoleSurvivesRestart) {
+  constexpr uint32_t kId = 7;
+  constexpr size_t kWindow = 1;
+  const datagen::Dataset feed = RestartFeed();
+  net::SensorNode node(kId, kSignals, kChunkLen, RestartEncoder());
+  std::vector<core::Frame> frames;
+  for (size_t c = 0; c < 4; ++c) {
+    auto t = FeedSamples(&node, feed, c * kChunkLen, kChunkLen);
+    ASSERT_TRUE(t.has_value());
+    frames.push_back(node.MakeDataFrame(*t));
+  }
+  {
+    net::BaseStation live(kMBase, dir_, kWindow,
+                          /*persist_protocol_state=*/true);
+    auto ack = Deliver(&live, frames[0]);
+    ASSERT_TRUE(ack.ok());
+    ASSERT_EQ(ack->type, net::AckType::kAccept);
+    // Frames 1 and 2 are lost; frame 3 lands more than the reorder
+    // window past the expected sequence number.
+    ack = Deliver(&live, frames[3]);
+    ASSERT_TRUE(ack.ok());
+    ASSERT_EQ(ack->type, net::AckType::kDesync);
+    // A late copy of frame 1 would fill the hole's first slot, but the
+    // station already gave the lineage up.
+    ack = Deliver(&live, frames[1]);
+    ASSERT_TRUE(ack.ok());
+    ASSERT_EQ(ack->type, net::AckType::kDesync);
+  }
+
+  net::BaseStation restarted(kMBase, dir_, kWindow,
+                             /*persist_protocol_state=*/true);
+  auto ack = Deliver(&restarted, frames[1]);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack->type, net::AckType::kDesync);
+  EXPECT_TRUE(ack->resync_requested);
+  auto history = restarted.History(kId);
+  ASSERT_TRUE(history.ok()) << history.status().ToString();
+  EXPECT_EQ((*history)->num_chunks(), 1u);
 }
 
 }  // namespace
