@@ -513,7 +513,8 @@ void BM_StationReceiveBytes(benchmark::State& state) {
   // publish, and the log append of the payload bytes as received. Each
   // repetition starts a fresh station on empty logs and feeds the whole
   // fleet once, so histories grow from 0 to 100 chunks per sensor within
-  // it.
+  // it. allocs/frame and KB/frame count the heap allocations (and bytes
+  // requested) of one ReceiveBytes, the receive path's allocation budget.
   const auto& frames = StationFrames();
   std::string dir = (std::filesystem::temp_directory_path() /
                      "sbr_bench_station").string();
@@ -533,11 +534,22 @@ void BM_StationReceiveBytes(benchmark::State& state) {
     }
     size_t next = 0;
     size_t rejected = 0;
+    uint64_t allocs = 0;
+    uint64_t bytes = 0;
     for (auto _ : state) {
+      const uint64_t c0 = alloc_count::count.load(std::memory_order_relaxed);
+      const uint64_t b0 = alloc_count::bytes.load(std::memory_order_relaxed);
       auto ack = station.ReceiveBytes(frames[next++]);
+      allocs += alloc_count::count.load(std::memory_order_relaxed) - c0;
+      bytes += alloc_count::bytes.load(std::memory_order_relaxed) - b0;
       if (!ack.ok() || ack->type != net::AckType::kAccept) ++rejected;
     }
     if (rejected > 0) state.SkipWithError("a frame was not accepted");
+    const double iters = static_cast<double>(state.iterations());
+    state.counters["allocs/frame"] =
+        benchmark::Counter(static_cast<double>(allocs) / iters);
+    state.counters["KB/frame"] =
+        benchmark::Counter(static_cast<double>(bytes) / iters / 1024.0);
   }
   std::filesystem::remove_all(dir);
 }

@@ -1,6 +1,7 @@
 #include "core/decoder.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "core/fixed_base.h"
 #include "core/get_intervals.h"
@@ -10,46 +11,55 @@
 
 namespace sbr::core {
 
-StatusOr<std::vector<Interval>> ResolveIntervals(
-    std::span<const IntervalRecord> records, size_t total_len,
-    size_t base_len, size_t max_chunk_samples) {
+Status ResolveIntervals(std::span<const IntervalRecord> records,
+                        size_t total_len, size_t base_len,
+                        size_t max_chunk_samples,
+                        std::span<IntervalRecord> out) {
   if (total_len > max_chunk_samples) {
     return Status::DataLoss("chunk of " + std::to_string(total_len) +
                             " samples exceeds the decoder limit");
   }
-  // Rebuild intervals: sort by start, infer lengths from the gaps.
-  std::vector<IntervalRecord> recs(records.begin(), records.end());
-  std::sort(recs.begin(), recs.end(),
-            [](const IntervalRecord& a, const IntervalRecord& b) {
-              return a.start < b.start;
-            });
-  if (recs.empty() || recs[0].start != 0) {
+  auto by_start = [](const IntervalRecord& a, const IntervalRecord& b) {
+    return a.start < b.start;
+  };
+  std::copy(records.begin(), records.end(), out.begin());
+  if (!std::is_sorted(out.begin(), out.end(), by_start)) {
+    std::sort(out.begin(), out.end(), by_start);
+  }
+  if (out.empty() || out[0].start != 0) {
     return Status::DataLoss("interval records do not start at 0");
   }
-  std::vector<Interval> intervals;
-  intervals.reserve(recs.size());
-  for (size_t i = 0; i < recs.size(); ++i) {
-    const size_t end =
-        i + 1 < recs.size() ? recs[i + 1].start : total_len;
-    if (end <= recs[i].start) {
+  for (size_t i = 0; i < out.size(); ++i) {
+    const size_t start = out[i].start;
+    const size_t end = i + 1 < out.size() ? out[i + 1].start : total_len;
+    if (end <= start) {
       return Status::DataLoss("interval records overlap or are empty");
     }
-    Interval iv;
-    iv.start = recs[i].start;
-    iv.length = end - recs[i].start;
-    iv.shift = recs[i].shift;
-    iv.a = recs[i].a;
-    iv.b = recs[i].b;
-    iv.c = recs[i].c;
-    if (iv.shift != kShiftLinearFallback) {
-      if (iv.shift < 0 ||
-          static_cast<size_t>(iv.shift) + iv.length > base_len) {
-        return Status::DataLoss("interval shift outside the base signal");
-      }
+    const int64_t shift = out[i].shift;
+    if (shift != kShiftLinearFallback &&
+        (shift < 0 || static_cast<size_t>(shift) + (end - start) > base_len)) {
+      return Status::DataLoss("interval shift outside the base signal");
     }
-    intervals.push_back(iv);
   }
-  return intervals;
+  return Status::Ok();
+}
+
+void ReconstructRange(std::span<const double> x,
+                      std::span<const IntervalRecord> records, size_t end,
+                      size_t lo, size_t hi, double* out) {
+  if (lo >= hi) return;
+  // The record containing lo (the records tile the chunk).
+  auto it = std::upper_bound(
+      records.begin(), records.end(), lo,
+      [](size_t pos, const IntervalRecord& r) { return pos < r.start; });
+  assert(it != records.begin());
+  --it;
+  for (size_t pos = lo; pos < hi; ++it) {
+    assert(it != records.end());
+    const size_t stop =
+        std::min<size_t>(hi, it + 1 != records.end() ? it[1].start : end);
+    for (; pos < stop; ++pos) *out++ = IntervalSample(x, *it, pos - it->start);
+  }
 }
 
 Status BaseMirror::Advance(const Transmission& t) {
@@ -157,10 +167,12 @@ StatusOr<std::vector<double>> SbrDecoder::DecodeChunkImpl(
   SBR_RETURN_IF_ERROR(mirror_.Advance(t));
   const std::span<const double> x = mirror_.BaseFor(t);
   const size_t total_len = t.TotalSamples();
-  auto intervals = ResolveIntervals(t.intervals, total_len, x.size(),
-                                    options_.max_chunk_samples);
-  if (!intervals.ok()) return intervals.status();
-  return ReconstructFromIntervals(x, total_len, *intervals);
+  std::vector<IntervalRecord> records(t.intervals.size());
+  SBR_RETURN_IF_ERROR(ResolveIntervals(t.intervals, total_len, x.size(),
+                                       options_.max_chunk_samples, records));
+  std::vector<double> out(total_len);
+  ReconstructRange(x, records, total_len, 0, total_len, out.data());
+  return out;
 }
 
 StatusOr<linalg::Matrix> SbrDecoder::DecodeChunkToMatrix(

@@ -5,10 +5,11 @@
 // encoder-side approximation exactly (bit-for-bit; verified by tests).
 //
 // The pieces every receiver shares live here too: BaseMirror (header
-// validation, base updates and resync snapshots) and ResolveIntervals
-// (interval records -> the chunk's tiling, with its guards). The decoder
-// and storage::CompressedHistory both build on them, so they accept the
-// same transmissions with the same status codes.
+// validation, base updates and resync snapshots), ResolveIntervals (the
+// interval records validated as the chunk's tiling, sorted by start) and
+// ReconstructRange (samples of that tiling). The decoder and
+// storage::CompressedHistory both build on them, so they accept the same
+// transmissions with the same status codes and decode the same bits.
 #ifndef SBR_CORE_DECODER_H_
 #define SBR_CORE_DECODER_H_
 
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "core/base_signal.h"
-#include "core/interval.h"
 #include "core/transmission.h"
 #include "linalg/matrix.h"
 #include "util/status.h"
@@ -33,15 +33,28 @@ struct DecoderOptions {
   size_t max_chunk_samples = size_t{1} << 26;
 };
 
-/// Resolves a transmission's interval records into the intervals that
-/// tile its chunk of `total_len` samples: sorted by start, lengths
-/// inferred from the next start (paper Section 4.2). DataLoss when the
-/// chunk exceeds `max_chunk_samples`, the records do not start at 0,
-/// two records overlap, or a base-mapped interval reaches outside the
+/// Validates a transmission's interval records as the tiling of its
+/// chunk of `total_len` samples and writes them to `out` (same size)
+/// sorted by start; each record runs to the next one's start, the last to
+/// `total_len` (paper Section 4.2). Records that arrive sorted, as every
+/// encoder sends them, are copied as they are. DataLoss when the chunk
+/// exceeds `max_chunk_samples`, the records do not start at 0, two
+/// records overlap, or a base-mapped record reaches outside the
 /// `base_len` values of its base signal.
-StatusOr<std::vector<Interval>> ResolveIntervals(
-    std::span<const IntervalRecord> records, size_t total_len,
-    size_t base_len, size_t max_chunk_samples);
+Status ResolveIntervals(std::span<const IntervalRecord> records,
+                        size_t total_len, size_t base_len,
+                        size_t max_chunk_samples,
+                        std::span<IntervalRecord> out);
+
+/// Writes samples [lo, hi) of the chunk tiled by `records` into
+/// out[0, hi - lo). `records` are sorted by start as ResolveIntervals
+/// leaves them, each running to the next one's start and the last to
+/// `end`; [lo, hi) lies inside [records[0].start, end). Every sample is
+/// core::IntervalSample, so any range of a chunk is bitwise equal to the
+/// same positions of its full decode.
+void ReconstructRange(std::span<const double> x,
+                      std::span<const IntervalRecord> records, size_t end,
+                      size_t lo, size_t hi, double* out);
 
 /// The receiver's mirror of one sensor's base signal: validates each
 /// transmission header against the stream, applies its slot updates, and

@@ -184,21 +184,4 @@ std::vector<double> ReconstructFromIntervals(
   return out;
 }
 
-void ReconstructRange(std::span<const double> x,
-                      std::span<const Interval> intervals, size_t lo,
-                      size_t hi, double* out) {
-  if (lo >= hi) return;
-  // First interval containing lo (the intervals tile the chunk).
-  auto it = std::upper_bound(
-      intervals.begin(), intervals.end(), lo,
-      [](size_t pos, const Interval& iv) { return pos < iv.start; });
-  assert(it != intervals.begin());
-  --it;
-  for (size_t pos = lo; pos < hi; ++it) {
-    assert(it != intervals.end());
-    const size_t end = std::min<size_t>(hi, it->start + it->length);
-    for (; pos < end; ++pos) *out++ = IntervalSample(x, *it, pos - it->start);
-  }
-}
-
 }  // namespace sbr::core

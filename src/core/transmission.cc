@@ -69,6 +69,12 @@ void Transmission::Serialize(BinaryWriter* writer) const {
 
 StatusOr<Transmission> Transmission::Deserialize(BinaryReader* reader) {
   Transmission t;
+  SBR_RETURN_IF_ERROR(DeserializeInto(reader, &t));
+  return t;
+}
+
+Status Transmission::DeserializeInto(BinaryReader* reader, Transmission* out) {
+  Transmission& t = *out;
   SBR_RETURN_IF_ERROR(reader->GetU32(&t.num_signals));
   SBR_RETURN_IF_ERROR(reader->GetU32(&t.chunk_len));
   uint32_t num_lengths;
@@ -140,11 +146,12 @@ StatusOr<Transmission> Transmission::Deserialize(BinaryReader* reader) {
     iv.shift = static_cast<int32_t>(shift);
     SBR_RETURN_IF_ERROR(GetValue(reader, t.precision, &iv.a));
     SBR_RETURN_IF_ERROR(GetValue(reader, t.precision, &iv.b));
+    iv.c = 0.0;
     if (t.quadratic) {
       SBR_RETURN_IF_ERROR(GetValue(reader, t.precision, &iv.c));
     }
   }
-  return t;
+  return Status::Ok();
 }
 
 // ----------------------------------------------------------------- framing
@@ -159,7 +166,9 @@ constexpr uint32_t kFrameMagic = 0x53425246;  // "SBRF"
 constexpr size_t kCoveredHeaderBytes = 1 + 4 + 8 + 4 + 4;
 using CoveredHeader = std::array<uint8_t, kCoveredHeaderBytes>;
 
-CoveredHeader MakeCoveredHeader(const Frame& f) {
+CoveredHeader MakeCoveredHeader(FrameType type, uint32_t sensor_id,
+                                uint64_t seq, uint32_t epoch,
+                                size_t payload_size) {
   CoveredHeader h{};
   size_t pos = 0;
   auto put = [&](uint64_t v, size_t bytes) {
@@ -167,11 +176,11 @@ CoveredHeader MakeCoveredHeader(const Frame& f) {
       h[pos++] = static_cast<uint8_t>(v >> (8 * i));
     }
   };
-  put(static_cast<uint8_t>(f.type), 1);
-  put(f.sensor_id, 4);
-  put(f.seq, 8);
-  put(f.epoch, 4);
-  put(static_cast<uint32_t>(f.payload.size()), 4);
+  put(static_cast<uint8_t>(type), 1);
+  put(sensor_id, 4);
+  put(seq, 8);
+  put(epoch, 4);
+  put(static_cast<uint32_t>(payload_size), 4);
   return h;
 }
 
@@ -184,43 +193,40 @@ uint32_t FrameCrc(const CoveredHeader& header,
 }  // namespace
 
 void Frame::Serialize(BinaryWriter* writer) const {
-  const CoveredHeader header = MakeCoveredHeader(*this);
+  const CoveredHeader header =
+      MakeCoveredHeader(type, sensor_id, seq, epoch, payload.size());
   writer->PutU32(kFrameMagic);
   writer->PutRaw(header);
   writer->PutU32(FrameCrc(header, payload));
   writer->PutRaw(payload);
 }
 
-StatusOr<Frame> Frame::Deserialize(BinaryReader* reader) {
+StatusOr<FrameView> Frame::ParseView(std::span<const uint8_t> bytes) {
+  BinaryReader reader(bytes);
   uint32_t magic;
-  SBR_RETURN_IF_ERROR(reader->GetU32(&magic));
+  SBR_RETURN_IF_ERROR(reader.GetU32(&magic));
   if (magic != kFrameMagic) {
     return Status::DataLoss("bad frame magic");
   }
-  Frame f;
+  FrameView f;
   uint8_t type;
-  SBR_RETURN_IF_ERROR(reader->GetU8(&type));
+  SBR_RETURN_IF_ERROR(reader.GetU8(&type));
   if (type > static_cast<uint8_t>(FrameType::kSnapshot)) {
     return Status::DataLoss("invalid frame type " + std::to_string(type));
   }
   f.type = static_cast<FrameType>(type);
-  SBR_RETURN_IF_ERROR(reader->GetU32(&f.sensor_id));
-  SBR_RETURN_IF_ERROR(reader->GetU64(&f.seq));
-  SBR_RETURN_IF_ERROR(reader->GetU32(&f.epoch));
+  SBR_RETURN_IF_ERROR(reader.GetU32(&f.sensor_id));
+  SBR_RETURN_IF_ERROR(reader.GetU64(&f.seq));
+  SBR_RETURN_IF_ERROR(reader.GetU32(&f.epoch));
   uint32_t len, crc;
-  SBR_RETURN_IF_ERROR(reader->GetU32(&len));
-  SBR_RETURN_IF_ERROR(reader->GetU32(&crc));
-  SBR_RETURN_IF_ERROR(reader->GetRaw(len, &f.payload));
-  if (crc != FrameCrc(MakeCoveredHeader(f), f.payload)) {
+  SBR_RETURN_IF_ERROR(reader.GetU32(&len));
+  SBR_RETURN_IF_ERROR(reader.GetU32(&crc));
+  SBR_RETURN_IF_ERROR(reader.GetRaw(len, &f.payload));
+  if (crc != FrameCrc(MakeCoveredHeader(f.type, f.sensor_id, f.seq, f.epoch,
+                                        f.payload.size()),
+                      f.payload)) {
     return Status::DataLoss("frame CRC mismatch");
   }
-  return f;
-}
-
-StatusOr<Frame> Frame::Parse(std::span<const uint8_t> bytes) {
-  BinaryReader reader(bytes);
-  auto f = Deserialize(&reader);
-  if (!f.ok()) return f.status();
   if (!reader.AtEnd()) {
     return Status::DataLoss("trailing bytes after frame");
   }

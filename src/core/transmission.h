@@ -8,6 +8,7 @@
 #define SBR_CORE_TRANSMISSION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/serialize.h"
@@ -92,6 +93,10 @@ struct Transmission {
   /// Binary wire encoding.
   void Serialize(BinaryWriter* writer) const;
   static StatusOr<Transmission> Deserialize(BinaryReader* reader);
+  /// Deserialize into `out`, reusing the capacity of its vectors (a
+  /// receiver's per-frame scratch). On failure `out` holds a partial
+  /// parse.
+  static Status DeserializeInto(BinaryReader* reader, Transmission* out);
 };
 
 // ---------------------------------------------------------------------------
@@ -108,6 +113,16 @@ enum class FrameType : uint8_t {
   kData = 0,
   /// A serialized BaseSnapshot (resync: full base-signal state dump).
   kSnapshot = 1,
+};
+
+/// A checked frame whose payload still lies in the received bytes, so a
+/// receiver can route it without copying the payload.
+struct FrameView {
+  FrameType type = FrameType::kData;
+  uint32_t sensor_id = 0;
+  uint64_t seq = 0;
+  uint32_t epoch = 0;
+  std::span<const uint8_t> payload;
 };
 
 /// One framed on-air message.
@@ -131,9 +146,10 @@ struct Frame {
   static constexpr size_t kHeaderBytes = 4 + 1 + 4 + 8 + 4 + 4 + 4;
 
   void Serialize(BinaryWriter* writer) const;
-  /// Returns DataLoss on bad magic, truncation, or CRC mismatch.
-  static StatusOr<Frame> Deserialize(BinaryReader* reader);
-  static StatusOr<Frame> Parse(std::span<const uint8_t> bytes);
+  /// Checks exactly one frame in `bytes` (magic, bounds, CRC, no trailing
+  /// bytes): DataLoss if any check fails. The view's payload points into
+  /// `bytes`.
+  static StatusOr<FrameView> ParseView(std::span<const uint8_t> bytes);
 };
 
 /// Wraps one encoded chunk into a data frame.

@@ -22,6 +22,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/transmission.h"
 #include "storage/chunk_log.h"
@@ -136,13 +137,17 @@ class BaseStation {
     uint64_t expected_seq = 0;
     uint32_t epoch = 0;
     bool awaiting_resync = false;
-    std::map<uint64_t, core::Frame> pending{};  ///< bounded reorder window
+    /// Bounded reorder window: payloads of data frames by seq.
+    std::map<uint64_t, std::vector<uint8_t>> pending{};
     ProtocolStats stats{};
     uint32_t id = 0;
   };
 
   StatusOr<PerSensor*> GetOrCreate(uint32_t sensor_id);
-  StatusOr<FrameAck> HandleFrame(core::Frame frame);
+  StatusOr<FrameAck> HandleFrame(const core::FrameView& frame);
+  /// Parses a data frame's payload into rx_; false if it is not exactly
+  /// one transmission.
+  bool ParseData(std::span<const uint8_t> payload);
   /// The sensor's timeline, or an empty one if none was written yet.
   const storage::CompressedHistory& Timeline(uint32_t sensor_id) const;
   /// Ingests `t` into the timeline, then logs `payload`, the frame
@@ -168,6 +173,9 @@ class BaseStation {
   std::unique_ptr<storage::QueryService> owned_;
   /// Holds every sensor's timeline: the attached service, else owned_.
   storage::QueryService* timelines_;
+  /// The data frame being received, parsed in place: its vectors keep
+  /// their capacity from frame to frame.
+  core::Transmission rx_;
 };
 
 }  // namespace sbr::net

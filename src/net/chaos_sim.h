@@ -131,7 +131,7 @@ struct ChaosNodeReport {
   size_t retries_shed = 0;     ///< retries suppressed by the energy budget
   size_t forwarded_copies = 0; ///< frame copies relayed for descendants
   /// Copies of this node's frames that a forwarding relay classified as
-  /// failing the envelope check (core::Frame::Parse; relays
+  /// failing the envelope check (core::Frame::ParseView; relays
   /// classify but never drop — the station stays the enforcement point).
   /// Not part of Digest(): purely diagnostic.
   size_t malformed_relayed = 0;

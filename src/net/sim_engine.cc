@@ -143,7 +143,7 @@ StatusOr<SimEngine::DeliveryOutcome> SimEngine::DeliverFrame(
         // stays at the station, so relayed delivery and energy are
         // untouched by the classification.
         if (h > 0 && sink.malformed_relayed != nullptr &&
-            !core::Frame::Parse(copy).ok()) {
+            !core::Frame::ParseView(copy).ok()) {
           ++*sink.malformed_relayed;
           if (options_.emit_obs) SBR_OBS_COUNT("net.relay.malformed", 1);
         }

@@ -83,7 +83,7 @@ struct NodeReport {
   /// only; the matching radio energy is charged to this node's account).
   size_t forwarded_copies = 0;
   /// Copies of this node's frames that arrived at a forwarding hop already
-  /// failing the envelope check (core::Frame::Parse — the same verdict
+  /// failing the envelope check (core::Frame::ParseView — the same verdict
   /// BaseStation::ReceiveBytes reaches). Relays classify but do
   /// not drop: enforcement stays at the station, so delivery, energy and
   /// every other counter are untouched by the classification.

@@ -55,13 +55,15 @@ Status DecodedHistory::Ingest(const core::Transmission& t) {
 
 void DecodedHistory::AppendIndexLeaves(const std::vector<double>* values) {
   if (num_signals_ == 0) return;
-  if (index_.empty()) {
-    index_.assign(num_signals_, MomentIndex{});
+  if (!index_) {
+    index_.emplace(num_signals_);
     // Chunks recorded before the first successful ingest are all gaps
     // (geometry was unknown); backfill so index positions equal chunk
     // indices.
     for (size_t c = 0; c + 1 < chunks_.size(); ++c) {
-      for (MomentIndex& idx : index_) idx.Append(MomentSummary::Gap());
+      for (size_t s = 0; s < num_signals_; ++s) {
+        index_->Append(MomentSummary::Gap());
+      }
     }
   }
   for (size_t s = 0; s < num_signals_; ++s) {
@@ -71,14 +73,14 @@ void DecodedHistory::AppendIndexLeaves(const std::vector<double>* values) {
     } else {
       FoldValues(values->data() + s * chunk_len_, chunk_len_, &leaf);
     }
-    index_[s].Append(leaf);
+    index_->Append(leaf);
   }
 }
 
 void DecodedHistory::MarkGap(size_t chunks) {
   for (size_t i = 0; i < chunks; ++i) {
     chunks_.push_back(nullptr);
-    if (!index_.empty()) AppendIndexLeaves(nullptr);
+    if (index_) AppendIndexLeaves(nullptr);
   }
   num_gaps_ += chunks;
 }
@@ -151,11 +153,11 @@ StatusOr<AggregateResult> DecodedHistory::AggregateExact(size_t signal,
                hi_t - lo_t, &acc);
   }
   if (full_lo < full_hi) {
-    const MomentSummary interior = index_[signal].Query(full_lo, full_hi);
+    const MomentSummary interior = index_->Query(signal, full_lo, full_hi);
     if (interior.has_gap) {
       return Status::DataLoss(
           "range touches lost chunk " +
-          std::to_string(index_[signal].FirstGap(full_lo, full_hi)));
+          std::to_string(index_->FirstGap(signal, full_lo, full_hi)));
     }
     acc.Merge(interior);
   }

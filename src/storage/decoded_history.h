@@ -14,6 +14,7 @@
 #define SBR_STORAGE_DECODED_HISTORY_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/decoder.h"
@@ -93,10 +94,10 @@ class DecodedHistory {
   /// copying a store (the QueryService snapshot publish path) costs O(1)
   /// here whatever the history length.
   AppendLog<std::shared_ptr<const std::vector<double>>> chunks_;
-  /// One hierarchical moment index per signal over the decoded chunks
-  /// (created at the first ingest; earlier gap chunks are backfilled);
-  /// copies share each signal's node log.
-  std::vector<MomentIndex> index_;
+  /// One hierarchical moment index over every signal of the decoded
+  /// chunks (created at the first ingest; earlier gap chunks are
+  /// backfilled); copies share its node log.
+  std::optional<MomentIndex> index_;
 
   /// Appends chunk summaries (or gap leaves for nullptr) to the index.
   void AppendIndexLeaves(const std::vector<double>* values);

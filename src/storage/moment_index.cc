@@ -7,20 +7,24 @@ namespace sbr::storage {
 
 void MomentIndex::Append(const MomentSummary& leaf) {
   nodes_.push_back(leaf);
+  if (++pending_ < width_) return;
+  pending_ = 0;
   const size_t n = ++leaves_;
   // Completing leaf n - 1 completes the aligned 2^k group ending at n for
   // every k dividing n: fold the two level k-1 halves that form it.
   for (size_t k = 1; (n & ((size_t{1} << k) - 1)) == 0; ++k) {
     const size_t node = (n >> k) - 1;
-    MomentSummary merged = Node(k - 1, 2 * node);
-    merged.Merge(Node(k - 1, 2 * node + 1));
-    nodes_.push_back(merged);
+    for (size_t s = 0; s < width_; ++s) {
+      MomentSummary merged = Node(s, k - 1, 2 * node);
+      merged.Merge(Node(s, k - 1, 2 * node + 1));
+      nodes_.push_back(merged);
+    }
   }
-  assert(nodes_.size() == 2 * n - PopCount(n));
+  assert(nodes_.size() == (2 * n - PopCount(n)) * width_);
 }
 
-MomentSummary MomentIndex::Query(size_t lo, size_t hi) const {
-  assert(hi <= size() && lo <= hi);
+MomentSummary MomentIndex::Query(size_t signal, size_t lo, size_t hi) const {
+  assert(hi <= size() && lo <= hi && signal < width_);
   MomentSummary out;
   while (lo < hi) {
     // Largest aligned power-of-two group starting at lo that fits in the
@@ -29,33 +33,36 @@ MomentSummary MomentIndex::Query(size_t lo, size_t hi) const {
                        : static_cast<size_t>(std::countr_zero(lo));
     const size_t span_k = static_cast<size_t>(std::bit_width(hi - lo)) - 1;
     k = std::min(k, span_k);
-    out.Merge(Node(k, lo >> k));
+    out.Merge(Node(signal, k, lo >> k));
     lo += size_t{1} << k;
   }
   return out;
 }
 
-size_t MomentIndex::FirstGap(size_t lo, size_t hi) const {
-  assert(hi <= size() && lo <= hi);
+size_t MomentIndex::FirstGap(size_t signal, size_t lo, size_t hi) const {
+  assert(hi <= size() && lo <= hi && signal < width_);
   while (lo < hi) {
     size_t k = lo == 0 ? static_cast<size_t>(std::bit_width(hi - lo)) - 1
                        : static_cast<size_t>(std::countr_zero(lo));
     const size_t span_k = static_cast<size_t>(std::bit_width(hi - lo)) - 1;
     k = std::min(k, span_k);
-    if (Node(k, lo >> k).has_gap) return DescendToGap(k, lo >> k);
+    if (Node(signal, k, lo >> k).has_gap) {
+      return DescendToGap(signal, k, lo >> k);
+    }
     lo += size_t{1} << k;
   }
   return hi;
 }
 
-size_t MomentIndex::DescendToGap(size_t level, size_t i) const {
+size_t MomentIndex::DescendToGap(size_t signal, size_t level,
+                                 size_t i) const {
   while (level > 0) {
     // A gap node always has a gap child; prefer the left one (lowest
     // chunk index, matching the legacy ascending scan's first failure).
-    if (Node(level - 1, 2 * i).has_gap) {
+    if (Node(signal, level - 1, 2 * i).has_gap) {
       i = 2 * i;
     } else {
-      assert(Node(level - 1, 2 * i + 1).has_gap);
+      assert(Node(signal, level - 1, 2 * i + 1).has_gap);
       i = 2 * i + 1;
     }
     --level;

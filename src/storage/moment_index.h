@@ -17,11 +17,13 @@
 // fails in O(log n) too, and `FirstGap` descends the same nodes to name
 // the offending chunk without a linear walk.
 //
-// Storage: all nodes of one signal live in a single AppendLog
-// (storage/append_log.h) in the order they are appended, so copying an
-// index — the QueryService epoch-publish path — is one O(1) handle copy
-// whatever the history length. Readers of a copy touch only nodes below
-// the copy's size, which the writer never writes again.
+// Storage: one index serves every signal of a timeline. Node (k, i) of
+// each of its `width` signals sits side by side in one slot, and all
+// slots live in a single AppendLog (storage/append_log.h) in the order
+// they are appended, so copying an index — the QueryService
+// epoch-publish path — is one O(1) handle copy whatever the history
+// length or signal count. Readers of a copy touch only nodes below the
+// copy's size, which the writer never writes again.
 #ifndef SBR_STORAGE_MOMENT_INDEX_H_
 #define SBR_STORAGE_MOMENT_INDEX_H_
 
@@ -65,44 +67,57 @@ struct MomentSummary {
   }
 };
 
-/// Append-only hierarchical index over one signal's per-chunk summaries.
+/// Append-only hierarchical index over the per-chunk summaries of `width`
+/// signals.
 class MomentIndex {
  public:
-  MomentIndex() = default;
+  explicit MomentIndex(size_t width = 1) : width_(width) {}
   MomentIndex(const MomentIndex&) = default;
   MomentIndex& operator=(const MomentIndex&) = default;
   // A moved-from index is empty, like its node log.
   MomentIndex(MomentIndex&& other) noexcept
-      : nodes_(std::move(other.nodes_)),
-        leaves_(std::exchange(other.leaves_, 0)) {}
+      : width_(other.width_),
+        nodes_(std::move(other.nodes_)),
+        leaves_(std::exchange(other.leaves_, 0)),
+        pending_(std::exchange(other.pending_, 0)) {}
   MomentIndex& operator=(MomentIndex&& other) noexcept {
+    width_ = other.width_;
     nodes_ = std::move(other.nodes_);
     leaves_ = std::exchange(other.leaves_, 0);
+    pending_ = std::exchange(other.pending_, 0);
     return *this;
   }
 
-  /// Leaves appended so far (== chunks on the timeline).
+  /// Signals per chunk.
+  size_t width() const { return width_; }
+
+  /// Chunks appended so far (== chunks on the timeline).
   size_t size() const { return leaves_; }
 
-  /// Appends the next chunk's summary and materializes every power-of-two
-  /// group it completes (amortized O(1) merges per append).
+  /// Appends the next chunk's summary of the next signal, signals in
+  /// order 0 .. width() - 1. The last one completes the chunk and
+  /// materializes every power-of-two group it completes (amortized O(1)
+  /// merges per append).
   void Append(const MomentSummary& leaf);
 
-  /// Fold of chunk range [lo, hi), half-open, hi <= size(). Touches at
-  /// most 2 * log2(size()) nodes. An empty range returns the identity.
-  MomentSummary Query(size_t lo, size_t hi) const;
+  /// Fold of `signal` over chunk range [lo, hi), half-open, hi <= size().
+  /// Touches at most 2 * log2(size()) nodes. An empty range returns the
+  /// identity.
+  MomentSummary Query(size_t signal, size_t lo, size_t hi) const;
 
-  /// Lowest chunk index in [lo, hi) whose leaf has_gap, or `hi` if none.
-  /// Same node decomposition as Query plus one root-to-leaf descent.
-  size_t FirstGap(size_t lo, size_t hi) const;
+  /// Lowest chunk index in [lo, hi) whose `signal` leaf has_gap, or `hi`
+  /// if none. Same node decomposition as Query plus one root-to-leaf
+  /// descent.
+  size_t FirstGap(size_t signal, size_t lo, size_t hi) const;
 
  private:
-  /// Node (k, i) summarizes chunks [i * 2^k, (i + 1) * 2^k). It is
+  /// Node (k, i) summarizes chunks [i * 2^k, (i + 1) * 2^k). Its slot is
   /// appended right after leaf L = (i + 1) * 2^k - 1 and that leaf's
-  /// lower-level nodes; 2j - popcount(j) nodes precede leaf j.
-  const MomentSummary& Node(size_t k, size_t i) const {
+  /// lower-level nodes; 2j - popcount(j) slots precede leaf j, and a slot
+  /// holds one summary per signal.
+  const MomentSummary& Node(size_t signal, size_t k, size_t i) const {
     const size_t last = ((i + 1) << k) - 1;
-    return nodes_[2 * last - PopCount(last) + k];
+    return nodes_[(2 * last - PopCount(last) + k) * width_ + signal];
   }
 
   /// Bit count without a library call: std::popcount becomes one on
@@ -114,12 +129,15 @@ class MomentIndex {
     return static_cast<size_t>((x * 0x0101010101010101ULL) >> 56);
   }
 
-  /// Descends from node (level, i) to its leftmost gap leaf.
-  size_t DescendToGap(size_t level, size_t i) const;
+  /// Descends from `signal`'s node (level, i) to its leftmost gap leaf.
+  size_t DescendToGap(size_t signal, size_t level, size_t i) const;
 
-  /// Every node, in append (post-)order.
+  size_t width_ = 1;
+  /// Every slot, in append (post-)order.
   AppendLog<MomentSummary> nodes_;
   size_t leaves_ = 0;
+  /// Leaves of the chunk being appended so far.
+  size_t pending_ = 0;
 };
 
 }  // namespace sbr::storage

@@ -30,17 +30,20 @@
 // SbrDecoder fed the same stream produces (storage::DecodedHistory is the
 // reference the tests hold them to).
 //
-// Memory: one interval list per chunk, one base-signal *snapshot version*
-// per change (prefix sums + min/max sparse table), and < 2 summary nodes
-// per (chunk, signal) — no decoded samples are retained.
+// Memory: one allocation per chunk holding its wire interval records as
+// received (32 bytes each, sorted by start) and per-signal record
+// offsets, one base-signal *snapshot version* per change (prefix sums +
+// min/max sparse table), and < 2 summary nodes per (chunk, signal) — no
+// decoded samples are retained.
 #ifndef SBR_STORAGE_QUERY_ENGINE_H_
 #define SBR_STORAGE_QUERY_ENGINE_H_
 
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/decoder.h"
-#include "core/interval.h"
 #include "core/transmission.h"
 #include "linalg/matrix.h"
 #include "storage/append_log.h"
@@ -113,7 +116,7 @@ class CompressedHistory {
   /// Chunks recorded as lost.
   size_t num_gaps() const { return num_gaps_; }
   /// True if chunk `c` is a loss gap.
-  bool IsGap(size_t c) const { return chunks_[c] == nullptr; }
+  bool IsGap(size_t c) const { return chunks_[c].get() == nullptr; }
   size_t num_signals() const { return num_signals_; }
   size_t chunk_len() const { return chunk_len_; }
   size_t history_len() const { return chunks_.size() * chunk_len_; }
@@ -125,8 +128,9 @@ class CompressedHistory {
   StatusOr<AggregateResult> Aggregate(size_t signal, size_t t0,
                                       size_t t1) const;
 
-  /// Point lookup: evaluates the one sample with the decoder's kernel in
-  /// O(log intervals); bitwise equal to QueryRange(signal, t, t + 1).
+  /// Point lookup: finds the record holding the sample among its
+  /// signal's records (O(log records)) and evaluates the decoder's sample
+  /// formula once; bitwise equal to QueryRange(signal, t, t + 1).
   StatusOr<double> Value(size_t signal, size_t t) const;
 
   /// Reconstructed values of `signal` over the global time range
@@ -168,32 +172,51 @@ class CompressedHistory {
     RangeMinMax minmax;
   };
 
-  /// Immutable once ingested. A nullptr entry in `chunks_` marks a loss
-  /// gap.
-  struct ChunkRep {
-    /// Intervals sorted by start, lengths resolved.
-    std::vector<core::Interval> intervals;
-    std::shared_ptr<const BaseVersion> base;
+  /// One ingested chunk in one allocation (query_engine.cc): a header
+  /// holding its base version, then num_signals + 1 per-signal record
+  /// offsets, then the wire interval records sorted by start (32 bytes
+  /// each; a record runs to the next one's start). Immutable once
+  /// ingested.
+  struct ChunkRecords;
+
+  /// Counted reference to a ChunkRecords; null marks a loss gap. Copies
+  /// share the chunk (the epoch snapshots' logs copy entries).
+  class ChunkRef {
+   public:
+    ChunkRef() = default;
+    explicit ChunkRef(ChunkRecords* chunk) : chunk_(chunk) {}
+    ChunkRef(const ChunkRef& other);
+    ChunkRef& operator=(const ChunkRef& other);
+    ChunkRef(ChunkRef&& other) noexcept
+        : chunk_(std::exchange(other.chunk_, nullptr)) {}
+    ChunkRef& operator=(ChunkRef&& other) noexcept;
+    ~ChunkRef();
+    const ChunkRecords* get() const { return chunk_; }
+
+   private:
+    ChunkRecords* chunk_ = nullptr;
   };
 
-  // Accumulates the exact moments of one interval restricted to
-  // [lo, hi) (positions relative to the interval's start).
-  void AccumulateInterval(const ChunkRep& chunk, const core::Interval& iv,
-                          size_t lo, size_t hi, MomentSummary* out) const;
+  // Accumulates the exact moments of one record restricted to [lo, hi)
+  // (positions relative to the record's start).
+  static void AccumulateInterval(const ChunkRecords& chunk,
+                                 const core::IntervalRecord& iv, size_t lo,
+                                 size_t hi, MomentSummary* out);
 
-  /// Folds the chunk's intervals overlapping row range [row_lo, row_hi)
-  /// (chunk-local concatenated coordinates) into `out`.
-  void FoldRowRange(const ChunkRep& chunk, size_t row_lo, size_t row_hi,
-                    MomentSummary* out) const;
+  /// Folds the records of `chunk` overlapping [row_lo, row_hi), a range of
+  /// signal `signal`'s row (chunk-local concatenated coordinates), into
+  /// `out`.
+  void FoldRowRange(const ChunkRecords& chunk, size_t signal, size_t row_lo,
+                    size_t row_hi, MomentSummary* out) const;
 
   /// Appends chunk `c`'s per-signal leaf summaries to the moment index
   /// (creating + gap-backfilling the per-signal structures on first use).
-  void AppendIndexLeaves(const ChunkRep* chunk);
+  void AppendIndexLeaves(const ChunkRecords* chunk);
 
-  /// Decodes rows [row_lo, row_hi) of chunk `chunk` (chunk-local
-  /// concatenated coordinates) into out[0, row_hi - row_lo).
-  static void DecodeRows(const ChunkRep& chunk, size_t row_lo, size_t row_hi,
-                         double* out);
+  /// Decodes rows [row_lo, row_hi) of signal `signal`'s row of `chunk`
+  /// (chunk-local concatenated coordinates) into out[0, row_hi - row_lo).
+  void DecodeRows(const ChunkRecords& chunk, size_t signal, size_t row_lo,
+                  size_t row_hi, double* out) const;
 
   /// OutOfRange unless `signal` exists and [t0, t1) is a non-empty range
   /// inside the history.
@@ -219,11 +242,11 @@ class CompressedHistory {
   /// Shared with every copy of the history (the QueryService epoch
   /// publish path), so a copy costs O(1) here whatever the history
   /// length.
-  AppendLog<std::shared_ptr<const ChunkRep>> chunks_;
-  /// One hierarchical index per signal (empty until the first ingest
-  /// fixes the geometry; gap chunks before that are backfilled); copies
-  /// share each signal's node log.
-  std::vector<MomentIndex> index_;
+  AppendLog<ChunkRef> chunks_;
+  /// One hierarchical index over every signal (absent until the first
+  /// ingest fixes the geometry; gap chunks before that are backfilled);
+  /// copies share its node log.
+  std::optional<MomentIndex> index_;
 };
 
 /// Former name of the materialized per-sensor history, now the same single

@@ -14,8 +14,14 @@ namespace sbr {
 inline constexpr uint32_t kCrc32Init = 0xffffffffu;
 
 /// Folds `data` into a raw CRC state; chain calls to checksum
-/// non-contiguous buffers, then apply Crc32Finalize.
+/// non-contiguous buffers, then apply Crc32Finalize. On an x86-64 CPU with
+/// PCLMULQDQ the bulk of a buffer of 64 bytes or more is folded with
+/// carry-less multiplies (chosen once per process), the rest with
+/// Crc32UpdatePortable; both give the same state.
 uint32_t Crc32Update(uint32_t state, std::span<const uint8_t> data);
+
+/// The table-driven fold (slicing-by-8) every CPU runs.
+uint32_t Crc32UpdatePortable(uint32_t state, std::span<const uint8_t> data);
 
 /// Final bit inversion turning a raw state into the checksum value.
 inline uint32_t Crc32Finalize(uint32_t state) { return state ^ 0xffffffffu; }

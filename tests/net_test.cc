@@ -475,10 +475,11 @@ TEST(BaseStation, LogsDataFramePayloadAsReceived) {
       auto ack = station.ReceiveBytes(bytes);
       ASSERT_TRUE(ack.ok());
       ASSERT_EQ(ack->type, AckType::kAccept);
-      auto frame = core::Frame::Parse(bytes);
+      auto frame = core::Frame::ParseView(bytes);
       ASSERT_TRUE(frame.ok());
       if (frame->type == core::FrameType::kData) {
-        data_payloads[frame->sensor_id].push_back(frame->payload);
+        data_payloads[frame->sensor_id].emplace_back(frame->payload.begin(),
+                                                     frame->payload.end());
       }
     }
     for (const auto& [id, payloads] : data_payloads) {
@@ -510,6 +511,38 @@ TEST(BaseStation, LogsDataFramePayloadAsReceived) {
     EXPECT_GT(data_payloads[3].size(), 5u);
     EXPECT_EQ(data_payloads[7].size(), 1u);
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BaseStation, SensorWhoseLogFileIsEmptyIsAccepted) {
+  // A crash between creating a sensor's log file and writing its 8-byte
+  // preamble leaves an empty (or preamble-prefix) file. The station must
+  // open it as a fresh log, not refuse every later frame of the sensor.
+  const std::string dir = testing::TempDir() + "/sbr_net_empty_log";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  { std::ofstream touch(dir + "/sensor_3.log", std::ios::binary); }
+  const auto frames = EventfulStream(3, 6, 32);
+  size_t records = 0;
+  {
+    BaseStation station(64, dir);
+    for (const auto& bytes : frames) {
+      auto ack = station.ReceiveBytes(bytes);
+      ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+      EXPECT_EQ(ack->type, AckType::kAccept);
+    }
+    EXPECT_EQ(station.stats(3).frames_accepted, frames.size());
+    auto log = station.Log(3);
+    ASSERT_TRUE(log.ok());
+    records = (*log)->size();
+  }
+  // The repaired file reopens whole: a preamble, then every record.
+  auto reopened = storage::ChunkLog::Open(dir + "/sensor_3.log");
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened->size(), records);
+  EXPECT_GE(records, frames.size());
+  EXPECT_EQ(reopened->dropped_records(), 0u);
+  EXPECT_EQ(reopened->quarantined_records(), 0u);
   std::filesystem::remove_all(dir);
 }
 

@@ -95,40 +95,49 @@ size_t NaiveFirstGap(const std::vector<storage::MomentSummary>& leaves,
 }
 
 TEST(MomentIndexUnit, EveryRangeMatchesNaiveLeafFold) {
-  // 400 leaves make about 800 nodes in the index's node log: past the
-  // 64-entry block cap and through two directory growths (at 191 and 703
-  // nodes), so all of them are on the Query and FirstGap paths.
-  // Sprinkled gap leaves pin FirstGap against a linear scan.
+  // 400 chunks of two signals make about 1600 summaries in the index's
+  // node log: past the 64-entry block cap and through three directory
+  // growths, so all of them are on the Query and FirstGap paths. Each
+  // signal has its own leaves, so a slot mix-up between the signals
+  // sharing a node shows. Sprinkled gap leaves pin FirstGap against a
+  // linear scan.
   constexpr size_t kLeaves = 400;
+  constexpr size_t kSignals = 2;
   std::mt19937_64 rng(4242);
-  std::vector<storage::MomentSummary> leaves;
-  storage::MomentIndex index;
+  std::vector<std::vector<storage::MomentSummary>> leaves(kSignals);
+  storage::MomentIndex index(kSignals);
   for (size_t i = 0; i < kLeaves; ++i) {
-    const bool gap = rng() % 9 == 0;
-    leaves.push_back(gap ? storage::MomentSummary::Gap() : RandomLeaf(&rng));
-    index.Append(leaves.back());
+    for (size_t s = 0; s < kSignals; ++s) {
+      const bool gap = rng() % 9 == 0;
+      leaves[s].push_back(gap ? storage::MomentSummary::Gap()
+                              : RandomLeaf(&rng));
+      index.Append(leaves[s].back());
+    }
     ASSERT_EQ(index.size(), i + 1);
   }
-  for (size_t lo = 0; lo <= leaves.size(); ++lo) {
-    // The ascending naive fold of [lo, hi), extended one leaf per hi.
-    storage::MomentSummary want;
-    for (size_t hi = lo; hi <= leaves.size(); ++hi) {
-      if (hi > lo) want.Merge(leaves[hi - 1]);
-      const storage::MomentSummary got = index.Query(lo, hi);
-      ASSERT_EQ(got.count, want.count) << lo << "," << hi;
-      ASSERT_EQ(got.has_gap, want.has_gap) << lo << "," << hi;
-      // min/max are exact selections — identical in any association.
-      ASSERT_EQ(got.min, want.min) << lo << "," << hi;
-      ASSERT_EQ(got.max, want.max) << lo << "," << hi;
-      // sum/sumsq re-associate across nodes; agreement is relative.
-      ASSERT_NEAR(got.sum, want.sum,
-                  1e-9 * (std::abs(want.sum) +
-                          static_cast<double>(want.count) + 1.0))
-          << lo << "," << hi;
-      ASSERT_NEAR(got.sumsq, want.sumsq, 1e-9 * (want.sumsq + 1.0))
-          << lo << "," << hi;
-      ASSERT_EQ(index.FirstGap(lo, hi), NaiveFirstGap(leaves, lo, hi))
-          << lo << "," << hi;
+  for (size_t s = 0; s < kSignals; ++s) {
+    for (size_t lo = 0; lo <= kLeaves; ++lo) {
+      // The ascending naive fold of [lo, hi), extended one leaf per hi.
+      storage::MomentSummary want;
+      for (size_t hi = lo; hi <= kLeaves; ++hi) {
+        if (hi > lo) want.Merge(leaves[s][hi - 1]);
+        const storage::MomentSummary got = index.Query(s, lo, hi);
+        ASSERT_EQ(got.count, want.count) << s << ":" << lo << "," << hi;
+        ASSERT_EQ(got.has_gap, want.has_gap) << s << ":" << lo << "," << hi;
+        // min/max are exact selections — identical in any association.
+        ASSERT_EQ(got.min, want.min) << s << ":" << lo << "," << hi;
+        ASSERT_EQ(got.max, want.max) << s << ":" << lo << "," << hi;
+        // sum/sumsq re-associate across nodes; agreement is relative.
+        ASSERT_NEAR(got.sum, want.sum,
+                    1e-9 * (std::abs(want.sum) +
+                            static_cast<double>(want.count) + 1.0))
+            << s << ":" << lo << "," << hi;
+        ASSERT_NEAR(got.sumsq, want.sumsq, 1e-9 * (want.sumsq + 1.0))
+            << s << ":" << lo << "," << hi;
+        ASSERT_EQ(index.FirstGap(s, lo, hi),
+                  NaiveFirstGap(leaves[s], lo, hi))
+            << s << ":" << lo << "," << hi;
+      }
     }
   }
 }
@@ -145,12 +154,12 @@ TEST(MomentIndexUnit, CopiesShareSealedBlocksAndStayImmutable) {
     index.Append(leaves.back());
   }
   const storage::MomentIndex frozen = index;
-  const storage::MomentSummary before = frozen.Query(0, 130);
+  const storage::MomentSummary before = frozen.Query(0, 0, 130);
   for (size_t i = 0; i < 40; ++i) index.Append(RandomLeaf(&rng));
 
   ASSERT_EQ(frozen.size(), 130u);
   ASSERT_EQ(index.size(), 170u);
-  const storage::MomentSummary after = frozen.Query(0, 130);
+  const storage::MomentSummary after = frozen.Query(0, 0, 130);
   EXPECT_EQ(before.sum, after.sum);
   EXPECT_EQ(before.sumsq, after.sumsq);
   EXPECT_EQ(before.min, after.min);
@@ -279,7 +288,7 @@ TEST(AppendLogUnit, MovedFromLogIsEmptyAndAppendable) {
   EXPECT_EQ(index_moved.size(), 5u);
   EXPECT_EQ(index.size(), 0u);  // NOLINT(bugprone-use-after-move)
   index.Append(storage::MomentSummary::Gap());
-  EXPECT_EQ(index.FirstGap(0, 1), 0u);
+  EXPECT_EQ(index.FirstGap(0, 0, 1), 0u);
 }
 
 TEST(AppendLogUnit, EntriesLiveUntilTheLastHandleDrops) {

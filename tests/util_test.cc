@@ -509,15 +509,19 @@ TEST(Crc32, KnownCheckValue) {
 
 TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
   // Lengths 0..1100 from each of the 8 start alignments, so every tail
-  // length of the 8-byte stride and every misaligned load is covered.
+  // length of the 8-byte stride and every misaligned load is covered,
+  // for the dispatched fold (carry-less multiplies on a PCLMULQDQ host,
+  // from 64 bytes on) and for the portable table fold alike.
   Rng rng(1234);
   std::vector<uint8_t> buf(1100 + 8);
   for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
   for (size_t align = 0; align < 8; ++align) {
     for (size_t len = 0; len <= 1100; ++len) {
       const std::span<const uint8_t> data(buf.data() + align, len);
-      ASSERT_EQ(Crc32Update(kCrc32Init, data),
-                ReferenceCrc32Update(kCrc32Init, data))
+      const uint32_t want = ReferenceCrc32Update(kCrc32Init, data);
+      ASSERT_EQ(Crc32Update(kCrc32Init, data), want)
+          << "align " << align << " len " << len;
+      ASSERT_EQ(Crc32UpdatePortable(kCrc32Init, data), want)
           << "align " << align << " len " << len;
     }
   }

@@ -27,7 +27,10 @@ Usage:
 
 Higher-is-better metrics: qps, speedup, items_per_second,
 bytes_per_second. Lower-is-better: real_time_ns, seconds, p50_us,
-p99_us. Records present on only one side are reported but never fatal
+p99_us, and every "allocs/<op>" counter (heap allocations per operation,
+counted by bench_micro's allocator). Allocation counts are exact, not
+timed, so they ignore the threshold: one that rises by more than 0.5
+per operation is fatal, whatever the host. Records present on only one side are reported but never fatal
 (new mixes appear, old ones retire); a Google Benchmark record that
 failed on the current side is fatal. Latency percentiles and seconds
 drift are advisory (single-run percentiles are noisy), and so is every
@@ -44,6 +47,9 @@ import sys
 HIGHER_IS_BETTER = ("qps", "speedup", "items_per_second", "bytes_per_second")
 LOWER_IS_BETTER = ("real_time_ns", "p50_us", "p99_us", "seconds")
 ADVISORY = ("p50_us", "p99_us", "seconds")
+ALLOCS_PREFIX = "allocs/"
+# Fatal rise of an allocation count, in allocations per operation.
+ALLOCS_SLACK = 0.5
 KEY_FIELDS = ("mix", "threads", "name", "case")
 NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
@@ -138,6 +144,19 @@ def main():
             print(f"{marker} {fmt_key(key):32s} {metric:10s} "
                   f"{b:14.3f} -> {c:14.3f}  {delta:+7.1%}")
             rows += 1
+        for metric in sorted(m for m in base if m.startswith(ALLOCS_PREFIX)):
+            if metric not in cur:
+                continue
+            b, c = float(base[metric]), float(cur[metric])
+            marker = " "
+            if c - b > ALLOCS_SLACK:
+                marker = "!"
+                regressions.append(
+                    f"{fmt_key(key)} {metric}: {b:.2f} -> {c:.2f} "
+                    f"(+{c - b:.2f} per operation)")
+            print(f"{marker} {fmt_key(key):32s} {metric:10s} "
+                  f"{b:14.3f} -> {c:14.3f}  {c - b:+7.2f}")
+            rows += 1
     for key in sorted(set(current) - set(baseline), key=fmt_key):
         print(f"  only-in-current:  {fmt_key(key)}")
 
@@ -146,7 +165,8 @@ def main():
         return 1
     if regressions:
         print(f"\n{len(regressions)} regression(s) beyond "
-              f"{args.threshold:.0%}:", file=sys.stderr)
+              f"{args.threshold:.0%} (allocation counts: beyond "
+              f"+{ALLOCS_SLACK} per operation):", file=sys.stderr)
         for r in regressions:
             print(f"  {r}", file=sys.stderr)
         return 1
