@@ -506,6 +506,18 @@ const std::vector<std::vector<uint8_t>>& StationFrames() {
   return frames;
 }
 
+/// An empty directory under the system temp dir, named `name` plus this
+/// process's id.
+std::string FreshTempDir(const char* name) {
+  std::string dir = (std::filesystem::temp_directory_path() / name).string();
+#if defined(__unix__)
+  dir += "_" + std::to_string(::getpid());
+#endif
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
 void BM_StationReceiveBytes(benchmark::State& state) {
   // One BaseStation::ReceiveBytes of an in-order data frame, with durable
   // per-sensor logs and a QueryService attached: envelope check, receive
@@ -516,13 +528,7 @@ void BM_StationReceiveBytes(benchmark::State& state) {
   // it. allocs/frame and KB/frame count the heap allocations (and bytes
   // requested) of one ReceiveBytes, the receive path's allocation budget.
   const auto& frames = StationFrames();
-  std::string dir = (std::filesystem::temp_directory_path() /
-                     "sbr_bench_station").string();
-#if defined(__unix__)
-  dir += "_" + std::to_string(::getpid());
-#endif
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string dir = FreshTempDir("sbr_bench_station");
   {
     storage::QueryServiceOptions opts;
     opts.m_base = kPublishMBase;
@@ -558,6 +564,92 @@ BENCHMARK(BM_StationReceiveBytes)
     ->Repetitions(10)
     ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMicrosecond);
+
+void BM_TransmissionParse(benchmark::State& state) {
+  // One Transmission::ParsePayload of a data frame's payload into a
+  // reused scratch, as the station, log recovery and replay parse it.
+  // The payloads are sensor 0's 100 chunks of the station-ingest fleet,
+  // parsed in turn (base-update chunks included). Time per frame and
+  // payload bytes/s.
+  // The payloads lie back to back in one 64-byte-aligned block, so their
+  // placement does not depend on what earlier rows left on the heap (with
+  // one allocation per payload, this row read 42 or 74 ns from run to run
+  // after BM_StationReceiveBytes had run in the same process).
+  std::vector<size_t> ends;
+  std::vector<uint8_t> block;
+  for (size_t c = 0; c < kStationChunks; ++c) {
+    auto frame = Frame::ParseView(StationFrames()[c * kStationSensors]);
+    block.insert(block.end(), frame->payload.begin(), frame->payload.end());
+    ends.push_back(block.size());
+  }
+  std::vector<uint8_t> storage(block.size() + 64);
+  const size_t misalign = reinterpret_cast<uintptr_t>(storage.data()) % 64;
+  uint8_t* aligned = storage.data() + (64 - misalign) % 64;
+  std::copy(block.begin(), block.end(), aligned);
+  std::vector<std::span<const uint8_t>> payloads;
+  for (size_t c = 0, begin = 0; c < ends.size(); begin = ends[c++]) {
+    payloads.emplace_back(aligned + begin, ends[c] - begin);
+  }
+  Transmission t;
+  size_t next = 0;
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::span<const uint8_t> payload = payloads[next];
+    next = next + 1 == payloads.size() ? 0 : next + 1;
+    const Status st = Transmission::ParsePayload(payload, &t);
+    if (!st.ok()) {
+      state.SkipWithError("a payload did not parse");
+      return;
+    }
+    benchmark::DoNotOptimize(t.intervals.data());
+    bytes += static_cast<int64_t>(payload.size());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_TransmissionParse)->Repetitions(10)->ReportAggregatesOnly(true);
+
+void BM_StationRecovery(benchmark::State& state) {
+  // A restarted station's recovery of the station-ingest fleet's durable
+  // logs (16 sensors x 100 chunks, written untimed by one BaseStation):
+  // per sensor, ChunkLog::Open (index and validate every record) and
+  // ReplayLog into a fresh QueryService — the storage.log_open_s plus
+  // storage.replay_s of a perfbench restart. Time per whole recovery.
+  const auto& frames = StationFrames();
+  const std::string dir = FreshTempDir("sbr_bench_recovery");
+  {
+    net::BaseStation station(kPublishMBase, dir);
+    for (const auto& frame : frames) {
+      auto ack = station.ReceiveBytes(frame);
+      if (!ack.ok() || ack->type != net::AckType::kAccept) {
+        state.SkipWithError("a frame was not accepted");
+        return;
+      }
+    }
+  }
+  size_t failed = 0;
+  for (auto _ : state) {
+    storage::QueryServiceOptions opts;
+    opts.m_base = kPublishMBase;
+    storage::QueryService service(opts);
+    for (uint32_t id = 0; id < kStationSensors; ++id) {
+      auto log = storage::ChunkLog::Open(dir + "/sensor_" +
+                                         std::to_string(id) + ".log");
+      if (!log.ok() || log->size() != kStationChunks ||
+          !storage::ReplayLog(*log, id, &service).ok()) {
+        ++failed;
+      }
+    }
+    if (service.epoch(kStationSensors - 1) != kStationChunks) ++failed;
+  }
+  if (failed > 0) state.SkipWithError("a log did not recover");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(frames.size()));
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_StationRecovery)
+    ->Repetitions(10)
+    ->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMillisecond);
 
 // Dashboard fleet for BM_ServiceProbeAfterIngest: 64 sensors x 48 chunks,
 // each sensor its own feed, interleaved round-robin as a station hears

@@ -1,6 +1,8 @@
 #include "core/transmission.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 
 #include "util/crc32.h"
 
@@ -38,6 +40,68 @@ void PutValue(BinaryWriter* writer, WirePrecision precision, double v) {
 Status GetValue(BinaryReader* reader, WirePrecision precision, double* v) {
   return precision == WirePrecision::kFloat32 ? reader->GetF32(v)
                                               : reader->GetDouble(v);
+}
+
+size_t ValueBytes(WirePrecision precision) {
+  return precision == WirePrecision::kFloat32 ? 4 : 8;
+}
+
+// Decodes one value at `p`, whose bytes the caller bounds-checked.
+double LoadValue(const uint8_t* p, WirePrecision precision) {
+  return precision == WirePrecision::kFloat32
+             ? static_cast<double>(std::bit_cast<float>(LoadLe32(p)))
+             : std::bit_cast<double>(LoadLe64(p));
+}
+
+// The arrays below are read with one bounds check for the elements that
+// fit, then a decode loop with no per-element Status. When the input ends
+// inside an array, the element that does not fit is read with the checked
+// getters, so the error names the same field, offset and remaining bytes,
+// and leaves the same partial parse, as an element-by-element read.
+
+// Reads a base update's `out.size()` values.
+Status GetValues(BinaryReader* reader, WirePrecision precision,
+                 std::span<double> out) {
+  const size_t width = ValueBytes(precision);
+  const size_t fit = std::min(out.size(), reader->remaining() / width);
+  std::span<const uint8_t> bytes;
+  SBR_RETURN_IF_ERROR(reader->GetRaw(fit * width, &bytes));
+  for (size_t i = 0; i < fit; ++i) {
+    out[i] = LoadValue(bytes.data() + i * width, precision);
+  }
+  if (fit == out.size()) return Status::Ok();
+  return GetValue(reader, precision, &out[fit]);
+}
+
+// Reads `out.size()` interval records: start u32 | shift u32 | a | b
+// (| c when quadratic).
+Status GetIntervals(BinaryReader* reader, WirePrecision precision,
+                    bool quadratic, std::span<IntervalRecord> out) {
+  const size_t width = ValueBytes(precision);
+  const size_t record = 8 + (quadratic ? 3 : 2) * width;
+  const size_t fit = std::min(out.size(), reader->remaining() / record);
+  std::span<const uint8_t> bytes;
+  SBR_RETURN_IF_ERROR(reader->GetRaw(fit * record, &bytes));
+  const uint8_t* p = bytes.data();
+  for (size_t i = 0; i < fit; ++i, p += record) {
+    IntervalRecord& iv = out[i];
+    iv.start = LoadLe32(p);
+    iv.shift = static_cast<int32_t>(LoadLe32(p + 4));
+    iv.a = LoadValue(p + 8, precision);
+    iv.b = LoadValue(p + 8 + width, precision);
+    iv.c = quadratic ? LoadValue(p + 8 + 2 * width, precision) : 0.0;
+  }
+  if (fit == out.size()) return Status::Ok();
+  IntervalRecord& iv = out[fit];
+  SBR_RETURN_IF_ERROR(reader->GetU32(&iv.start));
+  uint32_t shift;
+  SBR_RETURN_IF_ERROR(reader->GetU32(&shift));
+  iv.shift = static_cast<int32_t>(shift);
+  SBR_RETURN_IF_ERROR(GetValue(reader, precision, &iv.a));
+  SBR_RETURN_IF_ERROR(GetValue(reader, precision, &iv.b));
+  // Only a quadratic record can end past b; its c is what does not fit.
+  iv.c = 0.0;
+  return GetValue(reader, precision, &iv.c);
 }
 
 }  // namespace
@@ -88,8 +152,11 @@ Status Transmission::DeserializeInto(BinaryReader* reader, Transmission* out) {
     return Status::DataLoss("signal_lengths count exceeds input");
   }
   t.signal_lengths.resize(num_lengths);
-  for (auto& len : t.signal_lengths) {
-    SBR_RETURN_IF_ERROR(reader->GetU32(&len));
+  std::span<const uint8_t> lengths;
+  SBR_RETURN_IF_ERROR(reader->GetRaw(static_cast<size_t>(num_lengths) * 4,
+                                     &lengths));
+  for (uint32_t i = 0; i < num_lengths; ++i) {
+    t.signal_lengths[i] = LoadLe32(lengths.data() + 4 * i);
   }
   SBR_RETURN_IF_ERROR(reader->GetU32(&t.w));
   uint8_t kind;
@@ -127,9 +194,7 @@ Status Transmission::DeserializeInto(BinaryReader* reader, Transmission* out) {
       return Status::DataLoss("base update length exceeds input");
     }
     bu.values.resize(len);
-    for (auto& v : bu.values) {
-      SBR_RETURN_IF_ERROR(GetValue(reader, t.precision, &v));
-    }
+    SBR_RETURN_IF_ERROR(GetValues(reader, t.precision, bu.values));
   }
 
   uint32_t num_intervals;
@@ -139,17 +204,15 @@ Status Transmission::DeserializeInto(BinaryReader* reader, Transmission* out) {
     return Status::DataLoss("interval count exceeds input");
   }
   t.intervals.resize(num_intervals);
-  for (auto& iv : t.intervals) {
-    SBR_RETURN_IF_ERROR(reader->GetU32(&iv.start));
-    uint32_t shift;
-    SBR_RETURN_IF_ERROR(reader->GetU32(&shift));
-    iv.shift = static_cast<int32_t>(shift);
-    SBR_RETURN_IF_ERROR(GetValue(reader, t.precision, &iv.a));
-    SBR_RETURN_IF_ERROR(GetValue(reader, t.precision, &iv.b));
-    iv.c = 0.0;
-    if (t.quadratic) {
-      SBR_RETURN_IF_ERROR(GetValue(reader, t.precision, &iv.c));
-    }
+  return GetIntervals(reader, t.precision, t.quadratic, t.intervals);
+}
+
+Status Transmission::ParsePayload(std::span<const uint8_t> payload,
+                                  Transmission* out) {
+  BinaryReader reader(payload);
+  SBR_RETURN_IF_ERROR(DeserializeInto(&reader, out));
+  if (!reader.AtEnd()) {
+    return Status::DataLoss("trailing bytes after transmission");
   }
   return Status::Ok();
 }
@@ -285,6 +348,16 @@ StatusOr<BaseSnapshot> BaseSnapshot::Deserialize(BinaryReader* reader) {
   for (auto& s : snap.slots) {
     SBR_RETURN_IF_ERROR(reader->GetU32(&s.slot));
     SBR_RETURN_IF_ERROR(reader->GetDoubles(&s.values));
+  }
+  return snap;
+}
+
+StatusOr<BaseSnapshot> BaseSnapshot::ParsePayload(
+    std::span<const uint8_t> payload) {
+  BinaryReader reader(payload);
+  auto snap = Deserialize(&reader);
+  if (snap.ok() && !reader.AtEnd()) {
+    return Status::DataLoss("trailing bytes after snapshot");
   }
   return snap;
 }

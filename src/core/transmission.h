@@ -97,6 +97,13 @@ struct Transmission {
   /// receiver's per-frame scratch). On failure `out` holds a partial
   /// parse.
   static Status DeserializeInto(BinaryReader* reader, Transmission* out);
+  /// Parses `payload` as exactly one transmission into `out` (reusing its
+  /// capacity): DataLoss if it does not parse or leaves bytes unread. This
+  /// is the one rule for every holder of a transmission payload — the
+  /// station's receive path, log recovery and replay, and the tools — so
+  /// a payload the station would refuse is refused everywhere.
+  static Status ParsePayload(std::span<const uint8_t> payload,
+                             Transmission* out);
 };
 
 // ---------------------------------------------------------------------------
@@ -182,6 +189,9 @@ struct BaseSnapshot {
 
   void Serialize(BinaryWriter* writer) const;
   static StatusOr<BaseSnapshot> Deserialize(BinaryReader* reader);
+  /// Parses `payload` as exactly one snapshot, under the same rule as
+  /// Transmission::ParsePayload: DataLoss if bytes are left unread.
+  static StatusOr<BaseSnapshot> ParsePayload(std::span<const uint8_t> payload);
 };
 
 /// Wraps a base-signal snapshot into a resync frame.

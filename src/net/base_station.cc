@@ -153,11 +153,9 @@ Status BaseStation::RestoreProtocolState(PerSensor* s) {
       replay_from,
       [&](size_t, storage::RecordType type,
           std::span<const uint8_t> payload) -> Status {
-        BinaryReader reader(payload);
         switch (type) {
           case storage::RecordType::kTransmission:
-            SBR_RETURN_IF_ERROR(
-                core::Transmission::DeserializeInto(&reader, &t));
+            SBR_RETURN_IF_ERROR(core::Transmission::ParsePayload(payload, &t));
             ++s->expected_seq;
             ++s->stats.frames_accepted;
             if (t.base_kind == core::BaseKind::kNone) {
@@ -165,6 +163,7 @@ Status BaseStation::RestoreProtocolState(PerSensor* s) {
             }
             break;
           case storage::RecordType::kGap: {
+            BinaryReader reader(payload);
             uint32_t chunks = 0;
             SBR_RETURN_IF_ERROR(reader.GetU32(&chunks));
             s->stats.gap_chunks += chunks;
@@ -220,9 +219,7 @@ Status BaseStation::IngestData(PerSensor* s, const core::Transmission& t,
 }
 
 bool BaseStation::ParseData(std::span<const uint8_t> payload) {
-  BinaryReader reader(payload);
-  return core::Transmission::DeserializeInto(&reader, &rx_).ok() &&
-         reader.AtEnd();
+  return core::Transmission::ParsePayload(payload, &rx_).ok();
 }
 
 Status BaseStation::DeclareGap(PerSensor* s, size_t chunks) {
@@ -297,9 +294,8 @@ StatusOr<FrameAck> BaseStation::HandleFrame(const core::FrameView& frame) {
   }
 
   if (frame.type == core::FrameType::kSnapshot) {
-    BinaryReader reader(frame.payload);
-    auto snap = core::BaseSnapshot::Deserialize(&reader);
-    if (!snap.ok() || !reader.AtEnd()) {
+    auto snap = core::BaseSnapshot::ParsePayload(frame.payload);
+    if (!snap.ok()) {
       ++total_.corrupt_frames;
       ack.type = AckType::kCorrupt;
       return ack;

@@ -241,15 +241,14 @@ DeliverySink ChaosSim::SinkFor(NodeCtx* ctx) {
 }
 
 Status ChaosSim::ShadowAccept(NodeCtx* ctx, const core::Frame& frame) {
-  BinaryReader reader(frame.payload);
   if (frame.type == core::FrameType::kSnapshot) {
-    auto snap = core::BaseSnapshot::Deserialize(&reader);
+    auto snap = core::BaseSnapshot::ParsePayload(frame.payload);
     if (!snap.ok()) return snap.status();
     return ReconcileSnapshot(&ctx->shadow, *snap);
   }
-  auto t = core::Transmission::Deserialize(&reader);
-  if (!t.ok()) return t.status();
-  return ctx->shadow.Ingest(*t);
+  core::Transmission t;
+  SBR_RETURN_IF_ERROR(core::Transmission::ParsePayload(frame.payload, &t));
+  return ctx->shadow.Ingest(t);
 }
 
 Status ChaosSim::ResolveChunk(NodeCtx* ctx, size_t round) {

@@ -20,20 +20,19 @@ namespace {
 constexpr uint32_t kMagic = 0x5342524c;  // "SBRL"
 constexpr uint32_t kVersion = 2;
 
-// Validates that a record's payload parses as its declared type; a
-// transmission parses into `scratch`, reused from record to record.
+// Validates that a record's payload parses as exactly one value of its
+// declared type, by the rule the station applies to a frame's payload (no
+// byte left unread); a transmission parses into `scratch`, reused from
+// record to record.
 bool PayloadParses(RecordType type, std::span<const uint8_t> payload,
                    core::Transmission* scratch) {
-  BinaryReader check(payload);
   switch (type) {
     case RecordType::kTransmission:
-      return core::Transmission::DeserializeInto(&check, scratch).ok();
-    case RecordType::kGap: {
-      uint32_t chunks;
-      return check.GetU32(&chunks).ok() && check.AtEnd();
-    }
+      return core::Transmission::ParsePayload(payload, scratch).ok();
+    case RecordType::kGap:
+      return payload.size() == 4;
     case RecordType::kSnapshot:
-      return core::BaseSnapshot::Deserialize(&check).ok();
+      return core::BaseSnapshot::ParsePayload(payload).ok();
     case RecordType::kCheckpoint:
       return true;  // opaque owner-defined blob; CRC is the only guard
   }
@@ -74,12 +73,6 @@ std::array<uint8_t, ChunkLog::kFramingBytes> Framing(
   }
   out[4] = type_byte;
   return out;
-}
-
-uint32_t LoadLe32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 |
-         static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
@@ -152,13 +145,24 @@ Status ChunkLog::ReadAt(size_t offset, size_t length,
 }
 
 StatusOr<ChunkLog> ChunkLog::Open(const std::string& path) {
+  return OpenFile(path, /*read_only=*/false);
+}
+
+StatusOr<ChunkLog> ChunkLog::OpenReadOnly(const std::string& path) {
+  return OpenFile(path, /*read_only=*/true);
+}
+
+StatusOr<ChunkLog> ChunkLog::OpenFile(const std::string& path,
+                                      bool read_only) {
   ChunkLog log;
   log.path_ = path;
   const auto preamble = Preamble();
 
-  log.fd_ = ::open(path.c_str(), O_RDWR | O_APPEND | O_CLOEXEC);
+  if (!read_only) {
+    log.fd_ = ::open(path.c_str(), O_RDWR | O_APPEND | O_CLOEXEC);
+  }
   log.writable_ = log.fd_ >= 0;
-  if (log.fd_ < 0 && errno == ENOENT) {
+  if (!read_only && log.fd_ < 0 && errno == ENOENT) {
     // Fresh log: create it and write the preamble.
     log.fd_ = ::open(path.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC,
                      0644);
@@ -262,7 +266,7 @@ StatusOr<ChunkLog> ChunkLog::Open(const std::string& path) {
   }
   log.recovered_lineage_broken_ = lineage_broken;
   log.disk_end_ = valid_end;
-  if (log.dropped_records_ > 0 && valid_end < bytes.size() &&
+  if (!read_only && log.dropped_records_ > 0 && valid_end < bytes.size() &&
       ::ftruncate(log.fd_, static_cast<off_t>(valid_end)) != 0) {
     return Status::DataLoss("cannot truncate torn tail: " + path);
   }
@@ -401,8 +405,9 @@ StatusOr<core::Transmission> ChunkLog::Read(size_t index) const {
   std::span<const uint8_t> payload;
   SBR_RETURN_IF_ERROR(Payload(index, RecordType::kTransmission,
                               "a transmission", &scratch, &payload));
-  BinaryReader reader(payload);
-  return core::Transmission::Deserialize(&reader);
+  core::Transmission t;
+  SBR_RETURN_IF_ERROR(core::Transmission::ParsePayload(payload, &t));
+  return t;
 }
 
 StatusOr<uint32_t> ChunkLog::ReadGap(size_t index) const {
@@ -421,8 +426,7 @@ StatusOr<core::BaseSnapshot> ChunkLog::ReadSnapshot(size_t index) const {
   std::span<const uint8_t> payload;
   SBR_RETURN_IF_ERROR(
       Payload(index, RecordType::kSnapshot, "a snapshot", &scratch, &payload));
-  BinaryReader reader(payload);
-  return core::BaseSnapshot::Deserialize(&reader);
+  return core::BaseSnapshot::ParsePayload(payload);
 }
 
 StatusOr<std::vector<uint8_t>> ChunkLog::ReadCheckpoint(size_t index) const {

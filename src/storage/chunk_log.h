@@ -37,7 +37,8 @@ enum class RecordType : uint8_t {
 ///
 ///  * A torn final record (partial write at crash / power loss) is dropped
 ///    and the file is truncated back to the last complete record
-///    (`dropped_records()`), so later appends stay readable.
+///    (`dropped_records()`), so later appends stay readable (a read-only
+///    open drops it from the index and leaves the file as it is).
 ///  * A corrupt record in the *middle* of the log is replaced by a
 ///    one-chunk DataLoss gap marker when its type byte reads as a
 ///    transmission (any other type is skipped without emitting a slot —
@@ -90,6 +91,12 @@ class ChunkLog {
   /// ahead of its record. Any other short file, or a bad magic, is
   /// DataLoss.
   static StatusOr<ChunkLog> Open(const std::string& path);
+
+  /// Opens an existing durable log for reading only (an inspection tool):
+  /// indexes it exactly as Open does, but never writes the file — a torn
+  /// tail stays on disk, past DiskEnd() — and a missing path is NotFound,
+  /// not a new log. Appends on the handle fail with NotFound.
+  static StatusOr<ChunkLog> OpenReadOnly(const std::string& path);
 
   /// Record framing ahead of each payload on disk: len u32 | type u8 |
   /// crc u32 (the CRC covers the type byte and the payload).
@@ -191,6 +198,8 @@ class ChunkLog {
     bool quarantined = false;
   };
 
+  /// Open and OpenReadOnly.
+  static StatusOr<ChunkLog> OpenFile(const std::string& path, bool read_only);
   /// Points `out` at record `index`'s CRC-checked payload, its bytes in
   /// `scratch` when they had to be read from the file. OutOfRange past the
   /// end, InvalidArgument ("record i is not <noun>") if it is not a
@@ -244,19 +253,19 @@ Status ReplayInto(const ChunkLog& log, History* history) {
   core::Transmission t;
   return log.ForEach(0, [&](size_t, RecordType type,
                             std::span<const uint8_t> payload) -> Status {
-    BinaryReader reader(payload);
     switch (type) {
       case RecordType::kTransmission:
-        SBR_RETURN_IF_ERROR(core::Transmission::DeserializeInto(&reader, &t));
+        SBR_RETURN_IF_ERROR(core::Transmission::ParsePayload(payload, &t));
         return history->Ingest(t);
       case RecordType::kGap: {
+        BinaryReader reader(payload);
         uint32_t chunks = 0;
         SBR_RETURN_IF_ERROR(reader.GetU32(&chunks));
         history->MarkGap(chunks);
         return Status::Ok();
       }
       case RecordType::kSnapshot: {
-        auto snap = core::BaseSnapshot::Deserialize(&reader);
+        auto snap = core::BaseSnapshot::ParsePayload(payload);
         if (!snap.ok()) return snap.status();
         return history->ApplySnapshot(*snap);
       }

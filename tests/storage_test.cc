@@ -152,6 +152,37 @@ TEST(ChunkLog, CorruptMidLogRecordQuarantinedAsGap) {
   std::filesystem::remove(path);
 }
 
+TEST(ChunkLog, TrailingBytesRecordQuarantinedAtOpen) {
+  // A CRC-valid transmission record whose payload parses but leaves bytes
+  // unread is one the station would have refused as a frame, so recovery
+  // quarantines it by the same rule instead of indexing and replaying it.
+  const std::string path = TempPath("sbr_log_trailing.log");
+  std::filesystem::remove(path);
+  {
+    auto log = ChunkLog::Open(path);
+    ASSERT_TRUE(log.ok());
+    ASSERT_TRUE(log->Append(MakeTransmission(1)).ok());
+    BinaryWriter writer;
+    MakeTransmission(2).Serialize(&writer);
+    std::vector<uint8_t> payload = writer.TakeBuffer();
+    payload.push_back(0);
+    ASSERT_TRUE(log->AppendSerialized(payload).ok());
+    ASSERT_TRUE(log->Append(MakeTransmission(3)).ok());
+  }
+  auto recovered = ChunkLog::Open(path);
+  ASSERT_TRUE(recovered.ok());
+  ASSERT_EQ(recovered->size(), 3u);
+  EXPECT_EQ(recovered->dropped_records(), 0u);
+  // The record itself and the lineage-broken transmission after it.
+  EXPECT_EQ(recovered->quarantined_records(), 2u);
+  EXPECT_EQ(recovered->record_type(0), RecordType::kTransmission);
+  EXPECT_EQ(recovered->record_type(1), RecordType::kGap);
+  auto gap = recovered->ReadGap(1);
+  ASSERT_TRUE(gap.ok());
+  EXPECT_EQ(*gap, 1u);
+  std::filesystem::remove(path);
+}
+
 TEST(ChunkLog, SnapshotReanchorsLineageAfterQuarantine) {
   const std::string path = TempPath("sbr_log_reanchor.log");
   std::filesystem::remove(path);
@@ -441,6 +472,54 @@ TEST(ChunkLog, ReadOnlyFileLoadsButRefusesAppends) {
   std::filesystem::permissions(path, std::filesystem::perms::owner_all,
                                std::filesystem::perm_options::replace);
   std::filesystem::remove(path);
+}
+
+TEST(ChunkLog, ReadOnlyOpenLeavesTornTailOnDisk) {
+  const std::string path = TempPath("sbr_log_ro_torn.log");
+  std::filesystem::remove(path);
+  {
+    auto log = ChunkLog::Open(path);
+    ASSERT_TRUE(log.ok());
+    ASSERT_TRUE(log->Append(MakeTransmission(1)).ok());
+    ASSERT_TRUE(log->Append(MakeTransmission(2)).ok());
+  }
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
+  const std::vector<uint8_t> before = FileBytes(path);
+  auto ro = ChunkLog::OpenReadOnly(path);
+  ASSERT_TRUE(ro.ok());
+  // Indexed exactly as Open indexes it...
+  EXPECT_EQ(ro->size(), 1u);
+  EXPECT_EQ(ro->dropped_records(), 1u);
+  auto t = ro->Read(0);
+  ASSERT_TRUE(t.ok());
+  EXPECT_DOUBLE_EQ(t->base_updates[0].values[0], 2.0);
+  size_t replayed = 0;
+  ASSERT_TRUE(ro->ForEach(0, [&](size_t, RecordType,
+                                 std::span<const uint8_t>) {
+                  ++replayed;
+                  return Status::Ok();
+                }).ok());
+  EXPECT_EQ(replayed, 1u);
+  // ...but the torn tail stays on disk, and appends fail.
+  EXPECT_EQ(ro->Append(MakeTransmission(3)).code(), StatusCode::kNotFound);
+  EXPECT_EQ(ro->AppendGap(1).code(), StatusCode::kNotFound);
+  EXPECT_EQ(ro->size(), 1u);
+  EXPECT_EQ(FileBytes(path), before);
+  // The station's Open still cuts the tail back.
+  auto rw = ChunkLog::Open(path);
+  ASSERT_TRUE(rw.ok());
+  EXPECT_EQ(rw->size(), 1u);
+  EXPECT_LT(std::filesystem::file_size(path), before.size());
+  std::filesystem::remove(path);
+}
+
+TEST(ChunkLog, ReadOnlyOpenOfMissingPathCreatesNothing) {
+  const std::string path = TempPath("sbr_log_ro_missing.log");
+  std::filesystem::remove(path);
+  auto ro = ChunkLog::OpenReadOnly(path);
+  ASSERT_FALSE(ro.ok());
+  EXPECT_EQ(ro.status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(ChunkLog, TornPreambleOpensAsAFreshLog) {

@@ -215,11 +215,11 @@ TEST(Serialize, RoundTripPrimitives) {
   w.PutDoubles(std::vector<double>{1.5, -2.5, 1e300});
 
   BinaryReader r(w.buffer());
-  uint8_t u8;
-  uint32_t u32;
-  uint64_t u64;
-  int64_t i64;
-  double d;
+  uint8_t u8 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  int64_t i64 = 0;
+  double d = 0.0;
   std::string s;
   std::vector<double> ds;
   ASSERT_TRUE(r.GetU8(&u8).ok());
@@ -247,7 +247,7 @@ TEST(Serialize, DoubleBitExactRoundTrip) {
     BinaryWriter w;
     w.PutDouble(v);
     BinaryReader r(w.buffer());
-    double out;
+    double out = 0.0;
     ASSERT_TRUE(r.GetDouble(&out).ok());
     EXPECT_EQ(std::bit_cast<uint64_t>(v), std::bit_cast<uint64_t>(out));
   }

@@ -4,7 +4,8 @@
 //
 // Prints per-record geometry, value accounting, base-signal activity and
 // interval statistics — useful for debugging a deployment's bandwidth
-// spending without decoding the data itself.
+// spending without decoding the data itself. The log is opened read-only:
+// inspecting it never changes the file, a torn tail included.
 #include <algorithm>
 #include <cstdio>
 #include <span>
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: sbr_inspect <log> [--verbose]\n");
     return 2;
   }
-  auto log = storage::ChunkLog::Open(args.positional()[0]);
+  auto log = storage::ChunkLog::OpenReadOnly(args.positional()[0]);
   if (!log.ok()) {
     std::fprintf(stderr, "error: %s\n", log.status().ToString().c_str());
     return 1;
@@ -94,9 +95,9 @@ int main(int argc, char** argv) {
   const Status status = log->ForEach(
       0, [&](size_t i, storage::RecordType type,
              std::span<const uint8_t> payload) -> Status {
-        BinaryReader reader(payload);
         switch (type) {
           case storage::RecordType::kGap: {
+            BinaryReader reader(payload);
             uint32_t chunks = 0;
             SBR_RETURN_IF_ERROR(reader.GetU32(&chunks));
             gap_chunks += chunks;
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
             break;
           }
           case storage::RecordType::kSnapshot: {
-            auto snap = core::BaseSnapshot::Deserialize(&reader);
+            auto snap = core::BaseSnapshot::ParsePayload(payload);
             if (!snap.ok()) return snap.status();
             ++snapshots;
             std::printf(
@@ -119,8 +120,7 @@ int main(int argc, char** argv) {
                         payload.size());
             break;
           case storage::RecordType::kTransmission:
-            SBR_RETURN_IF_ERROR(
-                core::Transmission::DeserializeInto(&reader, &tx));
+            SBR_RETURN_IF_ERROR(core::Transmission::ParsePayload(payload, &tx));
             PrintTransmission(i, tx, args.Has("verbose"));
             if (tx.base_kind == core::BaseKind::kNone) ++degraded;
             total_values += tx.ValueCount();

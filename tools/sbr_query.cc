@@ -53,7 +53,7 @@ int Fail(const Status& status) {
 
 /// Opens the log and replays it into a fresh service as sensor 0.
 int LoadService(const std::string& path, storage::QueryService* service) {
-  auto log = storage::ChunkLog::Open(path);
+  auto log = storage::ChunkLog::OpenReadOnly(path);
   if (!log.ok()) return Fail(log.status());
   if (log->empty()) {
     std::fprintf(stderr, "log is empty\n");
@@ -67,7 +67,7 @@ int RunReconstruct(const tools::Args& args) {
   if (!args.Validate({"mbase", "signal", "from", "to", "csv", "stats"})) {
     return 2;
   }
-  auto log = storage::ChunkLog::Open(args.positional()[0]);
+  auto log = storage::ChunkLog::OpenReadOnly(args.positional()[0]);
   if (!log.ok()) return Fail(log.status());
   if (log->empty()) {
     std::fprintf(stderr, "log is empty\n");
