@@ -525,8 +525,11 @@ void BM_StationReceiveBytes(benchmark::State& state) {
   // publish, and the log append of the payload bytes as received. Each
   // repetition starts a fresh station on empty logs and feeds the whole
   // fleet once, so histories grow from 0 to 100 chunks per sensor within
-  // it. allocs/frame and KB/frame count the heap allocations (and bytes
-  // requested) of one ReceiveBytes, the receive path's allocation budget.
+  // it. Only the steady state is timed: each sensor's first frame, which
+  // creates its log file and its timeline, is fed before the timed loop.
+  // allocs/frame and KB/frame count the heap allocations (and bytes
+  // requested) of one timed ReceiveBytes, the receive path's allocation
+  // budget.
   const auto& frames = StationFrames();
   const std::string dir = FreshTempDir("sbr_bench_station");
   {
@@ -540,6 +543,10 @@ void BM_StationReceiveBytes(benchmark::State& state) {
     }
     size_t next = 0;
     size_t rejected = 0;
+    for (; next < kStationSensors; ++next) {
+      auto ack = station.ReceiveBytes(frames[next]);
+      if (!ack.ok() || ack->type != net::AckType::kAccept) ++rejected;
+    }
     uint64_t allocs = 0;
     uint64_t bytes = 0;
     for (auto _ : state) {
@@ -560,8 +567,8 @@ void BM_StationReceiveBytes(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_StationReceiveBytes)
-    ->Iterations(kStationSensors * kStationChunks)
-    ->Repetitions(10)
+    ->Iterations(kStationSensors * (kStationChunks - 1))
+    ->Repetitions(30)
     ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMicrosecond);
 
@@ -720,6 +727,80 @@ BENCHMARK(BM_ServiceProbeAfterIngest)
     ->ReportAggregatesOnly(true)
     ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
+
+void BM_ServiceRead(benchmark::State& state) {
+  // The fixed cost of a read through the service: the probe fleet
+  // (64 sensors x 48 chunks) ingested untimed, then a fixed cycle of
+  // queries over every sensor — a Point at a pseudo-random sample, or an
+  // Aggregate over a pseudo-random range of up to four chunks — asked
+  // either of the service (held:0: find the sensor, load its published
+  // epoch, answer) or of a SensorSnapshot taken once per sensor before
+  // the loop (held:1: answer only). The two rows of one query kind
+  // answer the same queries, so their difference is what finding the
+  // epoch costs per query.
+  const bool held = state.range(0) != 0;
+  const bool aggregate = state.range(1) != 0;
+  const std::vector<ProbeIngest>& fleet = ProbeFleet();
+  storage::QueryServiceOptions opts;
+  opts.m_base = kPublishMBase;
+  storage::QueryService service(opts);
+  for (const ProbeIngest& in : fleet) {
+    if (!service.Ingest(in.sensor, in.t).ok()) {
+      state.SkipWithError("ingest failed");
+      return;
+    }
+  }
+  std::vector<std::shared_ptr<const storage::SensorSnapshot>> snapshots;
+  for (uint32_t id = 0; id < kProbeSensors; ++id) {
+    snapshots.push_back(service.Snapshot(id));
+  }
+  struct Read {
+    uint32_t sensor;
+    size_t signal;
+    size_t t0;
+    size_t t1;
+  };
+  const size_t len = kProbeChunks * kPublishChunkLen;
+  const size_t signals = fleet[0].t.num_signals;
+  std::vector<Read> reads;
+  Rng rng(17);
+  for (size_t i = 0; i < 4096; ++i) {
+    Read r;
+    r.sensor = static_cast<uint32_t>(i % kProbeSensors);
+    r.signal = static_cast<size_t>(rng.NextU64() % signals);
+    const size_t width = 1 + rng.NextU64() % (4 * kPublishChunkLen);
+    r.t0 = static_cast<size_t>(rng.NextU64() % (len - width));
+    r.t1 = r.t0 + width;
+    reads.push_back(r);
+  }
+  size_t next = 0;
+  size_t failed = 0;
+  for (auto _ : state) {
+    const Read& r = reads[next];
+    next = next + 1 == reads.size() ? 0 : next + 1;
+    if (aggregate) {
+      auto agg = held ? snapshots[r.sensor]->history.Aggregate(r.signal,
+                                                               r.t0, r.t1)
+                      : service.Aggregate(r.sensor, r.signal, r.t0, r.t1);
+      if (!agg.ok()) ++failed;
+      benchmark::DoNotOptimize(agg);
+    } else {
+      auto point = held ? snapshots[r.sensor]->history.Value(r.signal, r.t0)
+                        : service.Point(r.sensor, r.signal, r.t0);
+      if (!point.ok()) ++failed;
+      benchmark::DoNotOptimize(point);
+    }
+  }
+  if (failed > 0) state.SkipWithError("a read failed");
+}
+BENCHMARK(BM_ServiceRead)
+    ->ArgNames({"held", "aggregate"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Repetitions(10)
+    ->ReportAggregatesOnly(true);
 
 void BM_Crc32(benchmark::State& state) {
   // CRC-32 of one frame-sized buffer (the frame check and the log record

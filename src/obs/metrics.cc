@@ -206,14 +206,12 @@ uint64_t NowNs() {
 
 }  // namespace
 
-ScopedHistTimer::ScopedHistTimer(const char* histogram_name) {
-  if (!Enabled()) return;
+void ScopedHistTimer::Start(const char* histogram_name) {
   hist_ = &MetricsRegistry::Global().GetHistogram(histogram_name);
   start_ns_ = NowNs();
 }
 
-ScopedHistTimer::~ScopedHistTimer() {
-  if (hist_ == nullptr) return;
+void ScopedHistTimer::Stop() {
   hist_->Record((NowNs() - start_ns_) / 1000);  // microseconds
 }
 

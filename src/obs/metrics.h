@@ -195,15 +195,23 @@ class MetricsRegistry {
 };
 
 /// Records elapsed microseconds into a histogram on destruction; inert
-/// when the runtime gate is off at construction.
+/// when the runtime gate is off at construction. The gate is checked
+/// inline, so an inert timer costs a load and a branch at each end.
 class ScopedHistTimer {
  public:
-  explicit ScopedHistTimer(const char* histogram_name);
-  ~ScopedHistTimer();
+  explicit ScopedHistTimer(const char* histogram_name) {
+    if (Enabled()) Start(histogram_name);
+  }
+  ~ScopedHistTimer() {
+    if (hist_ != nullptr) Stop();
+  }
   ScopedHistTimer(const ScopedHistTimer&) = delete;
   ScopedHistTimer& operator=(const ScopedHistTimer&) = delete;
 
  private:
+  void Start(const char* histogram_name);
+  void Stop();
+
   Histogram* hist_ = nullptr;
   uint64_t start_ns_ = 0;
 };

@@ -55,26 +55,23 @@ Status DecodedHistory::Ingest(const core::Transmission& t) {
 
 void DecodedHistory::AppendIndexLeaves(const std::vector<double>* values) {
   if (num_signals_ == 0) return;
+  const auto gap = [](size_t) { return MomentSummary::Gap(); };
   if (!index_) {
     index_.emplace(num_signals_);
     // Chunks recorded before the first successful ingest are all gaps
     // (geometry was unknown); backfill so index positions equal chunk
     // indices.
-    for (size_t c = 0; c + 1 < chunks_.size(); ++c) {
-      for (size_t s = 0; s < num_signals_; ++s) {
-        index_->Append(MomentSummary::Gap());
-      }
-    }
+    for (size_t c = 0; c + 1 < chunks_.size(); ++c) index_->AppendChunk(gap);
   }
-  for (size_t s = 0; s < num_signals_; ++s) {
+  if (values == nullptr) {
+    index_->AppendChunk(gap);
+    return;
+  }
+  index_->AppendChunk([&](size_t s) {
     MomentSummary leaf;
-    if (values == nullptr) {
-      leaf = MomentSummary::Gap();
-    } else {
-      FoldValues(values->data() + s * chunk_len_, chunk_len_, &leaf);
-    }
-    index_->Append(leaf);
-  }
+    FoldValues(values->data() + s * chunk_len_, chunk_len_, &leaf);
+    return leaf;
+  });
 }
 
 void DecodedHistory::MarkGap(size_t chunks) {

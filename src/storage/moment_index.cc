@@ -5,25 +5,16 @@
 
 namespace sbr::storage {
 
-void MomentIndex::Append(const MomentSummary& leaf) {
-  nodes_.push_back(leaf);
-  if (++pending_ < width_) return;
-  pending_ = 0;
-  const size_t n = ++leaves_;
-  // Completing leaf n - 1 completes the aligned 2^k group ending at n for
-  // every k dividing n: fold the two level k-1 halves that form it.
-  for (size_t k = 1; (n & ((size_t{1} << k) - 1)) == 0; ++k) {
-    const size_t node = (n >> k) - 1;
-    for (size_t s = 0; s < width_; ++s) {
-      MomentSummary merged = Node(s, k - 1, 2 * node);
-      merged.Merge(Node(s, k - 1, 2 * node + 1));
-      nodes_.push_back(merged);
-    }
-  }
-  assert(nodes_.size() == (2 * n - PopCount(n)) * width_);
+MomentSummary MomentIndex::Group(size_t signal, size_t k, size_t n) const {
+  const size_t node = (n >> k) - 1;
+  const View v = view();
+  MomentSummary merged = v.Node(signal, k - 1, 2 * node);
+  merged.Merge(v.Node(signal, k - 1, 2 * node + 1));
+  return merged;
 }
 
-MomentSummary MomentIndex::Query(size_t signal, size_t lo, size_t hi) const {
+MomentSummary MomentIndex::View::Query(size_t signal, size_t lo,
+                                       size_t hi) const {
   assert(hi <= size() && lo <= hi && signal < width_);
   MomentSummary out;
   while (lo < hi) {
@@ -39,7 +30,7 @@ MomentSummary MomentIndex::Query(size_t signal, size_t lo, size_t hi) const {
   return out;
 }
 
-size_t MomentIndex::FirstGap(size_t signal, size_t lo, size_t hi) const {
+size_t MomentIndex::View::FirstGap(size_t signal, size_t lo, size_t hi) const {
   assert(hi <= size() && lo <= hi && signal < width_);
   while (lo < hi) {
     size_t k = lo == 0 ? static_cast<size_t>(std::bit_width(hi - lo)) - 1
@@ -54,8 +45,8 @@ size_t MomentIndex::FirstGap(size_t signal, size_t lo, size_t hi) const {
   return hi;
 }
 
-size_t MomentIndex::DescendToGap(size_t signal, size_t level,
-                                 size_t i) const {
+size_t MomentIndex::View::DescendToGap(size_t signal, size_t level,
+                                       size_t i) const {
   while (level > 0) {
     // A gap node always has a gap child; prefer the left one (lowest
     // chunk index, matching the legacy ascending scan's first failure).

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <limits>
 #include <new>
+#include <type_traits>
 
 #include "core/get_intervals.h"
 
@@ -55,7 +56,10 @@ AggregateResult Finish(const MomentSummary& acc) {
 
 }  // namespace
 
-struct CompressedHistory::ChunkRecords {
+// The query service publishes views under a seqlock, word by word.
+static_assert(std::is_trivial_v<HistoryView>);
+
+struct HistoryView::ChunkRecords {
   std::atomic<uint32_t> refs{1};
   uint32_t num_records = 0;
   /// The base version the records map onto; null for a self-contained
@@ -123,12 +127,12 @@ struct CompressedHistory::ChunkRecords {
   }
 };
 
-CompressedHistory::ChunkRef::ChunkRef(const ChunkRef& other)
+HistoryView::ChunkRef::ChunkRef(const ChunkRef& other)
     : chunk_(other.chunk_) {
   if (chunk_ != nullptr) chunk_->refs.fetch_add(1);
 }
 
-CompressedHistory::ChunkRef& CompressedHistory::ChunkRef::operator=(
+HistoryView::ChunkRef& HistoryView::ChunkRef::operator=(
     const ChunkRef& other) {
   if (other.chunk_ != nullptr) {
     other.chunk_->refs.fetch_add(1);
@@ -138,7 +142,7 @@ CompressedHistory::ChunkRef& CompressedHistory::ChunkRef::operator=(
   return *this;
 }
 
-CompressedHistory::ChunkRef& CompressedHistory::ChunkRef::operator=(
+HistoryView::ChunkRef& HistoryView::ChunkRef::operator=(
     ChunkRef&& other) noexcept {
   if (this != &other) {
     ChunkRecords::Release(chunk_);
@@ -147,7 +151,7 @@ CompressedHistory::ChunkRef& CompressedHistory::ChunkRef::operator=(
   return *this;
 }
 
-CompressedHistory::ChunkRef::~ChunkRef() { ChunkRecords::Release(chunk_); }
+HistoryView::ChunkRef::~ChunkRef() { ChunkRecords::Release(chunk_); }
 
 StatusOr<CompressedHistory> CompressedHistory::FromLog(const ChunkLog& log,
                                                        size_t m_base,
@@ -157,17 +161,18 @@ StatusOr<CompressedHistory> CompressedHistory::FromLog(const ChunkLog& log,
   return history;
 }
 
-CompressedHistory CompressedHistory::Frozen() const {
+CompressedHistory CompressedHistory::Frozen(const HistoryView& v) const {
   // The copy never ingests, so its (empty) mirror needs no m_base.
   CompressedHistory out(0, index_options_);
   out.frozen_ = true;
-  out.num_signals_ = num_signals_;
-  out.chunk_len_ = chunk_len_;
-  out.num_gaps_ = num_gaps_;
-  out.current_base_ = current_base_;
-  out.num_base_versions_ = num_base_versions_;
-  out.chunks_ = chunks_;
-  out.index_ = index_;
+  out.num_signals_ = v.num_signals_;
+  out.chunk_len_ = v.chunk_len_;
+  out.num_gaps_ = v.num_gaps_;
+  out.num_base_versions_ = v.num_base_versions_;
+  out.chunks_ = chunks_.Prefix(v.chunks_);
+  // A view with an index was taken after the index was created, and
+  // nothing replaces it afterwards.
+  if (v.index_.width() > 0) out.index_ = index_->Prefix(v.index_);
   return out;
 }
 
@@ -185,26 +190,38 @@ void CompressedHistory::PublishBaseVersion(std::span<const double> values) {
 
 void CompressedHistory::AppendIndexLeaves(const ChunkRecords* chunk) {
   if (!index_options_.enabled || num_signals_ == 0) return;
+  const auto gap = [](size_t) { return MomentSummary::Gap(); };
   if (!index_) {
     index_.emplace(num_signals_);
     // Every chunk on the timeline before the first successful ingest is
     // a loss gap (geometry was unknown); backfill their leaves so index
     // positions equal chunk indices.
-    for (size_t c = 0; c + 1 < chunks_.size(); ++c) {
-      for (size_t s = 0; s < num_signals_; ++s) {
-        index_->Append(MomentSummary::Gap());
-      }
-    }
+    for (size_t c = 0; c + 1 < chunks_.size(); ++c) index_->AppendChunk(gap);
   }
-  for (size_t s = 0; s < num_signals_; ++s) {
+  if (chunk == nullptr) {
+    index_->AppendChunk(gap);
+    return;
+  }
+  // Each row starts at the record holding its first sample (no search)
+  // and folds in ascending record order, as an aggregate over the whole
+  // row does, so a leaf has the same bits as that aggregate's fold.
+  const size_t n = chunk->num_records;
+  const size_t total = num_signals_ * chunk_len_;
+  const uint32_t* offsets = chunk->offsets();
+  const core::IntervalRecord* records = chunk->records(num_signals_);
+  index_->AppendChunk([&](size_t s) {
     MomentSummary leaf;
-    if (chunk == nullptr) {
-      leaf = MomentSummary::Gap();
-    } else {
-      FoldRowRange(*chunk, s, s * chunk_len_, (s + 1) * chunk_len_, &leaf);
+    const size_t row_lo = s * chunk_len_;
+    const size_t row_hi = row_lo + chunk_len_;
+    for (size_t k = offsets[s]; k < n && records[k].start < row_hi; ++k) {
+      const size_t start = records[k].start;
+      const size_t end = k + 1 < n ? records[k + 1].start : total;
+      HistoryView::AccumulateInterval(*chunk, records[k],
+                                      std::max(row_lo, start) - start,
+                                      std::min(row_hi, end) - start, &leaf);
     }
-    index_->Append(leaf);
-  }
+    return leaf;
+  });
 }
 
 Status CompressedHistory::Ingest(const core::Transmission& t) {
@@ -291,10 +308,10 @@ Status CompressedHistory::ApplySnapshot(const core::BaseSnapshot& snapshot) {
   return mirror_.ApplySnapshot(snapshot);
 }
 
-void CompressedHistory::AccumulateInterval(const ChunkRecords& chunk,
-                                           const core::IntervalRecord& iv,
-                                           size_t lo, size_t hi,
-                                           MomentSummary* out) {
+void HistoryView::AccumulateInterval(const ChunkRecords& chunk,
+                                     const core::IntervalRecord& iv,
+                                     size_t lo, size_t hi,
+                                     MomentSummary* out) {
   const size_t len = hi - lo;
   if (len == 0) return;
   out->count += len;
@@ -373,10 +390,9 @@ void CompressedHistory::AccumulateInterval(const ChunkRecords& chunk,
   }
 }
 
-void CompressedHistory::FoldRowRange(const ChunkRecords& chunk,
-                                     size_t signal, size_t row_lo,
-                                     size_t row_hi,
-                                     MomentSummary* out) const {
+void HistoryView::FoldRowRange(const ChunkRecords& chunk, size_t signal,
+                               size_t row_lo, size_t row_hi,
+                               MomentSummary* out) const {
   size_t row_end = 0;
   const auto row =
       chunk.Row(signal, num_signals_, num_signals_ * chunk_len_, &row_end);
@@ -391,9 +407,8 @@ void CompressedHistory::FoldRowRange(const ChunkRecords& chunk,
   }
 }
 
-StatusOr<AggregateResult> CompressedHistory::Aggregate(size_t signal,
-                                                       size_t t0,
-                                                       size_t t1) const {
+StatusOr<AggregateResult> HistoryView::Aggregate(size_t signal, size_t t0,
+                                                 size_t t1) const {
   SBR_RETURN_IF_ERROR(CheckAggregateRange(signal, t0, t1));
   MomentSummary acc;
 
@@ -404,7 +419,7 @@ StatusOr<AggregateResult> CompressedHistory::Aggregate(size_t signal,
   const size_t full_lo = t0 % chunk_len_ == 0 ? c_first : c_first + 1;
   const size_t full_hi = t1 % chunk_len_ == 0 ? c_last + 1 : c_last;
 
-  if (index_options_.enabled && index_ && full_lo < full_hi) {
+  if (index_.width() > 0 && full_lo < full_hi) {
     // Indexed path: walk intervals only inside the two partial boundary
     // chunks; every fully covered chunk comes from O(log n) pre-merged
     // summary nodes. Gap detection keeps the legacy ascending order: the
@@ -420,11 +435,11 @@ StatusOr<AggregateResult> CompressedHistory::Aggregate(size_t signal,
                    signal * chunk_len_ + lo_t, (signal + 1) * chunk_len_,
                    &acc);
     }
-    const MomentSummary interior = index_->Query(signal, full_lo, full_hi);
+    const MomentSummary interior = index_.Query(signal, full_lo, full_hi);
     if (interior.has_gap) {
       return Status::DataLoss(
           "range touches lost chunk " +
-          std::to_string(index_->FirstGap(signal, full_lo, full_hi)));
+          std::to_string(index_.FirstGap(signal, full_lo, full_hi)));
     }
     acc.Merge(interior);
     if (full_hi <= c_last) {
@@ -457,8 +472,8 @@ StatusOr<AggregateResult> CompressedHistory::Aggregate(size_t signal,
   return Finish(acc);
 }
 
-Status CompressedHistory::CheckAggregateRange(size_t signal, size_t t0,
-                                              size_t t1) const {
+Status HistoryView::CheckAggregateRange(size_t signal, size_t t0,
+                                        size_t t1) const {
   if (signal >= num_signals_) {
     return Status::OutOfRange("signal " + std::to_string(signal));
   }
@@ -469,7 +484,7 @@ Status CompressedHistory::CheckAggregateRange(size_t signal, size_t t0,
   return Status::Ok();
 }
 
-Status CompressedHistory::CheckNoGap(size_t c_lo, size_t c_hi) const {
+Status HistoryView::CheckNoGap(size_t c_lo, size_t c_hi) const {
   for (size_t c = c_lo; c <= c_hi; ++c) {
     if (IsGap(c)) {
       return Status::DataLoss("range touches lost chunk " +
@@ -479,9 +494,9 @@ Status CompressedHistory::CheckNoGap(size_t c_lo, size_t c_hi) const {
   return Status::Ok();
 }
 
-void CompressedHistory::DecodeRows(const ChunkRecords& chunk, size_t signal,
-                                   size_t row_lo, size_t row_hi,
-                                   double* out) const {
+void HistoryView::DecodeRows(const ChunkRecords& chunk, size_t signal,
+                             size_t row_lo, size_t row_hi,
+                             double* out) const {
   std::span<const double> x;
   if (chunk.base != nullptr) x = chunk.base->values;
   size_t row_end = 0;
@@ -490,7 +505,7 @@ void CompressedHistory::DecodeRows(const ChunkRecords& chunk, size_t signal,
   core::ReconstructRange(x, row, row_end, row_lo, row_hi, out);
 }
 
-StatusOr<double> CompressedHistory::Value(size_t signal, size_t t) const {
+StatusOr<double> HistoryView::Value(size_t signal, size_t t) const {
   // t + 1 wraps for the largest t, which the range check then rejects.
   SBR_RETURN_IF_ERROR(CheckAggregateRange(signal, t, t + 1));
   const size_t c = t / chunk_len_;
@@ -509,9 +524,9 @@ StatusOr<double> CompressedHistory::Value(size_t signal, size_t t) const {
   return core::IntervalSample(x, iv, pos - iv.start);
 }
 
-StatusOr<std::vector<double>> CompressedHistory::QueryRange(size_t signal,
-                                                            size_t t0,
-                                                            size_t t1) const {
+StatusOr<std::vector<double>> HistoryView::QueryRange(size_t signal,
+                                                      size_t t0,
+                                                      size_t t1) const {
   if (signal >= num_signals_) {
     return Status::OutOfRange("signal " + std::to_string(signal));
   }
@@ -539,7 +554,7 @@ StatusOr<std::vector<double>> CompressedHistory::QueryRange(size_t signal,
   return out;
 }
 
-StatusOr<linalg::Matrix> CompressedHistory::Chunk(size_t c) const {
+StatusOr<linalg::Matrix> HistoryView::Chunk(size_t c) const {
   if (c >= chunks_.size()) {
     return Status::OutOfRange("chunk " + std::to_string(c));
   }
@@ -554,9 +569,9 @@ StatusOr<linalg::Matrix> CompressedHistory::Chunk(size_t c) const {
   return linalg::Matrix(num_signals_, chunk_len_, std::move(flat));
 }
 
-StatusOr<AggregateResult> CompressedHistory::AggregateExact(size_t signal,
-                                                            size_t t0,
-                                                            size_t t1) const {
+StatusOr<AggregateResult> HistoryView::AggregateExact(size_t signal,
+                                                      size_t t0,
+                                                      size_t t1) const {
   SBR_RETURN_IF_ERROR(CheckAggregateRange(signal, t0, t1));
   auto samples = QueryRange(signal, t0, t1);
   if (!samples.ok()) return samples.status();

@@ -1,5 +1,6 @@
 #include "storage/query_service.h"
 
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -9,30 +10,74 @@ namespace sbr::storage {
 QueryService::QueryService(QueryServiceOptions options)
     : options_(options) {}
 
+QueryService::Directory::Table::Table(size_t log2)
+    : log2_capacity(log2),
+      slots(std::make_unique<std::atomic<const PerSensor*>[]>(size_t{1}
+                                                              << log2)) {}
+
+size_t QueryService::Directory::Table::Home(uint32_t sensor_id) const {
+  // Fibonacci hashing: the top bits of id * 2^64 / phi.
+  return static_cast<size_t>((sensor_id * 0x9E3779B97F4A7C15ULL) >>
+                             (64 - log2_capacity));
+}
+
+const QueryService::PerSensor* QueryService::Directory::Find(
+    uint32_t sensor_id) const {
+  const Table* table = table_.load(std::memory_order_acquire);
+  if (table == nullptr) return nullptr;
+  const size_t mask = (size_t{1} << table->log2_capacity) - 1;
+  // The table is never more than half full, so a probe ends at an empty
+  // slot.
+  for (size_t i = table->Home(sensor_id);; i = (i + 1) & mask) {
+    const PerSensor* s = table->slots[i].load(std::memory_order_acquire);
+    if (s == nullptr || s->id == sensor_id) return s;
+  }
+}
+
+void QueryService::Directory::Place(const Table& table,
+                                    const PerSensor* sensor) {
+  const size_t mask = (size_t{1} << table.log2_capacity) - 1;
+  size_t i = table.Home(sensor->id);
+  while (table.slots[i].load(std::memory_order_relaxed) != nullptr) {
+    i = (i + 1) & mask;
+  }
+  table.slots[i].store(sensor, std::memory_order_release);
+}
+
+void QueryService::Directory::Insert(const PerSensor* sensor) {
+  const size_t n = size_.load(std::memory_order_relaxed) + 1;
+  const Table* old = tables_.empty() ? nullptr : tables_.back().get();
+  if (old == nullptr || 2 * n > (size_t{1} << old->log2_capacity)) {
+    // The new table is filled before readers can see it.
+    auto grown = std::make_unique<Table>(
+        old == nullptr ? 4 : old->log2_capacity + 1);
+    const size_t old_capacity =
+        old == nullptr ? 0 : size_t{1} << old->log2_capacity;
+    for (size_t i = 0; i < old_capacity; ++i) {
+      const PerSensor* s = old->slots[i].load(std::memory_order_relaxed);
+      if (s != nullptr) Place(*grown, s);
+    }
+    table_.store(grown.get(), std::memory_order_release);
+    tables_.push_back(std::move(grown));
+  }
+  Place(*tables_.back(), sensor);
+  size_.store(n, std::memory_order_relaxed);
+}
+
 QueryService::PerSensor* QueryService::GetOrCreateLocked(
     uint32_t sensor_id) {
-  std::lock_guard<std::mutex> lock(map_mu_);
   auto it = sensors_.find(sensor_id);
   if (it != sensors_.end()) return it->second.get();
   auto [pos, inserted] = sensors_.emplace(
-      sensor_id,
-      std::make_unique<PerSensor>(options_.m_base, options_.index));
+      sensor_id, std::make_unique<PerSensor>(sensor_id, options_.m_base,
+                                             options_.index));
   (void)inserted;
   return pos->second.get();
 }
 
-const QueryService::PerSensor* QueryService::Find(
-    uint32_t sensor_id) const {
-  std::lock_guard<std::mutex> lock(map_mu_);
-  auto it = sensors_.find(sensor_id);
-  return it == sensors_.end() ? nullptr : it->second.get();
-}
-
 void QueryService::Publish(PerSensor* s) {
-  ++s->epoch;
-  auto snap = std::make_shared<const SensorSnapshot>(s->epoch,
-                                                     s->builder.Frozen());
-  s->published.store(std::move(snap));
+  s->published.Store(PublishedView{s->builder.view(), ++s->epoch});
+  if (s->epoch == 1) directory_.Insert(s);
   publishes_.fetch_add(1, std::memory_order_relaxed);
   SBR_OBS_COUNT("query.publishes", 1);
   SBR_OBS_GAUGE_SET("query.snapshot.epoch",
@@ -68,9 +113,11 @@ Status QueryService::ApplySnapshot(uint32_t sensor_id,
 
 std::shared_ptr<const SensorSnapshot> QueryService::Snapshot(
     uint32_t sensor_id) const {
-  const PerSensor* s = Find(sensor_id);
+  const PerSensor* s = directory_.Find(sensor_id);
   if (s == nullptr) return nullptr;
-  return s->published.load();
+  const PublishedView view = s->published.Load();
+  return std::make_shared<const SensorSnapshot>(
+      view.epoch, s->builder.Frozen(view.history));
 }
 
 void QueryService::CountStatus(const Status& status) const {
@@ -80,35 +127,39 @@ void QueryService::CountStatus(const Status& status) const {
   }
 }
 
-StatusOr<AggregateResult> QueryService::AggregateOn(
-    const SensorSnapshot& snap, size_t signal, size_t t0,
-    size_t t1) const {
-  auto result = snap.history.Aggregate(signal, t0, t1);
-  if (!result.ok()) CountStatus(result.status());
-  return result;
+namespace {
+
+Status UnknownSensor(uint32_t sensor_id) {
+  return Status::NotFound("sensor " + std::to_string(sensor_id));
 }
+
+}  // namespace
+
+// Each reader call builds its answer in one named object and returns
+// only that, so the answer is built in the caller's slot: moving a
+// StatusOr out costs a string move per query.
 
 StatusOr<AggregateResult> QueryService::Aggregate(uint32_t sensor_id,
                                                   size_t signal, size_t t0,
                                                   size_t t1) const {
   SBR_OBS_TIMER(agg_timer, "query.aggregate_us");
   queries_.fetch_add(1, std::memory_order_relaxed);
-  auto snap = Snapshot(sensor_id);
-  if (snap == nullptr) {
-    return Status::NotFound("sensor " + std::to_string(sensor_id));
-  }
-  return AggregateOn(*snap, signal, t0, t1);
+  const PerSensor* s = directory_.Find(sensor_id);
+  StatusOr<AggregateResult> result =
+      s == nullptr ? UnknownSensor(sensor_id)
+                   : s->published.Load().history.Aggregate(signal, t0, t1);
+  if (!result.ok()) CountStatus(result.status());
+  return result;
 }
 
 StatusOr<std::vector<double>> QueryService::Reconstruct(
     uint32_t sensor_id, size_t signal, size_t t0, size_t t1) const {
   SBR_OBS_TIMER(rec_timer, "query.reconstruct_us");
   queries_.fetch_add(1, std::memory_order_relaxed);
-  auto snap = Snapshot(sensor_id);
-  if (snap == nullptr) {
-    return Status::NotFound("sensor " + std::to_string(sensor_id));
-  }
-  auto range = snap->history.QueryRange(signal, t0, t1);
+  const PerSensor* s = directory_.Find(sensor_id);
+  StatusOr<std::vector<double>> range =
+      s == nullptr ? UnknownSensor(sensor_id)
+                   : s->published.Load().history.QueryRange(signal, t0, t1);
   if (!range.ok()) CountStatus(range.status());
   return range;
 }
@@ -117,11 +168,10 @@ StatusOr<double> QueryService::Point(uint32_t sensor_id, size_t signal,
                                      size_t t) const {
   SBR_OBS_TIMER(point_timer, "query.point_us");
   queries_.fetch_add(1, std::memory_order_relaxed);
-  auto snap = Snapshot(sensor_id);
-  if (snap == nullptr) {
-    return Status::NotFound("sensor " + std::to_string(sensor_id));
-  }
-  auto value = snap->history.Value(signal, t);
+  const PerSensor* s = directory_.Find(sensor_id);
+  StatusOr<double> value =
+      s == nullptr ? UnknownSensor(sensor_id)
+                   : s->published.Load().history.Value(signal, t);
   if (!value.ok()) CountStatus(value.status());
   return value;
 }
@@ -131,33 +181,32 @@ std::vector<StatusOr<AggregateResult>> QueryService::AggregateBatch(
   SBR_OBS_TIMER(batch_timer, "query.batch_us");
   std::vector<StatusOr<AggregateResult>> out;
   out.reserve(ranges.size());
-  auto snap = Snapshot(sensor_id);
+  const PerSensor* s = directory_.Find(sensor_id);
+  const PublishedView view = s != nullptr ? s->published.Load()
+                                          : PublishedView();
   for (const RangeQuery& q : ranges) {
     queries_.fetch_add(1, std::memory_order_relaxed);
-    if (snap == nullptr) {
-      out.emplace_back(
-          Status::NotFound("sensor " + std::to_string(sensor_id)));
+    if (s == nullptr) {
+      out.emplace_back(UnknownSensor(sensor_id));
       continue;
     }
-    out.emplace_back(AggregateOn(*snap, q.signal, q.t0, q.t1));
+    out.emplace_back(view.history.Aggregate(q.signal, q.t0, q.t1));
+    if (!out.back().ok()) CountStatus(out.back().status());
   }
   return out;
 }
 
 const CompressedHistory* QueryService::Timeline(uint32_t sensor_id) const {
-  const PerSensor* s = Find(sensor_id);
+  const PerSensor* s = directory_.Find(sensor_id);
   return s == nullptr ? nullptr : &s->builder;
 }
 
 uint64_t QueryService::epoch(uint32_t sensor_id) const {
-  auto snap = Snapshot(sensor_id);
-  return snap == nullptr ? 0 : snap->epoch;
+  const PerSensor* s = directory_.Find(sensor_id);
+  return s == nullptr ? 0 : s->published.Load().epoch;
 }
 
-size_t QueryService::num_sensors() const {
-  std::lock_guard<std::mutex> lock(map_mu_);
-  return sensors_.size();
-}
+size_t QueryService::num_sensors() const { return directory_.size(); }
 
 QueryServiceCounters QueryService::counters() const {
   QueryServiceCounters c;

@@ -1,16 +1,15 @@
 // QueryService: the base station's concurrent, multi-client read
 // front-end over per-sensor histories. Each sensor has one writer-side
-// CompressedHistory (the single per-sensor timeline, storage/query_engine.h);
-// readers are served from immutable epoch snapshots of it published
-// RCU-style — a std::shared_ptr to a frozen copy, swapped atomically at
-// chunk-ingest boundaries — so queries never block ingest and never
-// observe a half-ingested chunk. The timeline keeps its chunk list and
-// moment-index nodes in append-only logs that copies share
-// (storage/append_log.h), and a frozen copy leaves the writer's
-// base-signal mirror behind, so freezing or dropping an epoch costs
-// O(signals) handle copies whatever the history length. Ingest never
-// decodes samples: materialized reads (Reconstruct, Point) decode the
-// covered intervals on demand.
+// CompressedHistory (the single per-sensor timeline,
+// storage/query_engine.h). Every writer call publishes the timeline's
+// HistoryView — views of its append-only chunk and index logs, its
+// geometry and gap count — together with the new epoch, under the
+// sensor's seqlock (storage/seqlock.h). Readers copy that view out and
+// query the logs below the view's sizes, which the writer never writes
+// again and never frees while the service lives. Queries never block
+// ingest and never observe a half-ingested chunk. Ingest never decodes
+// samples: materialized reads (Reconstruct, Point) decode the covered
+// intervals on demand.
 //
 // Concurrency contract:
 //  - Writer side (Ingest / MarkGap / ApplySnapshot): one logical writer
@@ -18,20 +17,32 @@
 //    engine already serializes behind its station mutex. Writer calls for
 //    *different* sensors are still serialized by the service's writer
 //    mutex; this keeps sensor creation and epoch accounting trivial.
-//  - Reader side (Snapshot / Aggregate / Reconstruct / Point /
-//    AggregateBatch): any number of threads, any time. A reader acquires
-//    the per-sensor published pointer with one atomic load and then works
-//    entirely on immutable state.
+//    A publish copies about a dozen words; it allocates nothing.
+//  - Reader side (Aggregate / Reconstruct / Point / AggregateBatch /
+//    epoch / num_sensors): any number of threads, any time, with no lock
+//    and no reference count. A reader finds the sensor in a lock-free,
+//    grow-only directory (an atomic pointer to an open-addressed table
+//    that the writer replaces by a larger copy, keeping the old ones),
+//    copies the published view out of the seqlock — retrying only if a
+//    publish of that sensor overlapped the copy — and answers from it.
+//    The only shared writes are the relaxed query counters.
+//  - Snapshot() is the one reader call that allocates: it builds a
+//    SensorSnapshot from the published view on demand (one allocation
+//    plus two reference-count increments, to hold the logs' stores), so
+//    the snapshot outlives the service. Use it to pin one epoch across
+//    many queries; the per-query calls above do not need it.
 //
-// Every published snapshot carries the epoch (a per-sensor monotone
-// publish counter), so an answer is always attributable to one exact
-// prefix of the ingest stream — the property the differential oracle and
-// the TSan concurrency suite pin.
+// Every published view carries the epoch (a per-sensor monotone publish
+// counter), so an answer is always attributable to one exact prefix of
+// the ingest stream — the property the differential oracle and the TSan
+// concurrency suite pin. A sensor enters the directory with its first
+// publish: until then it has no epoch, no snapshot, and does not count
+// in num_sensors().
 //
-// Aggregates are answered from the loaded epoch snapshot by the moment
-// index, with no cache in front: a cache keyed by epoch misses every
-// probe of a sensor that just published, and a hit would cost about what
-// the index does (DESIGN.md §5j).
+// Aggregates are answered from the loaded view by the moment index, with
+// no cache in front: a cache keyed by epoch misses every probe of a
+// sensor that just published, and a hit would cost about what the index
+// does (DESIGN.md §5j).
 #ifndef SBR_STORAGE_QUERY_SERVICE_H_
 #define SBR_STORAGE_QUERY_SERVICE_H_
 
@@ -46,18 +57,21 @@
 #include "core/transmission.h"
 #include "storage/chunk_log.h"
 #include "storage/query_engine.h"
+#include "storage/seqlock.h"
 #include "util/status.h"
 
 namespace sbr::storage {
 
 /// One frozen epoch of one sensor's history: the single compressed
 /// timeline, answering aggregates in the compressed domain and
-/// materialized reads by on-demand decode.
+/// materialized reads by on-demand decode. It holds the timeline's logs,
+/// so it stays valid after the service is gone.
 struct SensorSnapshot {
   /// Monotone per-sensor publish counter; epoch e was published after
   /// exactly e writer mutations (ingests, gaps, snapshots) of the sensor.
   uint64_t epoch = 0;
-  /// The epoch's timeline (a CompressedHistory::Frozen() copy).
+  /// The epoch's timeline (a CompressedHistory::Frozen() copy of the
+  /// published view).
   CompressedHistory history;
   /// Second name of `history`, for callers that address the compressed
   /// view explicitly.
@@ -114,18 +128,18 @@ class QueryService {
                        const core::BaseSnapshot& snapshot);
 
   // ------------------------------------------------------- reader side
-  /// The sensor's latest published epoch snapshot (one atomic load);
-  /// nullptr if the sensor has never been ingested.
+  /// The sensor's latest published epoch as a snapshot built on demand
+  /// (one allocation); nullptr if the sensor has never published.
   std::shared_ptr<const SensorSnapshot> Snapshot(uint32_t sensor_id) const;
 
   /// Compressed-domain aggregates of `signal` over [t0, t1), answered
-  /// from the latest epoch snapshot. NotFound for unknown sensors;
+  /// from the latest published view. NotFound for unknown sensors;
   /// DataLoss for ranges touching lost chunks; OutOfRange for malformed
   /// ranges.
   StatusOr<AggregateResult> Aggregate(uint32_t sensor_id, size_t signal,
                                       size_t t0, size_t t1) const;
 
-  /// Materialized range reconstruction from the same snapshot, decoded on
+  /// Materialized range reconstruction from the same view, decoded on
   /// demand (bitwise what core::SbrDecoder produces for the stream).
   StatusOr<std::vector<double>> Reconstruct(uint32_t sensor_id,
                                             size_t signal, size_t t0,
@@ -142,7 +156,7 @@ class QueryService {
     size_t t1 = 0;
   };
 
-  /// Answers every range of a batch against ONE epoch snapshot (mutually
+  /// Answers every range of a batch against ONE published view (mutually
   /// consistent answers). Per-query failures — DataLoss over gaps above
   /// all — stay per-query instead of failing the whole batch; each
   /// DataLoss answer is counted (obs `query.dataloss`).
@@ -161,50 +175,81 @@ class QueryService {
   /// The base-signal size every sensor's timeline decodes with.
   size_t m_base() const { return options_.m_base; }
 
-  /// The sensor's writer-side timeline itself (nullptr if never written),
-  /// for the writer — the base station reading back what it ingested —
-  /// or for any thread once ingest has stopped. Unlike Snapshot() it is
-  /// not safe to read while a writer call for the same sensor runs.
+  /// The sensor's writer-side timeline itself (nullptr if it never
+  /// published), for the writer — the base station reading back what it
+  /// ingested — or for any thread once ingest has stopped. Unlike
+  /// Snapshot() it is not safe to read while a writer call for the same
+  /// sensor runs.
   const CompressedHistory* Timeline(uint32_t sensor_id) const;
 
  private:
-  struct PerSensor {
-    /// Writer-owned mutable timeline; frozen into each published epoch
-    /// (the copies share its logs, see Publish).
-    CompressedHistory builder;
-    uint64_t epoch = 0;
-    /// The RCU slot readers load.
-    std::atomic<std::shared_ptr<const SensorSnapshot>> published;
-
-    PerSensor(size_t m_base, IndexOptions index) : builder(m_base, index) {}
+  /// What a publish stores under a sensor's seqlock (trivial, like
+  /// HistoryView).
+  struct PublishedView {
+    HistoryView history;
+    uint64_t epoch;
   };
 
-  /// Writer path: looks up or creates the sensor's builder state.
-  PerSensor* GetOrCreateLocked(uint32_t sensor_id);
-  /// Freezes the builder into a new epoch and swaps the RCU slot. The
-  /// snapshot's logs are handles on the builder's logs: entries below a
-  /// snapshot's size are never written again, and the builder only
-  /// appends above them, so readers and the writer share no written
-  /// memory.
-  void Publish(PerSensor* s);
-  /// Aggregate answered on an explicit snapshot.
-  StatusOr<AggregateResult> AggregateOn(const SensorSnapshot& snap,
-                                        size_t signal, size_t t0,
-                                        size_t t1) const;
-  void CountStatus(const Status& status) const;
+  struct PerSensor {
+    /// Readers' line: the seqlock'd view, and the id the directory
+    /// compares.
+    alignas(64) Seqlock<PublishedView> published;
+    const uint32_t id;
+    /// Writer-owned mutable timeline; the views point into its logs.
+    alignas(64) CompressedHistory builder;
+    uint64_t epoch = 0;
 
-  /// Reader path: resolves the sensor's slot (brief map_mu_ hold only).
-  const PerSensor* Find(uint32_t sensor_id) const;
+    PerSensor(uint32_t sensor_id, size_t m_base, IndexOptions index)
+        : id(sensor_id), builder(m_base, index) {}
+  };
+
+  /// Lock-free, grow-only map from sensor id to published sensor.
+  /// Readers find a sensor with an acquire load of the table pointer and
+  /// of each probed slot; the writer fills a slot with a release store
+  /// and replaces a half-full table by a copy twice its size, keeping
+  /// every table until the service dies (a reader may still probe an
+  /// old one).
+  class Directory {
+   public:
+    /// The sensor, if it has published. Any thread.
+    const PerSensor* Find(uint32_t sensor_id) const;
+    /// Writer only: adds a sensor that is not in the directory yet.
+    void Insert(const PerSensor* sensor);
+    size_t size() const { return size_.load(std::memory_order_relaxed); }
+
+   private:
+    struct Table {
+      explicit Table(size_t log2_capacity);
+      size_t Home(uint32_t sensor_id) const;
+      size_t log2_capacity;
+      std::unique_ptr<std::atomic<const PerSensor*>[]> slots;
+    };
+    /// Writer only: stores `sensor` in its first empty probe slot.
+    static void Place(const Table& table, const PerSensor* sensor);
+
+    std::atomic<const Table*> table_{nullptr};
+    /// Every table, newest last.
+    std::vector<std::unique_ptr<Table>> tables_;
+    std::atomic<size_t> size_{0};
+  };
+
+  /// Writer path: the sensor's state, created on first use.
+  PerSensor* GetOrCreateLocked(uint32_t sensor_id);
+  /// Stores the builder's view and the next epoch under the sensor's
+  /// seqlock, entering the sensor into the directory on its first
+  /// publish.
+  void Publish(PerSensor* s);
+  void CountStatus(const Status& status) const;
 
   QueryServiceOptions options_;
 
-  /// Guards only the sensor map's *structure* (find/insert); held for
-  /// nanoseconds on either side, so readers never wait out an ingest.
-  mutable std::mutex map_mu_;
+  /// Writer-owned: every sensor, published or not (a rejected first
+  /// transmission may leave base updates applied to its builder).
   std::map<uint32_t, std::unique_ptr<PerSensor>> sensors_;
+  Directory directory_;
 
   /// Serializes writer mutations (builder updates + publish). Readers
-  /// never take it: they only load the published atomic shared_ptr.
+  /// never take it.
   std::mutex writer_mu_;
 
   mutable std::atomic<uint64_t> queries_{0};

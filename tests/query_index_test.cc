@@ -107,12 +107,14 @@ TEST(MomentIndexUnit, EveryRangeMatchesNaiveLeafFold) {
   std::vector<std::vector<storage::MomentSummary>> leaves(kSignals);
   storage::MomentIndex index(kSignals);
   for (size_t i = 0; i < kLeaves; ++i) {
+    std::vector<storage::MomentSummary> chunk;
     for (size_t s = 0; s < kSignals; ++s) {
       const bool gap = rng() % 9 == 0;
       leaves[s].push_back(gap ? storage::MomentSummary::Gap()
                               : RandomLeaf(&rng));
-      index.Append(leaves[s].back());
+      chunk.push_back(leaves[s].back());
     }
+    index.AppendChunk([&](size_t s) { return chunk[s]; });
     ASSERT_EQ(index.size(), i + 1);
   }
   for (size_t s = 0; s < kSignals; ++s) {
@@ -151,11 +153,13 @@ TEST(MomentIndexUnit, CopiesShareSealedBlocksAndStayImmutable) {
   storage::MomentIndex index;
   for (size_t i = 0; i < 130; ++i) {  // 255 nodes: mid-block, 2nd directory
     leaves.push_back(RandomLeaf(&rng));
-    index.Append(leaves.back());
+    index.AppendChunk([&](size_t) { return leaves.back(); });
   }
   const storage::MomentIndex frozen = index;
   const storage::MomentSummary before = frozen.Query(0, 0, 130);
-  for (size_t i = 0; i < 40; ++i) index.Append(RandomLeaf(&rng));
+  for (size_t i = 0; i < 40; ++i) {
+    index.AppendChunk([&](size_t) { return RandomLeaf(&rng); });
+  }
 
   ASSERT_EQ(frozen.size(), 130u);
   ASSERT_EQ(index.size(), 170u);
@@ -282,12 +286,13 @@ TEST(AppendLogUnit, MovedFromLogIsEmptyAndAppendable) {
   FillTo(&moved, 3, 4);
   EXPECT_TRUE(Holds(moved, 3, 0, 1, 4));
 
+  const auto gap = [](size_t) { return storage::MomentSummary::Gap(); };
   storage::MomentIndex index;
-  for (int i = 0; i < 5; ++i) index.Append(storage::MomentSummary::Gap());
+  for (int i = 0; i < 5; ++i) index.AppendChunk(gap);
   storage::MomentIndex index_moved = std::move(index);
   EXPECT_EQ(index_moved.size(), 5u);
   EXPECT_EQ(index.size(), 0u);  // NOLINT(bugprone-use-after-move)
-  index.Append(storage::MomentSummary::Gap());
+  index.AppendChunk(gap);
   EXPECT_EQ(index.FirstGap(0, 0, 1), 0u);
 }
 

@@ -1,7 +1,9 @@
 // storage::QueryService suite: snapshot isolation under concurrent
-// readers (the TSan target), epoch reproducibility, aggregates answered
-// straight from the epoch snapshot, batch semantics and the per-query
-// DataLoss accounting.
+// readers (the TSan target) — through held snapshots and through the
+// lock-free per-query calls while the directory grows — epoch
+// reproducibility, snapshots that outlive the service, aggregates
+// answered straight from the published epoch, batch semantics and the
+// per-query DataLoss accounting.
 //
 // The concurrency test's invariant is the service's core promise: every
 // answer a reader ever observes is exactly reproducible from some
@@ -11,8 +13,10 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -384,6 +388,238 @@ TEST(QueryServiceConcurrency, PinnedMidBlockEpochSurvivesDirectoryGrowth) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(Fingerprint(*pinned), expected);
   EXPECT_EQ(service.Snapshot(0)->compressed.num_chunks(), kChunks + 1);
+}
+
+// Rejected first transmission: the sensor's builder exists (it may keep
+// base updates applied before the failure), but it never published, so
+// it has no epoch, no snapshot and does not count as a sensor.
+TEST(QueryService, RejectedFirstTransmissionPublishesNothing) {
+  const auto txs = EncodeChunks(1, 19);
+  ASSERT_EQ(txs.size(), 1u);
+  storage::QueryService service(ServiceOptions());
+  core::Transmission zero = txs[0];
+  zero.num_signals = 0;
+  EXPECT_EQ(service.Ingest(3, zero).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(service.num_sensors(), 0u);
+  EXPECT_EQ(service.epoch(3), 0u);
+  EXPECT_EQ(service.Snapshot(3), nullptr);
+  EXPECT_EQ(service.Timeline(3), nullptr);
+  EXPECT_EQ(service.Aggregate(3, 0, 0, 1).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(service.counters().publishes, 0u);
+
+  ASSERT_TRUE(service.Ingest(3, txs[0]).ok());
+  EXPECT_EQ(service.num_sensors(), 1u);
+  EXPECT_EQ(service.epoch(3), 1u);
+  ASSERT_NE(service.Snapshot(3), nullptr);
+  EXPECT_EQ(service.Snapshot(3)->history.num_chunks(), 1u);
+}
+
+/// One answer of the service or of a snapshot, rendered bit for bit with
+/// its full status text.
+template <typename T>
+std::string AnswerText(const StatusOr<T>& r) {
+  if (!r.ok()) return r.status().ToString();
+  auto bits = [](double v) {
+    return std::to_string(std::bit_cast<uint64_t>(v)) + " ";
+  };
+  std::string out;
+  if constexpr (std::is_same_v<T, storage::AggregateResult>) {
+    out = bits(r->sum) + bits(r->avg) + bits(r->min) + bits(r->max) +
+          bits(r->variance) + std::to_string(r->count);
+  } else if constexpr (std::is_same_v<T, double>) {
+    out = bits(*r);
+  } else {
+    for (double v : *r) out += bits(v);
+  }
+  return out;
+}
+
+// Readers use only the lock-free per-query calls (Aggregate, Point,
+// Reconstruct, epoch — never Snapshot) while one writer ingests, marks
+// gaps and creates new sensors, which grows the sensor directory past
+// three table replacements. A reader brackets each query between two
+// epoch reads e1 <= e2 and asks about the range just past the end of the
+// history at e1, so answers differ between epochs; the answer must equal
+// the single-threaded reference's answer at some epoch in [e1, e2], and
+// every sensor's epochs must be monotone as each reader sees them.
+TEST(QueryServiceConcurrency, LockFreeReadersMatchTheReferenceAtTheirEpoch) {
+  constexpr size_t kSensors = 40;
+  constexpr size_t kRounds = 10;
+  constexpr size_t kReaders = 3;
+  const auto txs = EncodeChunks(kRounds, 41);
+  ASSERT_EQ(txs.size(), kRounds);
+  auto id_of = [](size_t k) { return static_cast<uint32_t>(1000 + 37 * k); };
+
+  // The writer's schedule: sensor k joins at round k / 4; in each later
+  // round it ingests its next transmission, or marks a gap.
+  struct Step {
+    size_t sensor;
+    bool gap;
+    size_t tx;
+  };
+  std::vector<Step> steps;
+  std::vector<size_t> next_tx(kSensors, 0);
+  for (size_t round = 0; round < kRounds + kSensors / 4; ++round) {
+    for (size_t k = 0; k < kSensors && k / 4 <= round; ++k) {
+      if (next_tx[k] == kRounds) continue;
+      const bool gap = next_tx[k] > 0 && (round + k) % 5 == 3;
+      steps.push_back({k, gap, next_tx[k]});
+      if (!gap) ++next_tx[k];
+    }
+  }
+
+  // refs[k][e]: sensor k's snapshot at epoch e, from a private service
+  // fed the same steps single-threaded.
+  std::vector<std::vector<std::shared_ptr<const storage::SensorSnapshot>>>
+      refs(kSensors, {nullptr});
+  {
+    storage::QueryService ref(ServiceOptions());
+    for (const Step& st : steps) {
+      const uint32_t id = id_of(st.sensor);
+      ASSERT_TRUE(st.gap ? ref.MarkGap(id).ok()
+                         : ref.Ingest(id, txs[st.tx]).ok());
+      refs[st.sensor].push_back(ref.Snapshot(id));
+      ASSERT_EQ(refs[st.sensor].back()->epoch,
+                refs[st.sensor].size() - 1);
+    }
+  }
+
+  // The three probes a reader asks of sensor k after reading epoch e1.
+  auto probe_len = [&](size_t k, uint64_t e1) {
+    return e1 == 0 ? size_t{0} : refs[k][e1]->history.history_len();
+  };
+  auto expected = [&](size_t k, uint64_t e, int kind, size_t signal,
+                      size_t len) -> std::string {
+    if (e == 0) return Status::NotFound("sensor " +
+                                        std::to_string(id_of(k)))
+                           .ToString();
+    const storage::CompressedHistory& h = refs[k][e]->history;
+    const size_t lo = len > kChunkLen + 5 ? len - kChunkLen - 5 : 0;
+    if (kind == 0) return AnswerText(h.Aggregate(signal, lo, len + kChunkLen));
+    if (kind == 1) return AnswerText(h.Value(signal, len));
+    return AnswerText(h.QueryRange(signal, lo, len + 3));
+  };
+
+  storage::QueryService service(ServiceOptions());
+  std::atomic<bool> done{false};
+  std::atomic<size_t> started{0};
+  std::atomic<uint64_t> observations{0};
+  std::atomic<uint64_t> straddles{0};
+  std::atomic<int> failures{0};
+  std::vector<std::string> first_failure(kReaders);
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::vector<uint64_t> last(kSensors, 0);
+      started.fetch_add(1);
+      for (size_t i = r;; ++i) {
+        const bool last_pass = done.load(std::memory_order_acquire);
+        const size_t k = i % kSensors;
+        const uint32_t id = id_of(k);
+        const int kind = static_cast<int>(i / kSensors % 3);
+        const size_t signal = i % 3;
+        const uint64_t e1 = service.epoch(id);
+        const size_t len = probe_len(k, e1);
+        const size_t lo = len > kChunkLen + 5 ? len - kChunkLen - 5 : 0;
+        std::string got;
+        if (kind == 0) {
+          got = AnswerText(service.Aggregate(id, signal, lo, len + kChunkLen));
+        } else if (kind == 1) {
+          got = AnswerText(service.Point(id, signal, len));
+        } else {
+          got = AnswerText(service.Reconstruct(id, signal, lo, len + 3));
+        }
+        const uint64_t e2 = service.epoch(id);
+        bool ok = e1 >= last[k] && e2 >= e1 && e2 < refs[k].size();
+        bool matched = false;
+        for (uint64_t e = e1; ok && !matched && e <= e2; ++e) {
+          matched = got == expected(k, e, kind, signal, len);
+        }
+        if (!ok || !matched) {
+          first_failure[r] = "sensor " + std::to_string(k) + " kind " +
+                             std::to_string(kind) + " epochs " +
+                             std::to_string(last[k]) + " " +
+                             std::to_string(e1) + " " + std::to_string(e2) +
+                             ": " + got;
+          failures.fetch_add(1);
+          return;
+        }
+        last[k] = e2;
+        if (e2 > e1) straddles.fetch_add(1, std::memory_order_relaxed);
+        observations.fetch_add(1, std::memory_order_relaxed);
+        if (last_pass && k == kSensors - 1) return;
+      }
+    });
+  }
+  while (started.load() < kReaders) std::this_thread::yield();
+  for (const Step& st : steps) {
+    const uint32_t id = id_of(st.sensor);
+    ASSERT_TRUE(st.gap ? service.MarkGap(id).ok()
+                       : service.Ingest(id, txs[st.tx]).ok());
+    // Let the readers answer a few queries per publish, so reads overlap
+    // the whole schedule however fast the writer runs.
+    const uint64_t seen = observations.load();
+    while (failures.load() == 0 && observations.load() < seen + kReaders) {
+      std::this_thread::yield();
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  for (const std::string& f : first_failure) EXPECT_EQ(f, "");
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(observations.load(), kReaders * kSensors);
+  EXPECT_EQ(service.num_sensors(), kSensors);
+  for (size_t k = 0; k < kSensors; ++k) {
+    EXPECT_EQ(service.epoch(id_of(k)), refs[k].size() - 1);
+  }
+  // How often a query raced a publish of its own sensor; informational.
+  RecordProperty("straddles", std::to_string(straddles.load()));
+}
+
+// A snapshot taken by a reader while the writer ingests holds the logs of
+// its epoch: after the service is destroyed it still answers bit for bit
+// as the reference does at that epoch (ASan sees any use after free).
+TEST(QueryServiceConcurrency, SnapshotTakenMidIngestOutlivesTheService) {
+  constexpr size_t kChunks = 200;
+  const auto txs = EncodeChunks(kChunks, 43);
+  ASSERT_EQ(txs.size(), kChunks);
+  auto feed = [&](storage::QueryService* service, size_t events) {
+    for (size_t c = 0; c < events; ++c) {
+      if (c % 17 == 16) {
+        if (!service->MarkGap(0).ok()) return false;
+      } else if (!service->Ingest(0, txs[c]).ok()) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  std::shared_ptr<const storage::SensorSnapshot> held;
+  {
+    auto service = std::make_unique<storage::QueryService>(ServiceOptions());
+    std::thread reader([&] {
+      // Take the first snapshot past epoch 60: the writer is mid-stream.
+      for (;;) {
+        auto snap = service->Snapshot(0);
+        if (snap != nullptr && snap->epoch > 60) {
+          held = std::move(snap);
+          return;
+        }
+        std::this_thread::yield();
+      }
+    });
+    ASSERT_TRUE(feed(service.get(), kChunks));
+    reader.join();
+    ASSERT_NE(held, nullptr);
+    EXPECT_LE(held->epoch, service->epoch(0));
+  }
+  storage::QueryService ref(ServiceOptions());
+  ASSERT_TRUE(feed(&ref, held->epoch));
+  const auto want = ref.Snapshot(0);
+  ASSERT_EQ(want->epoch, held->epoch);
+  EXPECT_EQ(Fingerprint(*held), Fingerprint(*want));
 }
 
 /// Bitwise equality of two aggregate answers, DataLoss text included.

@@ -1645,7 +1645,7 @@ TEST(CompressedHistory, FrozenCopyAnswersButRefusesWrites) {
   OraclePair p;
   BuildOraclePair(PipeVariant::kDefault, &p);
   if (HasFatalFailure()) return;
-  const CompressedHistory frozen = p.timeline.Frozen();
+  const CompressedHistory frozen = p.timeline.Frozen(p.timeline.view());
   ExpectSameAnswers(frozen, p.timeline);
   CompressedHistory copy = frozen;
   core::Transmission t = MakeTransmission(1);
